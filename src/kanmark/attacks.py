@@ -34,6 +34,8 @@ class AttackSpec:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if self.kind != "finetune" and self.prune_ratio is None:
             raise ValueError(f"{self.kind} requires a prune_ratio")
+        if self.prune_ratio is not None and not 0.0 <= self.prune_ratio <= 1.0:
+            raise ValueError(f"prune ratio must be in [0, 1], got {self.prune_ratio}")
         if self.kind != "prune" and self.lr <= 0:
             raise ValueError("training attacks need lr > 0")
 

@@ -266,22 +266,27 @@ def load_checkpoint(path):
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"checkpoint {path}: format_version {version}, "
-                              f"expected {FORMAT_VERSION}")
-    kind = payload.get("kind")
-    if kind == "kan":
-        g = payload["grid"]
-        grid = build_grid(g["degree"], g["intervals"], g["t_min"], g["t_max"])
-        layers = [KanLayer(grid, rec["coeffs"], rec["w_b"], rec["w_s"],
-                           rec["prune_mask"]) for rec in payload["layers"]]
-        return KanModel(layers), payload
-    if kind == "mlp":
-        layers = payload["layers"]
-        return MlpModel([rec["weight"] for rec in layers],
-                        [rec["bias"] for rec in layers],
-                        payload.get("head", "logits")), payload
+    # Malformed payloads raise lookup/type errors here, bad values ValueError.
+    try:
+        version = payload.get("format_version")
+        if version != FORMAT_VERSION:
+            raise CheckpointError(f"checkpoint {path}: format_version {version}, "
+                                  f"expected {FORMAT_VERSION}")
+        kind = payload.get("kind")
+        if kind == "kan":
+            g = payload["grid"]
+            grid = build_grid(g["degree"], g["intervals"], g["t_min"], g["t_max"])
+            layers = [KanLayer(grid, rec["coeffs"], rec["w_b"], rec["w_s"],
+                               rec["prune_mask"]) for rec in payload["layers"]]
+            return KanModel(layers), payload
+        if kind == "mlp":
+            layers = payload["layers"]
+            return MlpModel([rec["weight"] for rec in layers],
+                            [rec["bias"] for rec in layers],
+                            payload.get("head", "logits")), payload
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path} is malformed: "
+                              f"{type(exc).__name__}: {exc}") from exc
     raise CheckpointError(f"checkpoint {path}: unknown kind {kind!r}")
 
 

@@ -5,12 +5,9 @@ first-layer activation capture, and activation-importance pruning.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
-from .numeric import (ShapeError, as_matrix, cross_entropy_loss, mse_loss,
-                      optimizer_step, sigmoid, silu_grad)
+from .numeric import ShapeError, as_matrix, sigmoid, silu_grad
 from .spline import SplineGrid, basis_derivative_matrix, basis_matrix, basis_values, build_grid
 
 
@@ -77,21 +74,24 @@ class KanLayer:
         return float(self.prune_mask[j, i]
                      * (self.w_b[j, i] * base_part + self.w_s[j, i] * spline_part))
 
-    def forward(self, x) -> tuple[np.ndarray, dict]:
-        """Batch forward; returns (outputs, cache-for-backward)."""
+    def _edge_terms(self, x):
+        """Checked input, silu(x), basis values (batch, in, m) and per-edge
+        spline values (batch, out, in)."""
         x = as_matrix(x, "layer input")
         if x.shape[1] != self.in_dim:
             raise ShapeError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
-        batch = x.shape[0]
         s = x * sigmoid(x)
-        bv = basis_matrix(self.grid, x.ravel()).reshape(batch, self.in_dim,
+        bv = basis_matrix(self.grid, x.ravel()).reshape(x.shape[0], self.in_dim,
                                                         self.grid.basis_count)
-        spl = np.einsum("bim,jim->bji", bv, self.coeffs)
+        return x, s, bv, np.einsum("bim,jim->bji", bv, self.coeffs)
+
+    def forward(self, x) -> tuple[np.ndarray, dict]:
+        """Batch forward; returns (outputs, cache-for-backward)."""
+        x, s, bv, spl = self._edge_terms(x)
         mb = self.prune_mask * self.w_b
         ms = self.prune_mask * self.w_s
         y = s @ mb.T + np.einsum("bji,ji->bj", spl, ms)
-        cache = {"x": x, "s": s, "bv": bv, "spl": spl}
-        return y, cache
+        return y, {"x": x, "s": s, "bv": bv, "spl": spl}
 
     def backward(self, cache: dict, gy: np.ndarray, need_input_grad: bool = True):
         """Gradients of a scalar loss given upstream d(loss)/d(outputs).
@@ -120,13 +120,7 @@ class KanLayer:
 
     def per_edge_activations(self, x) -> np.ndarray:
         """All edge outputs for a batch; shape (batch, out_dim, in_dim)."""
-        x = as_matrix(x, "layer input")
-        if x.shape[1] != self.in_dim:
-            raise ShapeError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
-        s = x * sigmoid(x)
-        bv = basis_matrix(self.grid, x.ravel()).reshape(x.shape[0], self.in_dim,
-                                                        self.grid.basis_count)
-        spl = np.einsum("bim,jim->bji", bv, self.coeffs)
+        _, s, _, spl = self._edge_terms(x)
         return self.prune_mask * (self.w_b * s[:, None, :] + self.w_s * spl)
 
     def copy(self) -> "KanLayer":
@@ -161,23 +155,22 @@ class KanModel:
 
     def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Full forward pass; returns (output, first-layer outputs)."""
-        out, layer0, _ = self.forward_with_cache(x)
-        return out, layer0
+        out, caches = self.forward_with_cache(x)
+        # Layer 1 caches its input, which is layer 0's output array.
+        return out, (caches[1]["x"] if len(caches) > 1 else out)
 
     def forward_with_cache(self, x):
-        """Forward pass keeping per-layer caches for :meth:`backward`."""
+        """Forward pass keeping per-layer caches for :meth:`backward`;
+        returns (output, caches)."""
         h = as_matrix(x, "model input")
         if h.shape[1] != self.layers[0].in_dim:
             raise ShapeError(f"model expects {self.layers[0].in_dim} inputs, "
                              f"got {h.shape[1]}")
         caches = []
-        layer0 = None
-        for k, layer in enumerate(self.layers):
+        for layer in self.layers:
             h, cache = layer.forward(h)
             caches.append(cache)
-            if k == 0:
-                layer0 = h.copy()
-        return h, layer0, caches
+        return h, caches
 
     def backward(self, caches, g_out: np.ndarray) -> list[np.ndarray]:
         """Exact gradients for every layer's [coeffs, w_b, w_s], layer-major."""
@@ -196,21 +189,17 @@ class KanModel:
     def predict(self, x) -> np.ndarray:
         return self.forward(x)[0]
 
-    def train_step(self, x, y, task: str, opt) -> float:
-        """One gradient step on the main-task loss; returns the loss."""
-        out, _, caches = self.forward_with_cache(x)
-        if task == "classification":
-            loss, g = cross_entropy_loss(out, y)
-        elif task == "regression":
-            loss, g = mse_loss(out, np.asarray(y, dtype=np.float64).reshape(out.shape))
-        else:
-            raise ValueError(f"unknown task {task!r}")
-        grads = self.backward(caches, g)
-        optimizer_step(self.parameters(), grads, opt)
-        return loss
-
     def copy(self) -> "KanModel":
         return KanModel([layer.copy() for layer in self.layers])
+
+
+def propagate(model: KanModel, x, depth: int) -> np.ndarray:
+    """Activations after the first ``depth`` layers for a batch of model
+    inputs: depth 0 is the input itself, depth k the input of layer k."""
+    h = as_matrix(x, "inputs")
+    for layer in model.layers[:depth]:
+        h, _ = layer.forward(h)
+    return h
 
 
 def edge_importance(model: KanModel, layer_index: int, calibration) -> np.ndarray:
@@ -224,9 +213,7 @@ def edge_importance(model: KanModel, layer_index: int, calibration) -> np.ndarra
         raise ValueError("calibration batch is empty")
     if not 0 <= layer_index < len(model.layers):
         raise IndexError(f"layer index {layer_index} out of range")
-    h = calibration
-    for layer in model.layers[:layer_index]:
-        h, _ = layer.forward(h)
+    h = propagate(model, calibration, layer_index)
     acts = model.layers[layer_index].per_edge_activations(h)
     return np.abs(acts).mean(axis=0)
 

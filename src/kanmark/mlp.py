@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numeric import (ShapeError, as_matrix, cross_entropy_loss, mse_loss,
-                      optimizer_step, relu)
+from .numeric import ShapeError, as_matrix, relu
 
 HEADS = ("logits", "scalar")
 
@@ -94,19 +93,6 @@ class MlpModel:
 
     def predict(self, x) -> np.ndarray:
         return self.forward(x)
-
-    def train_step(self, x, y, task: str, opt) -> float:
-        """One gradient step on cross-entropy (classification) or MSE."""
-        out, cache = self.forward_with_cache(x)
-        if task == "classification":
-            loss, g = cross_entropy_loss(out, y)
-        elif task == "regression":
-            loss, g = mse_loss(out, np.asarray(y, dtype=np.float64).reshape(out.shape))
-        else:
-            raise ValueError(f"unknown task {task!r}")
-        grads = self.backward(cache, g)
-        optimizer_step(self.parameters(), grads, opt)
-        return loss
 
     def copy(self) -> "MlpModel":
         return MlpModel([w.copy() for w in self.weights],

@@ -1,13 +1,33 @@
-"""Shared training loop and evaluation helpers for KAN and MLP models."""
+"""Shared training step, training loop and evaluation helpers for KAN and
+MLP models."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .data import epoch_batches
-from .numeric import as_matrix, cross_entropy_loss, mse_loss
+from .numeric import as_matrix, cross_entropy_loss, mse_loss, optimizer_step
 
 TASKS = ("classification", "regression")
+
+
+def task_loss(out: np.ndarray, targets, task: str):
+    """(loss, d(loss)/d(out)) of the main task: cross-entropy against integer
+    labels, or MSE against targets reshaped like ``out``."""
+    if task == "classification":
+        return cross_entropy_loss(out, targets)
+    if task == "regression":
+        return mse_loss(out, np.asarray(targets, dtype=np.float64).reshape(out.shape))
+    raise ValueError(f"unknown task {task!r}")
+
+
+def train_step(model, x, y, task: str, opt) -> float:
+    """One gradient step of a KanModel or MlpModel on the main-task loss;
+    returns the loss before the step."""
+    out, cache = model.forward_with_cache(x)
+    loss, g = task_loss(out, y, task)
+    optimizer_step(model.parameters(), model.backward(cache, g), opt)
+    return loss
 
 
 def fit(model, inputs, targets, task: str, epochs: int, opt,
@@ -30,7 +50,7 @@ def fit(model, inputs, targets, task: str, epochs: int, opt,
     for _ in range(epochs):
         losses = []
         for idx in epoch_batches(inputs.shape[0], batch_size, rng):
-            losses.append(model.train_step(inputs[idx], targets[idx], task, opt))
+            losses.append(train_step(model, inputs[idx], targets[idx], task, opt))
         history.append(float(np.mean(losses)))
     return history
 
@@ -48,11 +68,7 @@ def rmse(pred: np.ndarray, targets) -> float:
 def evaluate(model, inputs, targets, task: str) -> dict:
     """Loss plus accuracy (classification) or RMSE (regression)."""
     out = model.predict(inputs)
+    loss, _ = task_loss(out, targets, task)
     if task == "classification":
-        loss, _ = cross_entropy_loss(out, targets)
         return {"loss": loss, "accuracy": accuracy(out, targets)}
-    if task == "regression":
-        target_mat = np.asarray(targets, dtype=np.float64).reshape(out.shape)
-        loss, _ = mse_loss(out, target_mat)
-        return {"loss": loss, "rmse": rmse(out, targets)}
-    raise ValueError(f"unknown task {task!r}")
+    return {"loss": loss, "rmse": rmse(out, targets)}

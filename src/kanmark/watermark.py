@@ -5,7 +5,9 @@ augmentation, detector training, and ownership verification.
 The watermark lives in the first layer's activation outputs: embedding
 alternates a main-task step over all parameters with a signal step that
 pulls the layer outputs O toward perturb(O) = idct(dct(O) + P), updating
-only that layer's parameters.
+only that layer's parameters. The DCT pair is orthonormal, so
+perturb(O) - O = idct(P) on every row and the signal step has a closed
+form that needs neither the transform nor the current outputs.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import epoch_batches
-from .kan import KanModel
+from .kan import KanModel, propagate
 from .mlp import MlpModel
-from .numeric import ShapeError, adam, as_matrix, mse_loss, optimizer_step
-from .training import fit
-from .transform import dct, perturb_rows
+from .numeric import ShapeError, adam, as_matrix, optimizer_step
+from .training import fit, train_step
+from .transform import dct, idct
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,7 @@ def layer_outputs(model: KanModel, x, layer_index: int = 0) -> np.ndarray:
     """Outputs of the indexed layer for a batch of model inputs."""
     if not 0 <= layer_index < len(model.layers):
         raise IndexError(f"layer index {layer_index} out of range")
-    h = as_matrix(x, "inputs")
-    for layer in model.layers[:layer_index + 1]:
-        h, _ = layer.forward(h)
-    return h
+    return propagate(model, x, layer_index + 1)
 
 
 def calibrate_amplitude(model: KanModel, calibration, band,
@@ -82,21 +81,21 @@ def default_band(length: int) -> tuple[int, int]:
     return length // 4, min(length // 2, length - 1)
 
 
-def signal_step(model: KanModel, x, target: np.ndarray, opt,
+def signal_step(model: KanModel, x, signal: PerturbationSignal, opt,
                 layer_index: int = 0) -> float:
-    """One gradient step pulling layer outputs toward an explicit target.
+    """One gradient step of the indexed layer's outputs O toward perturb(O).
 
-    Only the indexed layer's parameters move. Returns the signal loss.
+    The signal loss mse(O, perturb(O)) has the constant residual
+    O - perturb(O) = -idct(P) on every row, so its value is ||P||^2 / N and
+    its output gradient is -2 idct(P) / (rows * N). Only the indexed layer's
+    parameters move. Returns the signal loss.
     """
-    h = as_matrix(x, "inputs")
-    for layer in model.layers[:layer_index]:
-        h, _ = layer.forward(h)
     layer = model.layers[layer_index]
-    out, cache = layer.forward(h)
-    loss, g_out = mse_loss(out, target)
+    out, cache = layer.forward(propagate(model, x, layer_index))
+    g_out = np.broadcast_to(-2.0 * idct(signal.values) / out.size, out.shape)
     grads, _ = layer.backward(cache, g_out, need_input_grad=False)
     optimizer_step(layer.parameters(), grads, opt)
-    return loss
+    return float(signal.values @ signal.values / signal.length)
 
 
 def embed(model: KanModel, signal: PerturbationSignal, inputs, targets,
@@ -105,11 +104,10 @@ def embed(model: KanModel, signal: PerturbationSignal, inputs, targets,
           layer_index: int = 0) -> KanModel:
     """Two-phase watermark embedding; returns a new, watermarked model.
 
-    Per batch: (1) a main-task step on all parameters; (2) recompute the
-    layer outputs O, form the moving target perturb(O), and take a signal
-    step on the watermarked layer only. A zero signal skips phase 2
-    entirely, which makes the run bit-identical to plain training under the
-    same seed.
+    Per batch: (1) a main-task step on all parameters; (2) a closed-form
+    signal step (:func:`signal_step`) on the watermarked layer only. A zero
+    signal skips phase 2 entirely, which makes the run bit-identical to
+    plain training under the same seed.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -128,34 +126,33 @@ def embed(model: KanModel, signal: PerturbationSignal, inputs, targets,
     for _ in range(epochs):
         for idx in epoch_batches(inputs.shape[0], batch_size, rng):
             xb = inputs[idx]
-            wm.train_step(xb, targets[idx], task, opt_main)
+            train_step(wm, xb, targets[idx], task, opt_main)
             if active:
-                current = layer_outputs(wm, xb, layer_index)
-                target = perturb_rows(current, signal.values)
-                signal_step(wm, xb, target, opt_wm, layer_index)
+                signal_step(wm, xb, signal, opt_wm, layer_index)
     return wm
 
 
 @dataclass
 class DetectorDataset:
     """Labeled activation rows: watermarked (1) vs clean (0), each original
-    row accompanied by shuffled variants with the same label."""
+    row accompanied by shuffled variants with the same label.
+
+    ``provenance[r]`` indexes :attr:`TAGS`; even tags are watermarked rows.
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
-    provenance: list[str]
+    provenance: np.ndarray
 
-    WM_TAGS = ("wm", "wm_shuffled")
-    CLEAN_TAGS = ("clean", "clean_shuffled")
+    TAGS = ("wm", "clean", "wm_shuffled", "clean_shuffled")
 
     def validate(self) -> None:
         n = self.inputs.shape[0]
-        if self.labels.shape != (n,) or len(self.provenance) != n:
+        tags = np.asarray(self.provenance)
+        if self.labels.shape != (n,) or tags.shape != (n,):
             raise ShapeError("detector dataset fields disagree on row count")
-        for label, tag in zip(self.labels, self.provenance):
-            expected = 1 if tag in self.WM_TAGS else 0
-            if tag not in self.WM_TAGS + self.CLEAN_TAGS or label != expected:
-                raise ValueError(f"label {label} inconsistent with provenance {tag!r}")
+        if np.any((tags < 0) | (tags >= len(self.TAGS)) | (self.labels != 1 - tags % 2)):
+            raise ValueError("labels inconsistent with provenance tags")
         if int(self.labels.sum()) * 2 != n:
             raise ValueError("watermarked and clean row counts differ")
 
@@ -168,34 +165,34 @@ def build_detector_dataset(model_wm: KanModel, model_clean: KanModel, inputs,
                            layer_index: int = 0) -> DetectorDataset:
     """Per sample: the watermarked and clean layer outputs, plus
     ``n_shuffles`` independent random permutations of each, labeled like
-    their originals."""
+    their originals.
+
+    Rows come in per-sample blocks [wm, clean, n_shuffles x wm shuffled,
+    n_shuffles x clean shuffled], and the permutations are drawn in that
+    order.
+    """
     wm_dim = model_wm.layers[layer_index].out_dim
     if wm_dim != model_clean.layers[layer_index].out_dim:
         raise ShapeError("models disagree on watermarked layer width")
+    if n_shuffles < 0:
+        raise ValueError(f"n_shuffles must be >= 0, got {n_shuffles}")
     inputs = as_matrix(inputs, "inputs")
-    if inputs.shape[0] == 0:
+    n = inputs.shape[0]
+    if n == 0:
         raise ValueError("empty detector source data")
-    o_wm = layer_outputs(model_wm, inputs, layer_index)
-    o_clean = layer_outputs(model_clean, inputs, layer_index)
+    outs = np.stack([layer_outputs(model_wm, inputs, layer_index),
+                     layer_outputs(model_clean, inputs, layer_index)], axis=1)
     rng = np.random.default_rng(seed)
-    rows, labels, provenance = [], [], []
-    for d in range(inputs.shape[0]):
-        rows.append(o_wm[d])
-        labels.append(1)
-        provenance.append("wm")
-        rows.append(o_clean[d])
-        labels.append(0)
-        provenance.append("clean")
-        for _ in range(n_shuffles):
-            rows.append(o_wm[d][rng.permutation(wm_dim)])
-            labels.append(1)
-            provenance.append("wm_shuffled")
-        for _ in range(n_shuffles):
-            rows.append(o_clean[d][rng.permutation(wm_dim)])
-            labels.append(0)
-            provenance.append("clean_shuffled")
-    return DetectorDataset(np.asarray(rows), np.asarray(labels, dtype=np.int64),
-                           provenance)
+    perms = np.array([rng.permutation(wm_dim) for _ in range(n * 2 * n_shuffles)],
+                     dtype=np.intp).reshape(n, 2 * n_shuffles, wm_dim)
+    identity = np.broadcast_to(np.arange(wm_dim), (n, 2, wm_dim))
+    columns = np.concatenate([identity, perms], axis=1)
+    tags = np.repeat(np.arange(len(DetectorDataset.TAGS), dtype=np.int8),
+                     [1, 1, n_shuffles, n_shuffles])
+    clean = tags % 2
+    rows = outs[np.arange(n)[:, None, None], clean[None, :, None], columns]
+    return DetectorDataset(rows.reshape(-1, wm_dim),
+                           np.tile(1 - clean, n).astype(np.int64), np.tile(tags, n))
 
 
 def train_detector(dataset: DetectorDataset, hidden=(64, 32), epochs: int = 50,

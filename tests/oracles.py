@@ -104,6 +104,24 @@ def mlp_forward_ref(model, x):
     return out
 
 
+# --- watermark detector dataset -------------------------------------------------
+
+def detector_dataset_ref(o_wm, o_clean, n_shuffles, seed):
+    """Row-by-row detector dataset: per sample the watermarked row, the
+    clean row, n_shuffles permutations of the first, then n_shuffles of
+    the second; returns (rows, labels)."""
+    rng = np.random.default_rng(seed)
+    rows, labels = [], []
+    for d in range(o_wm.shape[0]):
+        rows += [o_wm[d], o_clean[d]]
+        labels += [1, 0]
+        for source, label in ((o_wm[d], 1), (o_clean[d], 0)):
+            for _ in range(n_shuffles):
+                rows.append(source[rng.permutation(source.size)])
+                labels.append(label)
+    return np.array(rows), np.array(labels)
+
+
 # --- optimizers ----------------------------------------------------------------
 
 def adam_scalar_ref(p0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):

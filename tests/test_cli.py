@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from kanmark import KanModel, MlpModel
-from kanmark.cli import (ConfigError, SeedBundle, canonical_json, config_hash,
-                         derive_seed, load_checkpoint, load_config, main,
-                         save_checkpoint)
+from kanmark.cli import (CheckpointError, ConfigError, SeedBundle,
+                         canonical_json, config_hash, derive_seed,
+                         load_checkpoint, load_config, main, save_checkpoint)
 
 
 def write_config(path, **overrides):
@@ -121,6 +121,24 @@ class TestCheckpointRoundTrip:
                      "--detector-ckpt", str(path), "--suspect-ckpt", str(path),
                      "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("defect", ["no_grid", "list_root", "mask_entry_2"])
+    def test_malformed_checkpoint_exit_code(self, tmp_path, defect):
+        path = tmp_path / "m.json"
+        save_checkpoint(path, KanModel.create([2, 2], seed=4), "clean", "hash", 1)
+        payload = json.loads(path.read_text())
+        if defect == "no_grid":
+            del payload["grid"]
+        elif defect == "mask_entry_2":
+            payload["layers"][0]["prune_mask"][0][0] = 2
+        else:
+            payload = [payload]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        assert main(["verify", "--config", write_config(tmp_path / "c.json"),
+                     "--detector-ckpt", str(path), "--suspect-ckpt", str(path),
+                     "--out", str(tmp_path)]) == 4
+
 
 class TestCommands:
     def test_full_pipeline_exit_codes(self, tmp_path):
@@ -187,6 +205,16 @@ class TestCommands:
         path.write_text("{broken")
         assert main(["train-clean", "--config", str(path),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("kind", ["prune", "retrain"])
+    def test_out_of_range_prune_ratio_exit_code(self, tmp_path, kind):
+        wm = tmp_path / "wm.json"
+        save_checkpoint(wm, KanModel.create([2, 4, 1], seed=0), "watermarked",
+                        "hash", 0)
+        assert main(["attack", "--config", write_config(tmp_path / "c.json"),
+                     "--wm-ckpt", str(wm), "--kind", kind, "--ratio", "1.5",
+                     "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "report.jsonl").exists()
 
     def test_data_error_exit_code(self, tmp_path):
         cfg = write_config(

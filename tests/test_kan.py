@@ -144,7 +144,7 @@ class TestModelBackward:
     def test_zero_upstream_grad(self):
         model = random_model([2, 3, 2], seed=15)
         x = np.random.default_rng(7).uniform(-1, 1, size=(4, 2))
-        out, _, caches = model.forward_with_cache(x)
+        out, caches = model.forward_with_cache(x)
         grads = model.backward(caches, np.zeros_like(out))
         assert all(np.all(g == 0.0) for g in grads)
 
@@ -165,7 +165,7 @@ class TestModelBackward:
         x = rng.uniform(-0.9, 0.9, size=(4, 2))
         target = rng.normal(size=(4, 2))
 
-        out, _, caches = model.forward_with_cache(x)
+        out, caches = model.forward_with_cache(x)
         _, g = mse_loss(out, target)
         analytic = model.backward(caches, g)
 
@@ -181,7 +181,7 @@ class TestModelBackward:
         x = rng.uniform(-0.9, 0.9, size=(3, 4))
         target = rng.normal(size=(3, 3))
 
-        out, _, caches = model.forward_with_cache(x)
+        out, caches = model.forward_with_cache(x)
         _, g = mse_loss(out, target)
         analytic = model.backward(caches, g)
 
@@ -195,7 +195,7 @@ class TestModelBackward:
         model = random_model([3, 3], seed=19)
         model.layers[0].prune_mask[1, 2] = 0.0
         x = np.random.default_rng(11).uniform(-1, 1, size=(4, 3))
-        out, _, caches = model.forward_with_cache(x)
+        out, caches = model.forward_with_cache(x)
         grads = model.backward(caches, np.ones_like(out))
         assert np.all(grads[0][1, 2, :] == 0.0)  # coeffs
         assert grads[1][1, 2] == 0.0              # w_b
@@ -204,7 +204,7 @@ class TestModelBackward:
     def test_stale_cache_rejected(self):
         model = random_model([2, 2], seed=20)
         x = np.random.default_rng(12).normal(size=(4, 2))
-        _, _, caches = model.forward_with_cache(x)
+        _, caches = model.forward_with_cache(x)
         with pytest.raises(ShapeError):
             model.backward(caches, np.zeros((3, 2)))
         with pytest.raises(ValueError):

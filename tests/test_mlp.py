@@ -3,7 +3,7 @@ import pytest
 
 from kanmark.mlp import MlpModel, prune_mlp
 from kanmark.numeric import ShapeError, adam, cross_entropy_loss, sgd
-from kanmark.training import evaluate, fit
+from kanmark.training import evaluate, fit, train_step
 
 from oracles import assert_grads_close, central_diff, mlp_forward_ref
 
@@ -43,7 +43,7 @@ class TestTrainStep:
         snaps = [p.copy() for p in model.parameters()]
         x = np.random.default_rng(2).normal(size=(6, 3))
         y = np.random.default_rng(3).integers(0, 2, size=6)
-        loss = model.train_step(x, y, "classification", sgd(0.0))
+        loss = train_step(model, x, y, "classification", sgd(0.0))
         assert loss > 0.0
         for p, s in zip(model.parameters(), snaps):
             assert np.array_equal(p, s)
@@ -54,7 +54,7 @@ class TestTrainStep:
         model = MlpModel.create([2, 8, 2], seed=4)
         opt = adam(1e-2)
         for _ in range(200):
-            model.train_step(x, y, "classification", opt)
+            train_step(model, x, y, "classification", opt)
         acc = evaluate(model, x, y, "classification")["accuracy"]
         assert acc == 1.0
 

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from kanmark import (KanModel, adam, build_detector_dataset, embed, fit,
-                     gen_feynman, gen_signal, train_detector, verify)
+                     gen_feynman, gen_signal, sgd, train_detector, verify)
+from kanmark.kan import propagate
 from kanmark.mlp import MlpModel
 from kanmark.numeric import ShapeError, mse_loss
 from kanmark.transform import perturb_rows
 from kanmark.watermark import (DetectorDataset, calibrate_amplitude,
                                default_band, layer_outputs, signal_step)
+
+from oracles import detector_dataset_ref
 
 
 def small_task(seed=0, n=96):
@@ -76,28 +79,35 @@ class TestEmbed:
         x, y = small_task(seed=2)
         model = KanModel.create([2, 4, 1], seed=6)
         sig = gen_signal(9, 4, (1, 2), 0.2)
-        target = perturb_rows(layer_outputs(model, x, 0), sig.values)
         deeper_before = [p.copy() for p in model.layers[1].parameters()]
         first_before = [p.copy() for p in model.layers[0].parameters()]
-        signal_step(model, x, target, adam(1e-3), layer_index=0)
+        signal_step(model, x, sig, adam(1e-3), layer_index=0)
         for p, snap in zip(model.layers[1].parameters(), deeper_before):
             assert np.array_equal(p, snap)
         assert any(not np.array_equal(p, snap)
                    for p, snap in zip(model.layers[0].parameters(), first_before))
 
-    def test_signal_loss_drops_on_frozen_batch(self):
-        # fixed target computed once; 200 steps must halve the loss
-        x, y = small_task(seed=3)
-        model = KanModel.create([2, 4, 1], seed=7)
-        band = default_band(4)
-        alpha = calibrate_amplitude(model, x, band, 0.3)
-        sig = gen_signal(11, 4, band, alpha)
-        target = perturb_rows(layer_outputs(model, x, 0), sig.values)
-        opt = adam(1e-3)
-        first = signal_step(model, x, target, opt)
-        for _ in range(199):
-            last = signal_step(model, x, target, opt)
-        assert last <= 0.5 * first
+    @pytest.mark.parametrize("widths, layer_index", [([64, 32, 10], 0),
+                                                     ([2, 4, 3, 1], 1)])
+    def test_closed_form_step_matches_moving_target_backprop(self, widths,
+                                                              layer_index):
+        # reference: backprop of mse(O, perturb_rows(O, P)) on the layer
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, size=(64, widths[0]))
+        model = KanModel.create(widths, seed=7)
+        layer = model.layers[layer_index]
+        band = default_band(layer.out_dim)
+        alpha = calibrate_amplitude(model, x, band, 0.3, layer_index=layer_index)
+        sig = gen_signal(11, layer.out_dim, band, alpha)
+        out, cache = layer.forward(propagate(model, x, layer_index))
+        ref_loss, g_out = mse_loss(out, perturb_rows(out, sig.values))
+        ref, _ = layer.backward(cache, g_out, need_input_grad=False)
+
+        before = [p.copy() for p in layer.parameters()]
+        loss = signal_step(model, x, sig, sgd(1.0), layer_index=layer_index)
+        assert loss == pytest.approx(ref_loss, rel=1e-10)
+        for b, p, r in zip(before, layer.parameters(), ref):
+            assert np.linalg.norm((b - p) - r) <= 1e-10 * np.linalg.norm(r)
 
     def test_embed_returns_new_model_and_checks_dims(self):
         x, y = small_task(seed=4)
@@ -118,9 +128,8 @@ class TestEmbed:
         sig = gen_signal(21, 3, (1, 1), 0.1)
         wm = embed(model, sig, x, y, "regression", epochs=1, layer_index=1)
         assert wm.widths == model.widths
-        target = perturb_rows(layer_outputs(model, x, 1), sig.values)
         before_l0 = [p.copy() for p in model.layers[0].parameters()]
-        signal_step(model, x, target, adam(1e-3), layer_index=1)
+        signal_step(model, x, sig, adam(1e-3), layer_index=1)
         for p, snap in zip(model.layers[0].parameters(), before_l0):
             assert np.array_equal(p, snap)
         ds = build_detector_dataset(wm, model, x[:10], n_shuffles=2, seed=1,
@@ -142,12 +151,25 @@ class TestEmbed:
 
 
 class TestDetectorDataset:
+    def models(self):
+        return KanModel.create([2, 4, 1], seed=10), KanModel.create([2, 4, 1], seed=11)
+
     def build(self, n=20, n_shuffles=10, seed=0):
         x, y = small_task(seed=6, n=max(n, 20))
-        wm = KanModel.create([2, 4, 1], seed=10)
-        clean = KanModel.create([2, 4, 1], seed=11)
-        return build_detector_dataset(wm, clean, x[:n], n_shuffles=n_shuffles,
-                                      seed=seed)
+        return build_detector_dataset(*self.models(), x[:n],
+                                      n_shuffles=n_shuffles, seed=seed)
+
+    @pytest.mark.parametrize("n_shuffles", [0, 3, 10])
+    def test_matches_row_loop_oracle(self, n_shuffles):
+        x, _ = small_task(seed=6, n=20)
+        wm, clean = self.models()
+        ds = build_detector_dataset(wm, clean, x[:12], n_shuffles=n_shuffles,
+                                    seed=5)
+        rows, labels = detector_dataset_ref(layer_outputs(wm, x[:12]),
+                                            layer_outputs(clean, x[:12]),
+                                            n_shuffles, seed=5)
+        assert np.array_equal(ds.inputs, rows)
+        assert np.array_equal(ds.labels, labels)
 
     def test_row_count_and_balance(self):
         ds = self.build(n=15)
@@ -170,7 +192,11 @@ class TestDetectorDataset:
     def test_labels_follow_provenance(self):
         ds = self.build(n=5)
         for label, tag in zip(ds.labels, ds.provenance):
-            assert label == (1 if tag in ("wm", "wm_shuffled") else 0)
+            name = DetectorDataset.TAGS[tag]
+            assert label == (1 if name in ("wm", "wm_shuffled") else 0)
+        ds.labels[0] = 1 - ds.labels[0]
+        with pytest.raises(ValueError):
+            ds.validate()
 
     def test_seeded_rerun_is_identical(self):
         a = self.build(n=10, seed=42)
@@ -193,7 +219,7 @@ class TestTrainDetector:
         clean_rows = rng.normal(size=(n, 6)) - 4.0
         inputs = np.vstack([wm_rows, clean_rows])
         labels = np.array([1] * n + [0] * n)
-        prov = ["wm"] * n + ["clean"] * n
+        prov = np.array([0] * n + [1] * n)
         return DetectorDataset(inputs, labels, prov)
 
     def test_separable_classes_reach_high_accuracy(self):
@@ -212,7 +238,7 @@ class TestTrainDetector:
     def test_single_class_rejected(self):
         rng = np.random.default_rng(4)
         ds = DetectorDataset(rng.normal(size=(10, 4)),
-                             np.ones(10, dtype=np.int64), ["wm"] * 10)
+                             np.ones(10, dtype=np.int64), np.zeros(10, dtype=np.int8))
         with pytest.raises(ValueError):
             train_detector(ds)
 
