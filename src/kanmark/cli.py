@@ -6,8 +6,8 @@ Configs, checkpoints, and reports are JSON (checkpoints carry parameters as
 nested decimal arrays and are byte-stable across save/load/save). Reports
 are JSON lines appended to <out>/report.jsonl.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 dimension or
-checkpoint-compatibility error.
+Exit codes: 0 success, 2 config error or diverged training (no checkpoint
+is written), 3 data error, 4 dimension or checkpoint-compatibility error.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .kan import KanModel, KanLayer
 from .mlp import MlpModel
 from .numeric import ShapeError, adam
 from .spline import build_grid
-from .training import evaluate, fit
+from .training import DivergenceError, evaluate, fit
 from .watermark import (build_detector_dataset, calibrate_amplitude,
                         default_band, embed, gen_signal, train_detector,
                         verify)
@@ -147,10 +147,19 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError(f"tau must be in [0, 1], got {cfg['tau']}")
     if cfg["attack"]["kind"] not in ("finetune", "prune", "retrain_after_prune"):
         raise ConfigError(f"unknown attack kind {cfg['attack']['kind']!r}")
-    for section, key in (("train", "epochs"), ("watermark", "epochs"),
-                         ("detector", "epochs")):
-        if cfg[section][key] < 0:
-            raise ConfigError(f"{section}.{key} must be >= 0")
+    for section, least in (("train", 0), ("watermark", 1), ("detector", 0)):
+        if cfg[section]["epochs"] < least:
+            raise ConfigError(f"{section}.epochs must be >= {least}")
+    wm = cfg["watermark"]
+    alpha = wm["alpha"]
+    if alpha is not None and not (isinstance(alpha, (int, float))
+                                  and np.isfinite(alpha) and alpha >= 0):
+        raise ConfigError(f"watermark.alpha must be a finite number >= 0, got {alpha!r}")
+    band = wm["band"]
+    if band is not None and not (isinstance(band, list) and len(band) == 2
+                                 and all(type(k) is int for k in band)
+                                 and 0 <= band[0] <= band[1]):
+        raise ConfigError(f"watermark.band must be two ints 0 <= lo <= hi, got {band!r}")
 
 
 def canonical_json(obj) -> str:
@@ -374,6 +383,9 @@ def cmd_embed(args) -> int:
                               f"range for {len(clean.layers)}-layer model")
     n_sig = clean.layers[layer_index].out_dim
     band = wm_cfg["band"] or list(default_band(n_sig))
+    if band[1] >= n_sig:
+        raise ConfigError(f"watermark.band {band} exceeds the width {n_sig} "
+                          f"of layer {layer_index}")
     calibration = train.inputs[:256]
     if wm_cfg["alpha"] is not None:
         alpha = float(wm_cfg["alpha"])
@@ -595,6 +607,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DivergenceError as exc:
+        print(f"error: {exc}; nothing saved", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .numeric import ShapeError, as_matrix, sigmoid, silu_grad
-from .spline import SplineGrid, basis_derivative_matrix, basis_matrix, basis_values, build_grid
+from .spline import SplineGrid, basis_derivative_matrix, basis_matrix, build_grid
 
 
 class KanLayer:
@@ -68,30 +68,26 @@ class KanLayer:
         if not (0 <= j < self.out_dim and 0 <= i < self.in_dim):
             raise IndexError(f"edge ({j}, {i}) out of range for "
                              f"{self.out_dim}x{self.in_dim} layer")
-        bv = basis_values(self.grid, x)
-        spline_part = float(self.coeffs[j, i] @ bv)
-        base_part = float(x) * float(sigmoid(np.float64(x)))
-        return float(self.prune_mask[j, i]
-                     * (self.w_b[j, i] * base_part + self.w_s[j, i] * spline_part))
+        return float(self.per_edge_activations(np.full((1, self.in_dim), x))[0, j, i])
 
-    def _edge_terms(self, x):
-        """Checked input, silu(x), basis values (batch, in, m) and per-edge
-        spline values (batch, out, in)."""
+    def _inputs(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Checked input and silu(x)."""
         x = as_matrix(x, "layer input")
         if x.shape[1] != self.in_dim:
             raise ShapeError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
-        s = x * sigmoid(x)
-        bv = basis_matrix(self.grid, x.ravel()).reshape(x.shape[0], self.in_dim,
-                                                        self.grid.basis_count)
-        return x, s, bv, np.einsum("bim,jim->bji", bv, self.coeffs)
+        return x, x * sigmoid(x)
+
+    def _spline_weights(self) -> np.ndarray:
+        """Masked, w_s-scaled coefficients as one (out, in * m) GEMM operand."""
+        ms = self.prune_mask * self.w_s
+        return (ms[:, :, None] * self.coeffs).reshape(self.out_dim, -1)
 
     def forward(self, x) -> tuple[np.ndarray, dict]:
         """Batch forward; returns (outputs, cache-for-backward)."""
-        x, s, bv, spl = self._edge_terms(x)
-        mb = self.prune_mask * self.w_b
-        ms = self.prune_mask * self.w_s
-        y = s @ mb.T + np.einsum("bji,ji->bj", spl, ms)
-        return y, {"x": x, "s": s, "bv": bv, "spl": spl}
+        x, s = self._inputs(x)
+        b = basis_matrix(self.grid, x.ravel()).reshape(x.shape[0], -1)
+        y = s @ (self.prune_mask * self.w_b).T + b @ self._spline_weights().T
+        return y, {"x": x, "s": s, "b": b}
 
     def backward(self, cache: dict, gy: np.ndarray, need_input_grad: bool = True):
         """Gradients of a scalar loss given upstream d(loss)/d(outputs).
@@ -101,26 +97,28 @@ class KanLayer:
         """
         if cache is None or "x" not in cache:
             raise ValueError("missing forward cache")
-        x, s, bv, spl = cache["x"], cache["s"], cache["bv"], cache["spl"]
+        x, s, b = cache["x"], cache["s"], cache["b"]
         gy = np.asarray(gy, dtype=np.float64)
         if gy.shape != (x.shape[0], self.out_dim):
             raise ShapeError(f"upstream grad shape {gy.shape} does not match "
                              f"cached batch ({x.shape[0]}, {self.out_dim})")
         mask = self.prune_mask
-        g_wb = mask * (gy.T @ s)
-        g_ws = mask * np.einsum("bj,bji->ji", gy, spl)
-        g_coeffs = (mask * self.w_s)[:, :, None] * np.einsum("bj,bim->jim", gy, bv)
+        g = (gy.T @ b).reshape(self.coeffs.shape)
+        g_coeffs = (mask * self.w_s)[:, :, None] * g
+        g_ws = mask * (g * self.coeffs).sum(axis=-1)
         gx = None
         if need_input_grad:
-            dbv = basis_derivative_matrix(self.grid, x.ravel()).reshape(bv.shape)
-            dspl = np.einsum("bim,jim->bji", dbv, self.coeffs)
+            db = basis_derivative_matrix(self.grid, x.ravel())
+            gb = (gy @ self._spline_weights()).reshape(db.shape)
             gx = silu_grad(x) * (gy @ (mask * self.w_b)) \
-                + np.einsum("bj,bji,ji->bi", gy, dspl, mask * self.w_s)
-        return [g_coeffs, g_wb, g_ws], gx
+                + (gb * db).sum(axis=-1).reshape(x.shape)
+        return [g_coeffs, mask * (gy.T @ s), g_ws], gx
 
     def per_edge_activations(self, x) -> np.ndarray:
         """All edge outputs for a batch; shape (batch, out_dim, in_dim)."""
-        _, s, _, spl = self._edge_terms(x)
+        x, s = self._inputs(x)
+        bv = basis_matrix(self.grid, x.ravel()).reshape(x.shape[0], self.in_dim, -1)
+        spl = np.einsum("bim,jim->bji", bv, self.coeffs)
         return self.prune_mask * (self.w_b * s[:, None, :] + self.w_s * spl)
 
     def copy(self) -> "KanLayer":
@@ -162,10 +160,7 @@ class KanModel:
     def forward_with_cache(self, x):
         """Forward pass keeping per-layer caches for :meth:`backward`;
         returns (output, caches)."""
-        h = as_matrix(x, "model input")
-        if h.shape[1] != self.layers[0].in_dim:
-            raise ShapeError(f"model expects {self.layers[0].in_dim} inputs, "
-                             f"got {h.shape[1]}")
+        h = as_matrix(x, "model input")  # layer 0 checks the width
         caches = []
         for layer in self.layers:
             h, cache = layer.forward(h)

@@ -46,26 +46,34 @@ def build_grid(degree: int = 3, intervals: int = 5,
     return SplineGrid(int(degree), int(intervals), float(t_min), float(t_max), knots)
 
 
-def _degree_zero(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Indicator of the containing knot interval, right-open; points at the
-    # very last knot fall into the final interval so the basis stays a
-    # partition of unity at t_max even when there is no knot extension.
-    idx = np.searchsorted(knots, x, side="right") - 1
-    idx = np.clip(idx, 0, len(knots) - 2)
-    b = np.zeros((x.size, len(knots) - 1))
-    b[np.arange(x.size), idx] = 1.0
-    return b
+def _local_basis(grid: SplineGrid, x: np.ndarray, degree: int):
+    """Knot interval idx of each clamped point and the degree+1 B-splines
+    nonzero on it (local[r] is basis function idx - degree + r).
+
+    Intervals are right-open; a point at the last knot falls into the final
+    interval, so the basis stays a partition of unity at t_max without knot
+    extension. On uniform knots Cox-de Boor in u = (x - t_idx) / h reads
+    N_r^j = ((u + j - r) N_{r-1}^{j-1} + (r + 1 - u) N_r^{j-1}) / j.
+    """
+    knots = grid.knots
+    idx = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
+    u = (x - knots[idx]) / grid.spacing
+    b = [np.ones_like(u)]
+    for j in range(1, degree + 1):
+        mid = [(u + (j - r)) * b[r - 1] + (r + 1 - u) * b[r] for r in range(1, j)]
+        b = [v / j for v in ((1 - u) * b[0], *mid, u * b[j - 1])]
+    return idx, b
 
 
-def _raise_degree(knots: np.ndarray, x: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    # Cox-de Boor recursion:
-    #   B_{i,k} = (x - t_i)/(t_{i+k} - t_i) B_{i,k-1}
-    #           + (t_{i+k+1} - x)/(t_{i+k+1} - t_{i+1}) B_{i+1,k-1}
-    # Uniform knots make every denominator k*h > 0.
-    t = knots
-    left = (x[:, None] - t[None, :-k - 1]) / (t[k:-1] - t[:-k - 1])
-    right = (t[None, k + 1:] - x[:, None]) / (t[k + 1:] - t[1:-k])
-    return left * b[:, :-1] + right * b[:, 1:]
+def _scatter(idx: np.ndarray, local: list, width: int) -> np.ndarray:
+    # Dense (n, width) rows from the local columns of _local_basis. At
+    # x = t_max (degree >= 1) idx is the extension interval, whose last
+    # column (value 0) lands one past the width: scatter wide, then drop it.
+    out = np.zeros((idx.size, width + 1))
+    first = np.arange(0, out.size, width + 1) + idx - (len(local) - 1)
+    for r, column in enumerate(local):
+        out.ravel()[first + r] = column
+    return out[:, :width]
 
 
 def basis_matrix(grid: SplineGrid, x) -> np.ndarray:
@@ -73,12 +81,8 @@ def basis_matrix(grid: SplineGrid, x) -> np.ndarray:
 
     Points are clamped to [t_min, t_max] first.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    x = np.clip(x, grid.t_min, grid.t_max)
-    b = _degree_zero(grid.knots, x)
-    for k in range(1, grid.degree + 1):
-        b = _raise_degree(grid.knots, x, b, k)
-    return b
+    x = np.clip(np.asarray(x, dtype=np.float64).ravel(), grid.t_min, grid.t_max)
+    return _scatter(*_local_basis(grid, x, grid.degree), grid.basis_count)
 
 
 def basis_values(grid: SplineGrid, x: float) -> np.ndarray:
@@ -99,14 +103,11 @@ def basis_derivative_matrix(grid: SplineGrid, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).ravel()
     if grid.degree == 0:
         return np.zeros((x.size, grid.basis_count))
-    inside = (x >= grid.t_min) & (x <= grid.t_max)
-    xc = np.clip(x, grid.t_min, grid.t_max)
-    b = _degree_zero(grid.knots, xc)
-    for k in range(1, grid.degree):
-        b = _raise_degree(grid.knots, xc, b, k)
-    d = (b[:, :-1] - b[:, 1:]) / grid.spacing
-    d[~inside] = 0.0
-    return d
+    idx, b = _local_basis(grid, np.clip(x, grid.t_min, grid.t_max), grid.degree - 1)
+    scale = ((x >= grid.t_min) & (x <= grid.t_max)) / grid.spacing
+    zero = np.zeros_like(x)
+    return _scatter(idx, [(lo - hi) * scale for lo, hi in zip([zero, *b], [*b, zero])],
+                    grid.basis_count)
 
 
 def basis_derivatives(grid: SplineGrid, x: float) -> np.ndarray:

@@ -10,6 +10,21 @@ from .numeric import as_matrix, cross_entropy_loss, mse_loss, optimizer_step
 
 TASKS = ("classification", "regression")
 
+# A batch loss this many times the run's first batch loss counts as diverged.
+DIVERGENCE_FACTOR = 1e6
+
+
+class DivergenceError(ValueError):
+    """A training run's batch loss became non-finite or exploded."""
+
+
+def check_divergence(loss: float, first: float) -> None:
+    """Raises DivergenceError when a batch loss is non-finite or exceeds
+    DIVERGENCE_FACTOR times the run's (positive) first batch loss."""
+    if not np.isfinite(loss) or (first > 0 and loss > DIVERGENCE_FACTOR * first):
+        raise DivergenceError(f"training diverged: batch loss {loss:.4g}, "
+                              f"first batch loss {first:.4g}")
+
 
 def task_loss(out: np.ndarray, targets, task: str):
     """(loss, d(loss)/d(out)) of the main task: cross-entropy against integer
@@ -35,7 +50,8 @@ def fit(model, inputs, targets, task: str, epochs: int, opt,
     """Train in place for the given epochs; returns mean loss per epoch.
 
     Batch order is a seeded shuffle, so the whole run is deterministic in
-    (model state, seed).
+    (model state, seed). Raises DivergenceError (see :func:`check_divergence`)
+    as soon as a batch loss diverges.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
@@ -46,11 +62,14 @@ def fit(model, inputs, targets, task: str, epochs: int, opt,
     if targets.shape[0] != inputs.shape[0]:
         raise ValueError("one target per input row required")
     rng = np.random.default_rng(seed)
-    history = []
+    history, first = [], None
     for _ in range(epochs):
         losses = []
         for idx in epoch_batches(inputs.shape[0], batch_size, rng):
-            losses.append(train_step(model, inputs[idx], targets[idx], task, opt))
+            loss = train_step(model, inputs[idx], targets[idx], task, opt)
+            first = loss if first is None else first
+            check_divergence(loss, first)
+            losses.append(loss)
         history.append(float(np.mean(losses)))
     return history
 

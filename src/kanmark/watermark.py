@@ -20,7 +20,7 @@ from .data import epoch_batches
 from .kan import KanModel, propagate
 from .mlp import MlpModel
 from .numeric import ShapeError, adam, as_matrix, optimizer_step
-from .training import fit, train_step
+from .training import check_divergence, fit, train_step
 from .transform import dct, idct
 
 
@@ -107,7 +107,8 @@ def embed(model: KanModel, signal: PerturbationSignal, inputs, targets,
     Per batch: (1) a main-task step on all parameters; (2) a closed-form
     signal step (:func:`signal_step`) on the watermarked layer only. A zero
     signal skips phase 2 entirely, which makes the run bit-identical to
-    plain training under the same seed.
+    plain training under the same seed. A diverging main-task loss raises
+    DivergenceError.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -123,10 +124,13 @@ def embed(model: KanModel, signal: PerturbationSignal, inputs, targets,
     opt_wm = adam(lr_main if lr_wm is None else lr_wm)
     active = bool(np.any(signal.values))
     rng = np.random.default_rng(seed)
+    first = None
     for _ in range(epochs):
         for idx in epoch_batches(inputs.shape[0], batch_size, rng):
             xb = inputs[idx]
-            train_step(wm, xb, targets[idx], task, opt_main)
+            loss = train_step(wm, xb, targets[idx], task, opt_main)
+            first = loss if first is None else first
+            check_divergence(loss, first)
             if active:
                 signal_step(wm, xb, signal, opt_wm, layer_index)
     return wm

@@ -33,6 +33,18 @@ def basis_vector_naive(grid, x):
                      for i in range(grid.basis_count)])
 
 
+def basis_derivative_naive(grid, x):
+    """Right-limit derivatives of all basis functions at one point via the
+    textbook formula k B_{i,k-1}/(t_{i+k}-t_i) - k B_{i+1,k-1}/(t_{i+k+1}-t_{i+1});
+    0 outside [t_min, t_max], where the clamped basis is constant."""
+    t, k = grid.knots, grid.degree
+    if k == 0 or not grid.t_min <= x <= grid.t_max:
+        return np.zeros(grid.basis_count)
+    return np.array([k * cox_de_boor(t, i, k - 1, x) / (t[i + k] - t[i])
+                     - k * cox_de_boor(t, i + 1, k - 1, x) / (t[i + k + 1] - t[i + 1])
+                     for i in range(grid.basis_count)])
+
+
 # --- DCT ---------------------------------------------------------------------
 
 def dct_direct(x):

@@ -216,6 +216,27 @@ class TestCommands:
                      "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "report.jsonl").exists()
 
+    def test_diverging_finetune_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "runs"
+        assert main(["train-clean", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["attack", "--config", cfg, "--wm-ckpt", str(out / "clean-kan.json"),
+                     "--kind", "finetune", "--lr", "1e6", "--epochs", "2",
+                     "--out", str(out)]) == 2
+        assert not (out / "attacked-finetune.json").exists()
+
+    @pytest.mark.parametrize("watermark", [{"alpha": -0.5}, {"band": [3, 1]},
+                                           {"epochs": 0}, {"band": [1, 4]}],
+                             ids=["negative_alpha", "reversed_band", "zero_epochs",
+                                  "band_wider_than_layer"])
+    def test_invalid_watermark_config_exit_code(self, tmp_path, watermark):
+        clean = tmp_path / "clean.json"
+        save_checkpoint(clean, KanModel.create([2, 4, 1], seed=0), "clean", "hash", 0)
+        cfg = write_config(tmp_path / "c.json", watermark=watermark)
+        assert main(["embed", "--config", cfg, "--clean-ckpt", str(clean),
+                     "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "watermarked-kan.json").exists()
+
     def test_data_error_exit_code(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json", task="classification",

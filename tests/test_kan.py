@@ -88,6 +88,18 @@ class TestLayerForward:
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((4, 2)))
 
+    def test_per_edge_sum_matches_gemm_forward(self):
+        layer = random_layer(4, 3, seed=21)
+        layer.prune_mask[[0, 2, 2], [1, 0, 3]] = 0.0
+        x = np.random.default_rng(13).uniform(-1.5, 1.5, size=(6, 4))
+        edges = layer.per_edge_activations(x)
+        assert np.max(np.abs(edges.sum(axis=-1) - layer.forward(x)[0])) < 1e-12
+
+    def test_cache_holds_no_per_edge_tensor(self):
+        layer = random_layer(4, 3, seed=22)
+        _, cache = layer.forward(np.random.default_rng(14).normal(size=(5, 4)))
+        assert all(np.ndim(v) <= 2 for v in cache.values())
+
 
 class TestModelForward:
     def test_single_layer_composition(self):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from kanmark.spline import (basis_derivative_matrix, basis_derivatives,
                             basis_matrix, basis_values, build_grid)
 
-from oracles import basis_vector_naive
+from oracles import basis_derivative_naive, basis_vector_naive
 
 
 class TestBuildGrid:
@@ -120,3 +120,21 @@ class TestBasisDerivatives:
         grid = build_grid(3, 5, -1.0, 1.0)
         assert np.all(basis_derivatives(grid, 2.5) == 0.0)
         assert np.all(basis_derivatives(grid, -1.5) == 0.0)
+
+
+@pytest.mark.parametrize("degree", range(5))
+@pytest.mark.parametrize("intervals", range(1, 10))
+def test_local_basis_matches_oracles_at_knots_and_edges(degree, intervals):
+    # Every knot, both domain ends (t_max lies in the extension interval for
+    # degree >= 1) and points 1e-12 outside, on a grid whose knots are inexact.
+    grid = build_grid(degree, intervals, -2.0, 3.0)
+    xs = np.concatenate([grid.knots, [grid.t_min, grid.t_max, grid.t_min - 1e-12,
+                                      grid.t_max + 1e-12, grid.t_min + 1e-12,
+                                      grid.t_max - 1e-12]])
+    values, derivatives = basis_matrix(grid, xs), basis_derivative_matrix(grid, xs)
+    for x, got, dgot in zip(xs, values, derivatives):
+        want = basis_vector_naive(grid, x)
+        if degree == 0 and x >= grid.t_max:  # the last knot joins the final interval
+            want = np.eye(grid.basis_count)[-1]
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(dgot - basis_derivative_naive(grid, x))) < 1e-12

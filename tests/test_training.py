@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kanmark import KanModel, adam, evaluate, fit
+from kanmark.training import DivergenceError
 
 
 class TestEvaluate:
@@ -58,3 +59,15 @@ class TestFit:
         model = KanModel.create([2, 2], seed=1)
         with pytest.raises(ValueError):
             fit(model, np.zeros((0, 2)), np.zeros(0), "regression", 1, adam(1e-3))
+
+    def test_exploding_loss_raises(self):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1, 1, size=(64, 2))
+        model = KanModel.create([2, 3, 1], seed=5)
+        with pytest.raises(DivergenceError):
+            fit(model, x, x[:, 0] * x[:, 1], "regression", 4, adam(1e6), 16, seed=6)
+
+    def test_non_finite_loss_raises(self):
+        model = KanModel.create([2, 1], seed=7)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+            fit(model, np.zeros((4, 2)), np.full(4, 1e200), "regression", 1, adam(1e-3))
