@@ -5,7 +5,7 @@ verification) and watermark-removal attack harnesses."""
 from .numeric import (OptimizerState, ShapeError, adam, cross_entropy_loss,
                       mse_loss, optimizer_step, sgd, silu, softmax)
 from .spline import SplineGrid, basis_derivatives, basis_values, build_grid
-from .transform import dct, idct, perturb, perturb_rows
+from .transform import dct, idct, perturb
 from .kan import KanLayer, KanModel, edge_importance, lift_prune_masks, prune_kan
 from .mlp import MlpModel, prune_mlp
 from .training import evaluate, fit
@@ -14,7 +14,6 @@ from .data import (FEYNMAN, Dataset, DataError, FeynmanFormula, average_pool,
 from .watermark import (DetectorDataset, PerturbationSignal, VerificationResult,
                         build_detector_dataset, calibrate_amplitude, embed,
                         gen_signal, signal_step, train_detector, verify)
-from .attacks import (AttackSpec, finetune, prune_attack, prune_sweep,
-                      retrain_after_prune)
+from .attacks import AttackSpec, finetune, prune_sweep, retrain_after_prune
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import numpy as np
 
 from .kan import KanModel, lift_prune_masks, prune_kan
 from .mlp import MlpModel, prune_mlp
-from .numeric import adam, as_matrix
+from .numeric import adam
 from .training import evaluate, fit
 
 SMALL_LR = 1e-3
@@ -36,6 +36,8 @@ class AttackSpec:
             raise ValueError(f"{self.kind} requires a prune_ratio")
         if self.prune_ratio is not None and not 0.0 <= self.prune_ratio <= 1.0:
             raise ValueError(f"prune ratio must be in [0, 1], got {self.prune_ratio}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.kind != "prune" and self.lr <= 0:
             raise ValueError("training attacks need lr > 0")
 
@@ -44,36 +46,22 @@ def finetune(model: KanModel, inputs, targets, task: str, epochs: int = 8,
              lr: float = SMALL_LR, batch_size: int = 64,
              seed: int = 0) -> KanModel:
     """Continue main-task training (no watermark phase) on a copy."""
-    inputs = as_matrix(inputs, "inputs")
-    if inputs.shape[0] == 0:
-        raise ValueError("empty attack data")
     attacked = model.copy()
-    if epochs > 0:
-        fit(attacked, inputs, targets, task, epochs, adam(lr),
-            batch_size=batch_size, seed=seed)
+    fit(attacked, inputs, targets, task, epochs, adam(lr),
+        batch_size=batch_size, seed=seed)
     return attacked
-
-
-def prune_attack(model: KanModel, ratio: float = 0.6, calibration=None) -> KanModel:
-    """Importance-prune the lowest-ranked edges (default 60%)."""
-    if calibration is None:
-        raise ValueError("prune attack needs a calibration batch")
-    return prune_kan(model, ratio, calibration)
 
 
 def retrain_after_prune(model: KanModel, inputs, targets, task: str,
                         ratio: float = 0.6, lr: float = SMALL_LR,
-                        epochs: int = 8, calibration=None,
+                        epochs: int = 8, *, calibration,
                         batch_size: int = 64, seed: int = 0) -> KanModel:
-    """Prune, lift the masks so zeroed edges are trainable again, then
-    continue main-task training."""
-    inputs = as_matrix(inputs, "inputs")
-    if calibration is None:
-        calibration = inputs[:256]
+    """Prune (``calibration`` ranks the edges, see :func:`prune_kan`), lift
+    the masks so zeroed edges are trainable again, then continue main-task
+    training."""
     attacked = lift_prune_masks(prune_kan(model, ratio, calibration))
-    if epochs > 0:
-        fit(attacked, inputs, targets, task, epochs, adam(lr),
-            batch_size=batch_size, seed=seed)
+    fit(attacked, inputs, targets, task, epochs, adam(lr),
+        batch_size=batch_size, seed=seed)
     return attacked
 
 
@@ -101,15 +89,14 @@ def prune_sweep(kan_model: KanModel, mlp_model: MlpModel, test_inputs,
 
 
 def run_attack(model: KanModel, spec: AttackSpec, inputs, targets, task: str,
-               calibration=None) -> KanModel:
-    """Dispatch an AttackSpec against a model."""
+               calibration) -> KanModel:
+    """Dispatch an AttackSpec against a model; ``calibration`` ranks the
+    edges of the pruning attacks."""
     if spec.kind == "finetune":
         return finetune(model, inputs, targets, task, epochs=spec.epochs,
                         lr=spec.lr, seed=spec.seed)
     if spec.kind == "prune":
-        if calibration is None:
-            calibration = as_matrix(inputs, "inputs")[:256]
-        return prune_attack(model, spec.prune_ratio, calibration)
+        return prune_kan(model, spec.prune_ratio, calibration)
     return retrain_after_prune(model, inputs, targets, task,
                                ratio=spec.prune_ratio, lr=spec.lr,
                                epochs=spec.epochs, calibration=calibration,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackSpec, prune_sweep, run_attack
+from .attacks import ATTACK_KINDS, AttackSpec, prune_sweep, run_attack
 from .data import (DataError, Dataset, average_pool, gen_feynman, load_idx,
                    split_dataset)
 from .kan import KanModel, KanLayer
@@ -145,12 +145,27 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError(f"dataset.fractions must sum to 1, got {fr}")
     if not 0.0 <= cfg["tau"] <= 1.0:
         raise ConfigError(f"tau must be in [0, 1], got {cfg['tau']}")
-    if cfg["attack"]["kind"] not in ("finetune", "prune", "retrain_after_prune"):
+    if cfg["attack"]["kind"] not in ATTACK_KINDS:
         raise ConfigError(f"unknown attack kind {cfg['attack']['kind']!r}")
-    for section, least in (("train", 0), ("watermark", 1), ("detector", 0)):
-        if cfg[section]["epochs"] < least:
-            raise ConfigError(f"{section}.epochs must be >= {least}")
+    widths = cfg["model"]["widths"]
+    if widths and len(widths) < 2:
+        raise ConfigError(f"model.widths must list input and output widths, got {widths}")
+    for key, least in (("train.epochs", 0), ("watermark.epochs", 1),
+                       ("detector.epochs", 0), ("detector.n_shuffles", 0),
+                       ("detector.n_samples", 1)):
+        section, name = key.split(".")
+        if cfg[section][name] < least:
+            raise ConfigError(f"{key} must be >= {least}")
     wm = cfg["watermark"]
+    # The grid and the optimizers are built by the constructors the commands
+    # use, so their bounds live in one place.
+    _constructs("grid", lambda: build_grid(**cfg["grid"]))
+    _constructs("train.lr / train.stages",
+                lambda: [adam(lr) for _, lr in train_stages(cfg)])
+    for key in ("lr_main", "lr_wm"):
+        if wm[key] is not None:
+            _constructs(f"watermark.{key}", lambda: adam(float(wm[key])))
+    _constructs("detector.lr", lambda: adam(float(cfg["detector"]["lr"])))
     alpha = wm["alpha"]
     if alpha is not None and not (isinstance(alpha, (int, float))
                                   and np.isfinite(alpha) and alpha >= 0):
@@ -160,6 +175,14 @@ def _validate_config(cfg: dict) -> None:
                                  and all(type(k) is int for k in band)
                                  and 0 <= band[0] <= band[1]):
         raise ConfigError(f"watermark.band must be two ints 0 <= lo <= hi, got {band!r}")
+
+
+def _constructs(name: str, build) -> None:
+    """Calls ``build()``; its TypeError or ValueError becomes a ConfigError."""
+    try:
+        build()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def canonical_json(obj) -> str:
@@ -222,10 +245,18 @@ def train_stages(cfg: dict) -> list[tuple[int, float]]:
 
 def _fit_stages(model, train, task, cfg, bundle):
     for si, (epochs, lr) in enumerate(train_stages(cfg)):
-        if epochs > 0:
-            fit(model, train.inputs, train.targets, task, epochs, adam(lr),
-                batch_size=int(cfg["train"]["batch_size"]),
-                seed=derive_seed(bundle.data, f"fit-stage-{si}"))
+        fit(model, train.inputs, train.targets, task, epochs, adam(lr),
+            batch_size=int(cfg["train"]["batch_size"]),
+            seed=derive_seed(bundle.data, f"fit-stage-{si}"))
+
+
+def _new_model(kind: str, cfg: dict, bundle: SeedBundle, input_dim: int):
+    """Freshly initialised ``kan`` or ``mlp`` model of the configured widths."""
+    widths = resolve_widths(cfg, input_dim)
+    if kind == "mlp":
+        head = "logits" if cfg["task"] == "classification" else "scalar"
+        return MlpModel.create(widths, head=head, seed=derive_seed(bundle.init, "mlp"))
+    return KanModel.create(widths, grid=build_grid(**cfg["grid"]), seed=bundle.init)
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +374,17 @@ def _main_metric(metrics: dict, task: str) -> tuple[float, str]:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_train_clean(args) -> int:
+def _setup(args):
+    """(config, seed bundle, (train, test, holdout)) of a command."""
     cfg = load_config(args.config, args.seed)
     bundle = SeedBundle(cfg["seed"])
-    train, test, hold = resolve_dataset(cfg, bundle)
-    widths = resolve_widths(cfg, train.inputs.shape[1])
+    return cfg, bundle, resolve_dataset(cfg, bundle)
+
+
+def cmd_train_clean(args) -> int:
+    cfg, bundle, (train, test, hold) = _setup(args)
     task = cfg["task"]
-    g = cfg["grid"]
-    if args.model == "mlp":
-        head = "logits" if task == "classification" else "scalar"
-        model = MlpModel.create(widths, head=head,
-                                seed=derive_seed(bundle.init, "mlp"))
-    else:
-        grid = build_grid(g["degree"], g["intervals"], g["t_min"], g["t_max"])
-        model = KanModel.create(widths, grid=grid, seed=bundle.init)
+    model = _new_model(args.model, cfg, bundle, train.inputs.shape[1])
     _fit_stages(model, train, task, cfg, bundle)
     metrics = evaluate(model, test.inputs, test.targets, task)
     value, kind = _main_metric(metrics, task)
@@ -371,9 +399,7 @@ def cmd_train_clean(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    bundle = SeedBundle(cfg["seed"])
-    train, test, hold = resolve_dataset(cfg, bundle)
+    cfg, bundle, (train, test, hold) = _setup(args)
     task = cfg["task"]
     clean, _ = _load_kan(args.clean_ckpt)
     wm_cfg = cfg["watermark"]
@@ -440,9 +466,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    bundle = SeedBundle(cfg["seed"])
-    train, test, hold = resolve_dataset(cfg, bundle)
+    cfg, bundle, (train, test, hold) = _setup(args)
     task = cfg["task"]
     wm, _ = _load_kan(args.wm_ckpt)
     atk = dict(cfg["attack"])
@@ -480,9 +504,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    bundle = SeedBundle(cfg["seed"])
-    train, test, hold = resolve_dataset(cfg, bundle)
+    cfg, bundle, (train, test, hold) = _setup(args)
     detector, det_meta = load_checkpoint(args.detector_ckpt)
     if not isinstance(detector, MlpModel):
         raise CheckpointError(f"{args.detector_ckpt}: expected an mlp detector")
@@ -504,17 +526,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_prune_sweep(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    bundle = SeedBundle(cfg["seed"])
-    train, test, hold = resolve_dataset(cfg, bundle)
+    cfg, bundle, (train, test, hold) = _setup(args)
     if cfg["task"] != "classification":
         raise ConfigError("prune-sweep is a classification experiment")
-    widths = resolve_widths(cfg, train.inputs.shape[1])
-    g = cfg["grid"]
-    grid = build_grid(g["degree"], g["intervals"], g["t_min"], g["t_max"])
-    kan = KanModel.create(widths, grid=grid, seed=bundle.init)
-    mlp = MlpModel.create(widths, head="logits",
-                          seed=derive_seed(bundle.init, "mlp"))
+    kan = _new_model("kan", cfg, bundle, train.inputs.shape[1])
+    mlp = _new_model("mlp", cfg, bundle, train.inputs.shape[1])
     _fit_stages(kan, train, "classification", cfg, bundle)
     _fit_stages(mlp, train, "classification", cfg, bundle)
     rows = prune_sweep(kan, mlp, test.inputs, test.targets,

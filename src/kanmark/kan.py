@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numeric import ShapeError, as_matrix, sigmoid, silu_grad
+from .numeric import ShapeError, as_matrix, keep_masks, sigmoid, silu_grad
 from .spline import SplineGrid, basis_derivative_matrix, basis_matrix, build_grid
 
 
@@ -217,28 +217,16 @@ def prune_kan(model: KanModel, ratio: float, calibration) -> KanModel:
     """Mask the globally least-important floor(ratio * edge_count) edges.
 
     Edges are ranked ascending by mean |activation| across all layers, ties
-    broken by (layer, output, input) order. Pruned edges are zeroed (coeffs,
-    w_b, w_s) in addition to masked so a later retrain restarts them from 0.
-    Returns a new model; the input is untouched.
+    broken by (layer, output, input) order (:func:`keep_masks`). Pruned edges
+    are zeroed (coeffs, w_b, w_s) in addition to masked so a later retrain
+    restarts them from 0. Returns a new model; the input is untouched.
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"prune ratio must be in [0, 1], got {ratio}")
-    entries = []
-    for k, layer in enumerate(model.layers):
-        imp = edge_importance(model, k, calibration)
-        for j in range(layer.out_dim):
-            for i in range(layer.in_dim):
-                entries.append((imp[j, i], k, j, i))
-    entries.sort()
-    # Tiny epsilon so ratios like 0.3 * 10 hit the mathematical floor.
-    n_prune = int(np.floor(ratio * len(entries) + 1e-9))
+    keeps = keep_masks([edge_importance(model, k, calibration)
+                        for k in range(len(model.layers))], ratio)
     pruned = model.copy()
-    for _, k, j, i in entries[:n_prune]:
-        layer = pruned.layers[k]
-        layer.prune_mask[j, i] = 0.0
-        layer.coeffs[j, i, :] = 0.0
-        layer.w_b[j, i] = 0.0
-        layer.w_s[j, i] = 0.0
+    for layer, keep in zip(pruned.layers, keeps):
+        for a in (layer.prune_mask, layer.coeffs, layer.w_b, layer.w_s):
+            a[~keep] = 0.0
     return pruned
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numeric import ShapeError, as_matrix, relu
+from .numeric import ShapeError, as_matrix, keep_masks, relu
 
 HEADS = ("logits", "scalar")
 
@@ -104,19 +104,8 @@ def prune_mlp(model: MlpModel, ratio: float) -> MlpModel:
     weights across all weight matrices; biases untouched; ties broken by
     traversal (layer-major, row-major) order. Returns a new model.
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"prune ratio must be in [0, 1], got {ratio}")
+    keeps = keep_masks([np.abs(w) for w in model.weights], ratio)
     pruned = model.copy()
-    flat = np.concatenate([np.abs(w).ravel() for w in pruned.weights])
-    n_prune = int(np.floor(ratio * flat.size + 1e-9))
-    if n_prune == 0:
-        return pruned
-    order = np.argsort(flat, kind="stable")[:n_prune]
-    keep = np.ones(flat.size, dtype=bool)
-    keep[order] = False
-    offset = 0
-    for w in pruned.weights:
-        block = keep[offset:offset + w.size].reshape(w.shape)
-        w *= block
-        offset += w.size
+    for w, keep in zip(pruned.weights, keeps):
+        w *= keep
     return pruned

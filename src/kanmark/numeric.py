@@ -29,6 +29,21 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def keep_masks(scores, ratio: float) -> list[np.ndarray]:
+    """Boolean keep-masks, one per score array, that drop the floor(ratio * n)
+    lowest of all n scores. The sort is stable over the concatenated scores,
+    so ties go by array order, then row-major order."""
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"prune ratio must be in [0, 1], got {ratio}")
+    flat = np.concatenate([np.ravel(s) for s in scores])
+    # Tiny epsilon so ratios like 0.3 * 10 hit the mathematical floor.
+    n_drop = int(np.floor(ratio * flat.size + 1e-9))
+    keep = np.ones(flat.size, dtype=bool)
+    keep[np.argsort(flat, kind="stable")[:n_drop]] = False
+    ends = np.cumsum([np.size(s) for s in scores])[:-1]
+    return [k.reshape(np.shape(s)) for k, s in zip(np.split(keep, ends), scores)]
+
+
 def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     # Branch on sign so neither exp() argument is large positive; the

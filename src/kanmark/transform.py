@@ -32,41 +32,32 @@ def _dct_matrix(n: int) -> np.ndarray:
     return c
 
 
-def _vector(x, name: str) -> np.ndarray:
+def _signals(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D vector")
+    if x.ndim not in (1, 2) or x.size == 0:
+        raise ValueError(f"{name} must be a non-empty vector or 2-D batch of rows")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains non-finite entries")
     return x
 
 
 def dct(x) -> np.ndarray:
-    """Orthonormal DCT-II of a 1-D signal."""
-    x = _vector(x, "x")
-    return _dct_matrix(x.size) @ x
+    """Orthonormal DCT-II of a signal, or of each row of a 2-D batch."""
+    x = _signals(x, "x")
+    return x @ _dct_matrix(x.shape[-1]).T
 
 
 def idct(spectrum) -> np.ndarray:
     """Exact inverse of :func:`dct` (orthonormal DCT-III)."""
-    spectrum = _vector(spectrum, "spectrum")
-    return _dct_matrix(spectrum.size).T @ spectrum
+    spectrum = _signals(spectrum, "spectrum")
+    return spectrum @ _dct_matrix(spectrum.shape[-1])
 
 
 def perturb(y, p) -> np.ndarray:
-    """idct(dct(y) + p): add a frequency-domain perturbation to a signal."""
-    y = _vector(y, "y")
-    p = _vector(p, "p")
-    if y.size != p.size:
-        raise ShapeError(f"perturb: signal length {y.size} vs perturbation {p.size}")
+    """idct(dct(y) + p): add a frequency-domain perturbation vector to a
+    signal, or to each row of a 2-D batch."""
+    y = _signals(y, "y")
+    p = _signals(p, "p")
+    if p.shape != y.shape[-1:]:
+        raise ShapeError(f"perturb: signal shape {y.shape} vs perturbation {p.shape}")
     return idct(dct(y) + p)
-
-
-def perturb_rows(ys: np.ndarray, p) -> np.ndarray:
-    """Apply :func:`perturb` to every row of a 2-D array."""
-    ys = np.asarray(ys, dtype=np.float64)
-    p = _vector(p, "p")
-    if ys.ndim != 2 or ys.shape[1] != p.size:
-        raise ShapeError(f"perturb_rows: rows of {ys.shape} vs perturbation {p.size}")
-    c = _dct_matrix(p.size)
-    return (ys @ c.T + p) @ c

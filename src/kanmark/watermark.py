@@ -39,14 +39,20 @@ class PerturbationSignal:
     values: np.ndarray
 
 
+def _band(band, length: int) -> tuple[int, int]:
+    """The band's (lo, hi) as ints, checked 0 <= lo <= hi < length."""
+    k_lo, k_hi = int(band[0]), int(band[1])
+    if not 0 <= k_lo <= k_hi < length:
+        raise ValueError(f"band [{k_lo}, {k_hi}] invalid for length {length}")
+    return k_lo, k_hi
+
+
 def gen_signal(key: int, length: int, band, amplitude: float) -> PerturbationSignal:
     """Deterministic signed-constant perturbation on a frequency band.
 
     amplitude = 0 yields the all-zero signal (used to disable phase 2).
     """
-    k_lo, k_hi = int(band[0]), int(band[1])
-    if not 0 <= k_lo <= k_hi < length:
-        raise ValueError(f"band [{k_lo}, {k_hi}] invalid for length {length}")
+    k_lo, k_hi = _band(band, length)
     if amplitude < 0:
         raise ValueError(f"amplitude must be >= 0, got {amplitude}")
     rng = np.random.default_rng(key)
@@ -67,11 +73,12 @@ def layer_outputs(model: KanModel, x, layer_index: int = 0) -> np.ndarray:
 
 def calibrate_amplitude(model: KanModel, calibration, band,
                         scale: float = 0.3, layer_index: int = 0) -> float:
-    """scale * RMS of the in-band DCT coefficients of clean layer outputs."""
+    """scale * RMS of the in-band DCT coefficients of clean layer outputs.
+
+    Raises ValueError unless 0 <= band[0] <= band[1] < layer width."""
     outs = layer_outputs(model, calibration, layer_index)
-    spectra = np.stack([dct(row) for row in outs])
-    k_lo, k_hi = int(band[0]), int(band[1])
-    in_band = spectra[:, k_lo:k_hi + 1]
+    k_lo, k_hi = _band(band, outs.shape[1])
+    in_band = dct(outs)[:, k_lo:k_hi + 1]
     return float(scale * np.sqrt(np.mean(in_band ** 2)))
 
 
@@ -187,8 +194,8 @@ def build_detector_dataset(model_wm: KanModel, model_clean: KanModel, inputs,
     outs = np.stack([layer_outputs(model_wm, inputs, layer_index),
                      layer_outputs(model_clean, inputs, layer_index)], axis=1)
     rng = np.random.default_rng(seed)
-    perms = np.array([rng.permutation(wm_dim) for _ in range(n * 2 * n_shuffles)],
-                     dtype=np.intp).reshape(n, 2 * n_shuffles, wm_dim)
+    perms = rng.permuted(np.tile(np.arange(wm_dim), (n * 2 * n_shuffles, 1)),
+                         axis=1).reshape(n, 2 * n_shuffles, wm_dim)
     identity = np.broadcast_to(np.arange(wm_dim), (n, 2, wm_dim))
     columns = np.concatenate([identity, perms], axis=1)
     tags = np.repeat(np.arange(len(DetectorDataset.TAGS), dtype=np.int8),

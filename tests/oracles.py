@@ -134,6 +134,19 @@ def detector_dataset_ref(o_wm, o_clean, n_shuffles, seed):
     return np.array(rows), np.array(labels)
 
 
+# --- pruning -------------------------------------------------------------------
+
+def prune_ref(scores, ratio):
+    """Keep-masks from a Python sort over (score, layer, row, col): the
+    floor(ratio * n) lowest of all n scores are dropped."""
+    entries = sorted((float(s[r, c]), k, r, c) for k, s in enumerate(scores)
+                     for r in range(s.shape[0]) for c in range(s.shape[1]))
+    keeps = [np.ones(s.shape, dtype=bool) for s in scores]
+    for _, k, r, c in entries[:math.floor(ratio * len(entries) + 1e-9)]:
+        keeps[k][r, c] = False
+    return keeps
+
+
 # --- optimizers ----------------------------------------------------------------
 
 def adam_scalar_ref(p0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from kanmark import (KanModel, MlpModel, adam, evaluate, fit, gen_feynman,
-                     prune_kan)
-from kanmark.attacks import (AttackSpec, finetune, prune_attack, prune_sweep,
+                     prune_kan, prune_mlp)
+from kanmark.attacks import (AttackSpec, finetune, prune_sweep,
                              retrain_after_prune, run_attack)
-from kanmark.kan import lift_prune_masks
+from kanmark.kan import edge_importance, lift_prune_masks
+
+from oracles import prune_ref
 
 
 def small_task(seed=0, n=160):
@@ -64,19 +66,20 @@ class TestPruneAttack:
     def test_ratio_zero_unchanged(self):
         x, _ = small_task(seed=4)
         model = KanModel.create([2, 4, 1], seed=7)
-        out = prune_attack(model, 0.0, calibration=x[:32])
+        out = prune_kan(model, 0.0, x[:32])
         for a, b in zip(out.parameters(), model.parameters()):
             assert np.array_equal(a, b)
 
     def test_requires_calibration(self):
         model = KanModel.create([2, 4, 1], seed=8)
         with pytest.raises(ValueError):
-            prune_attack(model, 0.5)
+            prune_kan(model, 0.5, None)
 
     def test_delegates_to_prune_kan(self):
         x, _ = small_task(seed=5)
         model = KanModel.create([2, 4, 1], seed=9)
-        a = prune_attack(model, 0.5, calibration=x[:32])
+        a = run_attack(model, AttackSpec(kind="prune", prune_ratio=0.5),
+                       x, None, "regression", x[:32])
         b = prune_kan(model, 0.5, x[:32])
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(pa, pb)
@@ -161,7 +164,7 @@ class TestRunAttack:
             (AttackSpec(kind="finetune", lr=1e-3, epochs=1, seed=1),
              finetune(model, x, y, "regression", epochs=1, lr=1e-3, seed=1)),
             (AttackSpec(kind="prune", prune_ratio=0.5, seed=1),
-             prune_attack(model, 0.5, calibration=x[:256])),
+             prune_kan(model, 0.5, x[:256])),
             (AttackSpec(kind="retrain_after_prune", prune_ratio=0.5, lr=1e-3,
                         epochs=1, seed=1),
              retrain_after_prune(model, x, y, "regression", ratio=0.5, lr=1e-3,
@@ -171,3 +174,63 @@ class TestRunAttack:
                              calibration=x[:256])
             for a, b in zip(out.parameters(), ref.parameters()):
                 assert np.array_equal(a, b)
+
+
+ORACLE_RATIOS = (0.0, 0.1, 0.3, 0.5, 0.77, 1.0)
+
+
+def same_bits(a, b):
+    """Equal values and equal sign bits, so +0.0 and -0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def tied_kan(seed):
+    """[3, 4, 3, 2] KAN whose middle layer is zeroed (all of its importances
+    tie at 0) and whose first layer has pre-masked edges (importance 0)."""
+    rng = np.random.default_rng(seed)
+    model = KanModel.create([3, 4, 3, 2], seed=seed)
+    for layer in model.layers:
+        layer.w_b[:] = rng.normal(size=layer.w_b.shape)
+        layer.w_s[:] = rng.normal(size=layer.w_s.shape)
+    zeroed = model.layers[1]
+    for a in (zeroed.coeffs, zeroed.w_b, zeroed.w_s):
+        a[:] = 0.0
+    model.layers[0].prune_mask[rng.random(model.layers[0].prune_mask.shape) < 0.3] = 0.0
+    return model, rng.uniform(-1, 1, size=(16, 3))
+
+
+def tied_mlp(seed):
+    """[4, 5, 3] MLP with a zero row and repeated magnitudes of both signs."""
+    rng = np.random.default_rng(seed)
+    model = MlpModel.create([4, 5, 3], seed=seed)
+    model.weights[0][2] = 0.0
+    for w in model.weights:
+        tied = rng.random(w.shape) < 0.3
+        w[tied] = rng.choice([-0.5, 0.5], size=int(tied.sum()))
+    return model
+
+
+class TestPruneOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("ratio", ORACLE_RATIOS)
+    def test_kan_matches_tuple_sort(self, seed, ratio):
+        model, calib = tied_kan(seed)
+        scores = [edge_importance(model, k, calib) for k in range(len(model.layers))]
+        pruned = prune_kan(model, ratio, calib)
+        for layer, orig, keep in zip(pruned.layers, model.layers,
+                                     prune_ref(scores, ratio)):
+            assert same_bits(layer.prune_mask, np.where(keep, orig.prune_mask, 0.0))
+            assert same_bits(layer.coeffs, np.where(keep[..., None], orig.coeffs, 0.0))
+            assert same_bits(layer.w_b, np.where(keep, orig.w_b, 0.0))
+            assert same_bits(layer.w_s, np.where(keep, orig.w_s, 0.0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("ratio", ORACLE_RATIOS)
+    def test_mlp_matches_tuple_sort(self, seed, ratio):
+        model = tied_mlp(seed)
+        pruned = prune_mlp(model, ratio)
+        keeps = prune_ref([np.abs(w) for w in model.weights], ratio)
+        for w, orig, keep in zip(pruned.weights, model.weights, keeps):
+            assert same_bits(w, orig * keep)
+        for b, orig in zip(pruned.biases, model.biases):
+            assert same_bits(b, orig)

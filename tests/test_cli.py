@@ -237,6 +237,36 @@ class TestCommands:
                      "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "watermarked-kan.json").exists()
 
+    @pytest.mark.parametrize("command, overrides, flags", [
+        ("train-clean", {"grid": {"intervals": 0}}, []),
+        ("train-clean", {"grid": {"degree": -1}}, []),
+        ("train-clean", {"grid": {"t_min": 1.0, "t_max": 1.0}}, []),
+        ("train-clean", {"train": {"epochs": 1, "lr": -1e-3}}, []),
+        ("train-clean", {"train": {"epochs": 1, "stages": [[1, -1e-3]]}}, []),
+        ("embed", {"watermark": {"epochs": 1, "lr_main": -1e-3}}, []),
+        ("embed", {"watermark": {"epochs": 1, "lr_wm": -1e-3}}, []),
+        ("embed", {"detector": {"epochs": 1, "lr": -1e-3, "n_samples": 20}}, []),
+        ("train-clean", {"model": {"widths": [2]}}, []),
+        ("embed", {"detector": {"epochs": 1, "n_shuffles": -1, "n_samples": 20}}, []),
+        ("embed", {"detector": {"epochs": 1, "n_samples": 0}}, []),
+        ("attack", {}, ["--epochs", "-1"]),
+        ("attack", {"attack": {"epochs": -2}}, []),
+    ], ids=["grid_intervals_0", "grid_degree_negative", "grid_t_min_eq_t_max",
+            "negative_train_lr", "negative_stage_lr", "negative_lr_main",
+            "negative_lr_wm", "negative_detector_lr", "one_width",
+            "negative_n_shuffles", "zero_n_samples", "negative_attack_epochs_flag",
+            "negative_attack_epochs_config"])
+    def test_user_error_exits_2_and_writes_nothing(self, tmp_path, command,
+                                                   overrides, flags):
+        model = tmp_path / "model.json"
+        save_checkpoint(model, KanModel.create([2, 4, 1], seed=0), "clean", "hash", 0)
+        ckpt = {"train-clean": [], "embed": ["--clean-ckpt", str(model)],
+                "attack": ["--wm-ckpt", str(model)]}[command]
+        out = tmp_path / "runs"
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        assert main([command, "--config", cfg, "--out", str(out), *ckpt, *flags]) == 2
+        assert not out.exists()
+
     def test_data_error_exit_code(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json", task="classification",

@@ -6,7 +6,7 @@ from kanmark import (KanModel, adam, build_detector_dataset, embed, fit,
 from kanmark.kan import propagate
 from kanmark.mlp import MlpModel
 from kanmark.numeric import ShapeError, mse_loss
-from kanmark.transform import perturb_rows
+from kanmark.transform import dct, perturb
 from kanmark.watermark import (DetectorDataset, calibrate_amplitude,
                                default_band, layer_outputs, signal_step)
 
@@ -63,6 +63,22 @@ class TestGenSignal:
         assert default_band(5) == (1, 2)
 
 
+class TestCalibrateAmplitude:
+    @pytest.mark.parametrize("band", [(1, 10), (3, 1), (-2, 1)],
+                             ids=["past_width", "reversed", "negative"])
+    def test_invalid_band(self, band):
+        x, _ = small_task(seed=2)
+        with pytest.raises(ValueError, match="band"):
+            calibrate_amplitude(KanModel.create([2, 4, 1], seed=0), x, band)
+
+    def test_matches_per_row_spectra(self):
+        x, _ = small_task(seed=3)
+        model = KanModel.create([2, 6, 1], seed=1)
+        spectra = np.stack([dct(row) for row in layer_outputs(model, x)])
+        ref = 0.3 * np.sqrt(np.mean(spectra[:, 1:4] ** 2))
+        assert calibrate_amplitude(model, x, (1, 3)) == pytest.approx(ref, rel=1e-12)
+
+
 class TestEmbed:
     def test_zero_signal_matches_plain_training_bit_exact(self):
         x, y = small_task(seed=1)
@@ -91,7 +107,7 @@ class TestEmbed:
                                                      ([2, 4, 3, 1], 1)])
     def test_closed_form_step_matches_moving_target_backprop(self, widths,
                                                               layer_index):
-        # reference: backprop of mse(O, perturb_rows(O, P)) on the layer
+        # reference: backprop of mse(O, perturb(O, P)) on the layer
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, size=(64, widths[0]))
         model = KanModel.create(widths, seed=7)
@@ -100,7 +116,7 @@ class TestEmbed:
         alpha = calibrate_amplitude(model, x, band, 0.3, layer_index=layer_index)
         sig = gen_signal(11, layer.out_dim, band, alpha)
         out, cache = layer.forward(propagate(model, x, layer_index))
-        ref_loss, g_out = mse_loss(out, perturb_rows(out, sig.values))
+        ref_loss, g_out = mse_loss(out, perturb(out, sig.values))
         ref, _ = layer.backward(cache, g_out, need_input_grad=False)
 
         before = [p.copy() for p in layer.parameters()]
@@ -145,7 +161,7 @@ class TestEmbed:
         model = KanModel.create([2, 4, 1], seed=9)
         sig = gen_signal(13, 4, (1, 2), 0.3)
         outs = layer_outputs(model, x, 0)
-        loss, _ = mse_loss(outs, perturb_rows(outs, sig.values))
+        loss, _ = mse_loss(outs, perturb(outs, sig.values))
         expected = np.sum(sig.values ** 2) / sig.length
         assert loss == pytest.approx(expected, rel=1e-10)
 
