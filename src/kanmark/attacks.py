@@ -17,7 +17,6 @@ from .numeric import adam
 from .training import evaluate, fit
 
 SMALL_LR = 1e-3
-LARGE_LR = 1e-2
 ATTACK_KINDS = ("finetune", "prune", "retrain_after_prune")
 
 

@@ -23,13 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import ATTACK_KINDS, AttackSpec, prune_sweep, run_attack
-from .data import (DataError, Dataset, average_pool, gen_feynman, load_idx,
-                   split_dataset)
+from .data import DataError, average_pool, gen_feynman, load_idx, split_dataset
 from .kan import KanModel, KanLayer
 from .mlp import MlpModel
 from .numeric import ShapeError, adam
 from .spline import build_grid
-from .training import DivergenceError, evaluate, fit
+from .training import TASKS, DivergenceError, evaluate, fit
 from .watermark import (build_detector_dataset, calibrate_amplitude,
                         default_band, embed, gen_signal, train_detector,
                         verify)
@@ -84,8 +83,7 @@ DEFAULTS = {
     "train": {"epochs": 50, "lr": 1e-3, "batch_size": 64, "stages": None},
     "watermark": {
         "band": None, "alpha": None, "amplitude_scale": 0.3,
-        "epochs": 8, "lr_main": None, "lr_wm": None,
-        "layer_index": 0, "key": None,
+        "epochs": 8, "lr_main": None, "lr_wm": None, "key": None,
     },
     "detector": {
         "hidden": [64, 32], "epochs": 50, "lr": 1e-3,
@@ -130,9 +128,8 @@ def load_config(path, seed_override: int | None = None) -> dict:
 
 
 def _validate_config(cfg: dict) -> None:
-    if cfg["task"] not in ("classification", "regression"):
-        raise ConfigError(f"task must be classification or regression, "
-                          f"got {cfg['task']!r}")
+    if cfg["task"] not in TASKS:
+        raise ConfigError(f"task must be one of {TASKS}, got {cfg['task']!r}")
     ds = cfg["dataset"]
     if ds["kind"] not in ("idx", "feynman"):
         raise ConfigError(f"dataset.kind must be idx or feynman, got {ds['kind']!r}")
@@ -143,16 +140,14 @@ def _validate_config(cfg: dict) -> None:
     fr = ds["fractions"]
     if not isinstance(fr, list) or not fr or abs(sum(fr) - 1.0) > 1e-9:
         raise ConfigError(f"dataset.fractions must sum to 1, got {fr}")
-    if not 0.0 <= cfg["tau"] <= 1.0:
-        raise ConfigError(f"tau must be in [0, 1], got {cfg['tau']}")
+    _check_tau(cfg["tau"])
     if cfg["attack"]["kind"] not in ATTACK_KINDS:
         raise ConfigError(f"unknown attack kind {cfg['attack']['kind']!r}")
     widths = cfg["model"]["widths"]
     if widths and len(widths) < 2:
         raise ConfigError(f"model.widths must list input and output widths, got {widths}")
-    for key, least in (("train.epochs", 0), ("watermark.epochs", 1),
-                       ("detector.epochs", 0), ("detector.n_shuffles", 0),
-                       ("detector.n_samples", 1)):
+    for key, least in (("watermark.epochs", 1), ("detector.epochs", 0),
+                       ("detector.n_shuffles", 0), ("detector.n_samples", 1)):
         section, name = key.split(".")
         if cfg[section][name] < least:
             raise ConfigError(f"{key} must be >= {least}")
@@ -162,6 +157,8 @@ def _validate_config(cfg: dict) -> None:
     _constructs("grid", lambda: build_grid(**cfg["grid"]))
     _constructs("train.lr / train.stages",
                 lambda: [adam(lr) for _, lr in train_stages(cfg)])
+    if any(epochs < 0 for epochs, _ in train_stages(cfg)):
+        raise ConfigError("train.epochs and every train.stages epoch count must be >= 0")
     for key in ("lr_main", "lr_wm"):
         if wm[key] is not None:
             _constructs(f"watermark.{key}", lambda: adam(float(wm[key])))
@@ -177,10 +174,20 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError(f"watermark.band must be two ints 0 <= lo <= hi, got {band!r}")
 
 
-def _constructs(name: str, build) -> None:
-    """Calls ``build()``; its TypeError or ValueError becomes a ConfigError."""
+def _check_tau(tau) -> None:
+    """The detection threshold, from the config or ``verify --tau``, is a
+    rate in [0, 1]."""
+    if not 0.0 <= tau <= 1.0:
+        raise ConfigError(f"tau must be in [0, 1], got {tau}")
+
+
+def _constructs(name: str, build):
+    """Returns ``build()``; its TypeError or ValueError, other than a
+    ShapeError, becomes a ConfigError."""
     try:
-        build()
+        return build()
+    except ShapeError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
@@ -213,11 +220,8 @@ def resolve_dataset(cfg: dict, bundle: SeedBundle):
     primary = load(ds["images"], ds["labels"])
     if ds["test_images"]:
         secondary = load(ds["test_images"], ds["test_labels"])
-        test, hold, *_ = split_dataset(secondary, [0.5, 0.5],
-                                       seed=derive_seed(bundle.data, "split"))
-        train = Dataset(primary.inputs, primary.targets, "train")
-        return [train, Dataset(test.inputs, test.targets, "test"),
-                Dataset(hold.inputs, hold.targets, "holdout")]
+        return [primary, *split_dataset(secondary, [0.5, 0.5],
+                                        seed=derive_seed(bundle.data, "split"))]
     return split_dataset(primary, fractions, seed=derive_seed(bundle.data, "split"))
 
 
@@ -403,38 +407,29 @@ def cmd_embed(args) -> int:
     task = cfg["task"]
     clean, _ = _load_kan(args.clean_ckpt)
     wm_cfg = cfg["watermark"]
-    layer_index = int(wm_cfg["layer_index"])
-    if not 0 <= layer_index < len(clean.layers):
-        raise CheckpointError(f"watermark layer_index {layer_index} out of "
-                              f"range for {len(clean.layers)}-layer model")
-    n_sig = clean.layers[layer_index].out_dim
+    n_sig = clean.layers[0].out_dim
     band = wm_cfg["band"] or list(default_band(n_sig))
-    if band[1] >= n_sig:
-        raise ConfigError(f"watermark.band {band} exceeds the width {n_sig} "
-                          f"of layer {layer_index}")
-    calibration = train.inputs[:256]
     if wm_cfg["alpha"] is not None:
         alpha = float(wm_cfg["alpha"])
     else:
-        alpha = calibrate_amplitude(clean, calibration, band,
-                                    scale=float(wm_cfg["amplitude_scale"]),
-                                    layer_index=layer_index)
+        alpha = _constructs("watermark.band", lambda: calibrate_amplitude(
+            clean, train.inputs[:256], band, scale=float(wm_cfg["amplitude_scale"])))
     key = wm_cfg["key"] if wm_cfg["key"] is not None else bundle.signal
-    signal = gen_signal(int(key), n_sig, band, alpha)
+    signal = _constructs("watermark.band",
+                         lambda: gen_signal(int(key), n_sig, band, alpha))
     lr_main = float(wm_cfg["lr_main"] if wm_cfg["lr_main"] is not None
                     else cfg["train"]["lr"])
     lr_wm = None if wm_cfg["lr_wm"] is None else float(wm_cfg["lr_wm"])
     wm = embed(clean, signal, train.inputs, train.targets, task,
                epochs=int(wm_cfg["epochs"]), lr_main=lr_main, lr_wm=lr_wm,
                batch_size=int(cfg["train"]["batch_size"]),
-               seed=derive_seed(bundle.data, "embed"), layer_index=layer_index)
+               seed=derive_seed(bundle.data, "embed"))
 
     det_cfg = cfg["detector"]
     det_rows = train.inputs[:int(det_cfg["n_samples"])]
     det_data = build_detector_dataset(wm, clean, det_rows,
                                       n_shuffles=int(det_cfg["n_shuffles"]),
-                                      seed=bundle.detector,
-                                      layer_index=layer_index)
+                                      seed=bundle.detector)
     detector = train_detector(det_data, hidden=tuple(det_cfg["hidden"]),
                               epochs=int(det_cfg["epochs"]),
                               lr=float(det_cfg["lr"]),
@@ -443,16 +438,14 @@ def cmd_embed(args) -> int:
 
     metrics = evaluate(wm, test.inputs, test.targets, task)
     value, kind = _main_metric(metrics, task)
-    result = verify(wm, detector, hold.inputs, tau=float(cfg["tau"]),
-                    layer_index=layer_index)
+    result = verify(wm, detector, hold.inputs, tau=float(cfg["tau"]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
     wm_path = out / "watermarked-kan.json"
     det_path = out / "detector-mlp.json"
     sig_extra = {"band": [int(band[0]), int(band[1])],
-                 "alpha": float(alpha), "key": int(key),
-                 "layer_index": layer_index}
+                 "alpha": float(alpha), "key": int(key)}
     save_checkpoint(wm_path, wm, "watermarked", chash, bundle.master,
                     extra=sig_extra)
     save_checkpoint(det_path, detector, "detector", chash, bundle.master,
@@ -505,15 +498,19 @@ def cmd_attack(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg, bundle, (train, test, hold) = _setup(args)
+    tau = float(args.tau if args.tau is not None else cfg["tau"])
+    _check_tau(tau)
     detector, det_meta = load_checkpoint(args.detector_ckpt)
     if not isinstance(detector, MlpModel):
         raise CheckpointError(f"{args.detector_ckpt}: expected an mlp detector")
+    # Detectors saved before the watermark was fixed to layer 0 record its
+    # layer; one trained on another layer cannot read layer 0.
+    layer = det_meta.get("extra", {}).get("layer_index", 0)
+    if layer != 0:
+        raise CheckpointError(f"{args.detector_ckpt}: detector reads layer "
+                              f"{layer}, but only layer 0 is watermarked")
     suspect, _ = _load_kan(args.suspect_ckpt)
-    layer_index = int(det_meta.get("extra", {}).get(
-        "layer_index", cfg["watermark"]["layer_index"]))
-    tau = float(args.tau if args.tau is not None else cfg["tau"])
-    result = verify(suspect, detector, hold.inputs, tau=tau,
-                    layer_index=layer_index)
+    result = verify(suspect, detector, hold.inputs, tau=tau)
     out = Path(args.out)
     append_report_row(out, _report_row("verify", cfg, bundle, 0.0, "none",
                                        wm_rate=result.detection_rate,

@@ -20,7 +20,6 @@ import numpy as np
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 MIN_DENOMINATOR = 1e-6
-SPLIT_TAGS = ("train", "test", "holdout")
 
 
 class DataError(Exception):
@@ -45,7 +44,6 @@ class Dataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    split: str = "train"
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -54,8 +52,6 @@ class Dataset:
             raise DataError(f"inputs must be 2-D, got shape {self.inputs.shape}")
         if self.targets.ndim != 1 or self.targets.shape[0] != self.inputs.shape[0]:
             raise DataError("targets must be one value per input row")
-        if self.split not in SPLIT_TAGS:
-            raise DataError(f"split must be one of {SPLIT_TAGS}, got {self.split!r}")
         if self.inputs.size and (np.abs(self.inputs).max() > 1.0 + 1e-12
                                  or not np.all(np.isfinite(self.inputs))):
             raise DataError("inputs must be finite and within [-1, 1]")
@@ -74,8 +70,7 @@ def _read_file(path) -> bytes:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def load_idx(images_path, labels_path, split: str = "train",
-             limit: int | None = None) -> Dataset:
+def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
     """Parse an IDX image/label pair into a normalized Dataset.
 
     ``limit`` keeps only the first N records (desk-scale subsets).
@@ -114,7 +109,20 @@ def load_idx(images_path, labels_path, split: str = "train",
         raise DataError(f"{labels_path}: labels above 9 present")
     if limit is not None:
         inputs, labels = inputs[:limit], labels[:limit]
-    return Dataset(inputs, labels, split)
+    return Dataset(inputs, labels)
+
+
+def _image_shape(d: int, image_shape: tuple[int, int] | None) -> tuple[int, int]:
+    """``image_shape`` checked against ``d`` columns; None means square."""
+    if image_shape is None:
+        side = int(round(np.sqrt(d)))
+        if side * side != d:
+            raise DataError(f"cannot infer a square image shape from {d} columns")
+        return side, side
+    rows, cols = image_shape
+    if rows * cols != d:
+        raise DataError(f"image shape {image_shape} does not match {d} columns")
+    return rows, cols
 
 
 def write_idx(dataset: Dataset, images_path, labels_path,
@@ -126,14 +134,7 @@ def write_idx(dataset: Dataset, images_path, labels_path,
     for byte-valued data.
     """
     n, d = dataset.inputs.shape
-    if image_shape is None:
-        side = int(round(np.sqrt(d)))
-        if side * side != d:
-            raise DataError(f"cannot infer a square image shape from {d} columns")
-        image_shape = (side, side)
-    rows, cols = image_shape
-    if rows * cols != d:
-        raise DataError(f"image shape {image_shape} does not match {d} columns")
+    rows, cols = _image_shape(d, image_shape)
     pixels = np.clip(np.round((dataset.inputs + 1.0) / 2.0 * 255.0), 0, 255)
     labels = np.asarray(dataset.targets)
     if labels.size and (labels.min() < 0 or labels.max() > 255):
@@ -157,17 +158,12 @@ def average_pool(dataset: Dataset, factor: int,
     if factor == 1:
         return dataset
     n, d = dataset.inputs.shape
-    if image_shape is None:
-        side = int(round(np.sqrt(d)))
-        if side * side != d:
-            raise DataError(f"cannot infer a square image shape from {d} columns")
-        image_shape = (side, side)
-    rows, cols = image_shape
-    if rows * cols != d or rows % factor or cols % factor:
-        raise DataError(f"image shape {image_shape} not poolable by {factor}")
+    rows, cols = _image_shape(d, image_shape)
+    if rows % factor or cols % factor:
+        raise DataError(f"image shape {(rows, cols)} not poolable by {factor}")
     imgs = dataset.inputs.reshape(n, rows // factor, factor, cols // factor, factor)
     pooled = imgs.mean(axis=(2, 4)).reshape(n, -1)
-    return Dataset(pooled, dataset.targets, dataset.split)
+    return Dataset(pooled, dataset.targets)
 
 
 @dataclass(frozen=True)
@@ -234,8 +230,7 @@ def _formulas() -> dict[str, FeynmanFormula]:
 FEYNMAN: dict[str, FeynmanFormula] = _formulas()
 
 
-def gen_feynman(formula: str | FeynmanFormula, n: int, seed: int = 0,
-                split: str = "train") -> Dataset:
+def gen_feynman(formula: str | FeynmanFormula, n: int, seed: int = 0) -> Dataset:
     """Sample a formula uniformly on (-1, 1)^arity with rejection of
     near-singular rows (|denominator| < 1e-6)."""
     if isinstance(formula, str):
@@ -253,32 +248,28 @@ def gen_feynman(formula: str | FeynmanFormula, n: int, seed: int = 0,
         if not bad.any():
             break
         x[bad] = rng.uniform(-1.0, 1.0, size=(int(bad.sum()), formula.arity))
-    return Dataset(x, formula.fn(x), split)
+    return Dataset(x, formula.fn(x))
 
 
 def split_dataset(dataset: Dataset, fractions, seed: int = 0) -> list[Dataset]:
-    """Seeded shuffle then contiguous split; tags follow train/test/holdout.
+    """Seeded shuffle then contiguous split into (train, test, holdout), or
+    as many of them as there are fractions.
 
     Zero fractions give empty splits (e.g. (1, 0, 0) puts everything in
     train); an empty source dataset is an error.
     """
     fractions = [float(f) for f in fractions]
-    if not 1 <= len(fractions) <= len(SPLIT_TAGS):
-        raise DataError(f"need 1 to {len(SPLIT_TAGS)} fractions")
+    if not 1 <= len(fractions) <= 3:
+        raise DataError("need 1 to 3 fractions (train, test, holdout)")
     if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise DataError(f"fractions must be non-negative and sum to 1, got {fractions}")
     n = len(dataset)
     if n == 0:
         raise DataError("cannot split an empty dataset")
     perm = np.random.default_rng(seed).permutation(n)
-    sizes = [int(np.floor(f * n)) for f in fractions[:-1]]
-    sizes.append(n - sum(sizes))
-    out, start = [], 0
-    for tag, size in zip(SPLIT_TAGS, sizes):
-        idx = perm[start:start + size]
-        out.append(Dataset(dataset.inputs[idx], dataset.targets[idx], tag))
-        start += size
-    return out
+    cuts = np.cumsum([int(np.floor(f * n)) for f in fractions[:-1]], dtype=np.int64)
+    return [Dataset(dataset.inputs[idx], dataset.targets[idx])
+            for idx in np.split(perm, cuts)]
 
 
 def epoch_batches(n: int, batch_size: int, rng: np.random.Generator):

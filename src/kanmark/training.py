@@ -55,6 +55,8 @@ def fit(model, inputs, targets, task: str, epochs: int, opt,
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     inputs = as_matrix(inputs, "inputs")
     targets = np.asarray(targets)
     if inputs.shape[0] == 0:

@@ -64,19 +64,17 @@ def gen_signal(key: int, length: int, band, amplitude: float) -> PerturbationSig
                               float(amplitude), values)
 
 
-def layer_outputs(model: KanModel, x, layer_index: int = 0) -> np.ndarray:
-    """Outputs of the indexed layer for a batch of model inputs."""
-    if not 0 <= layer_index < len(model.layers):
-        raise IndexError(f"layer index {layer_index} out of range")
-    return propagate(model, x, layer_index + 1)
+def layer_outputs(model: KanModel, x) -> np.ndarray:
+    """Outputs of the watermarked (first) layer for a batch of model inputs."""
+    return propagate(model, x, 1)
 
 
 def calibrate_amplitude(model: KanModel, calibration, band,
-                        scale: float = 0.3, layer_index: int = 0) -> float:
+                        scale: float = 0.3) -> float:
     """scale * RMS of the in-band DCT coefficients of clean layer outputs.
 
     Raises ValueError unless 0 <= band[0] <= band[1] < layer width."""
-    outs = layer_outputs(model, calibration, layer_index)
+    outs = layer_outputs(model, calibration)
     k_lo, k_hi = _band(band, outs.shape[1])
     in_band = dct(outs)[:, k_lo:k_hi + 1]
     return float(scale * np.sqrt(np.mean(in_band ** 2)))
@@ -88,17 +86,16 @@ def default_band(length: int) -> tuple[int, int]:
     return length // 4, min(length // 2, length - 1)
 
 
-def signal_step(model: KanModel, x, signal: PerturbationSignal, opt,
-                layer_index: int = 0) -> float:
-    """One gradient step of the indexed layer's outputs O toward perturb(O).
+def signal_step(model: KanModel, x, signal: PerturbationSignal, opt) -> float:
+    """One gradient step of the first layer's outputs O toward perturb(O).
 
     The signal loss mse(O, perturb(O)) has the constant residual
     O - perturb(O) = -idct(P) on every row, so its value is ||P||^2 / N and
-    its output gradient is -2 idct(P) / (rows * N). Only the indexed layer's
+    its output gradient is -2 idct(P) / (rows * N). Only the first layer's
     parameters move. Returns the signal loss.
     """
-    layer = model.layers[layer_index]
-    out, cache = layer.forward(propagate(model, x, layer_index))
+    layer = model.layers[0]
+    out, cache = layer.forward(as_matrix(x, "inputs"))
     g_out = np.broadcast_to(-2.0 * idct(signal.values) / out.size, out.shape)
     grads, _ = layer.backward(cache, g_out, need_input_grad=False)
     optimizer_step(layer.parameters(), grads, opt)
@@ -107,23 +104,21 @@ def signal_step(model: KanModel, x, signal: PerturbationSignal, opt,
 
 def embed(model: KanModel, signal: PerturbationSignal, inputs, targets,
           task: str, epochs: int, lr_main: float = 1e-3,
-          lr_wm: float | None = None, batch_size: int = 64, seed: int = 0,
-          layer_index: int = 0) -> KanModel:
+          lr_wm: float | None = None, batch_size: int = 64,
+          seed: int = 0) -> KanModel:
     """Two-phase watermark embedding; returns a new, watermarked model.
 
     Per batch: (1) a main-task step on all parameters; (2) a closed-form
-    signal step (:func:`signal_step`) on the watermarked layer only. A zero
+    signal step (:func:`signal_step`) on the first layer only. A zero
     signal skips phase 2 entirely, which makes the run bit-identical to
     plain training under the same seed. A diverging main-task loss raises
     DivergenceError.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if not 0 <= layer_index < len(model.layers):
-        raise IndexError(f"layer index {layer_index} out of range")
-    if signal.length != model.layers[layer_index].out_dim:
+    if signal.length != model.layers[0].out_dim:
         raise ShapeError(f"signal length {signal.length} vs layer width "
-                         f"{model.layers[layer_index].out_dim}")
+                         f"{model.layers[0].out_dim}")
     inputs = as_matrix(inputs, "inputs")
     targets = np.asarray(targets)
     wm = model.copy()
@@ -139,7 +134,7 @@ def embed(model: KanModel, signal: PerturbationSignal, inputs, targets,
             first = loss if first is None else first
             check_divergence(loss, first)
             if active:
-                signal_step(wm, xb, signal, opt_wm, layer_index)
+                signal_step(wm, xb, signal, opt_wm)
     return wm
 
 
@@ -172,8 +167,7 @@ class DetectorDataset:
 
 
 def build_detector_dataset(model_wm: KanModel, model_clean: KanModel, inputs,
-                           n_shuffles: int = 10, seed: int = 0,
-                           layer_index: int = 0) -> DetectorDataset:
+                           n_shuffles: int = 10, seed: int = 0) -> DetectorDataset:
     """Per sample: the watermarked and clean layer outputs, plus
     ``n_shuffles`` independent random permutations of each, labeled like
     their originals.
@@ -182,8 +176,8 @@ def build_detector_dataset(model_wm: KanModel, model_clean: KanModel, inputs,
     n_shuffles x clean shuffled], and the permutations are drawn in that
     order.
     """
-    wm_dim = model_wm.layers[layer_index].out_dim
-    if wm_dim != model_clean.layers[layer_index].out_dim:
+    wm_dim = model_wm.layers[0].out_dim
+    if wm_dim != model_clean.layers[0].out_dim:
         raise ShapeError("models disagree on watermarked layer width")
     if n_shuffles < 0:
         raise ValueError(f"n_shuffles must be >= 0, got {n_shuffles}")
@@ -191,8 +185,8 @@ def build_detector_dataset(model_wm: KanModel, model_clean: KanModel, inputs,
     n = inputs.shape[0]
     if n == 0:
         raise ValueError("empty detector source data")
-    outs = np.stack([layer_outputs(model_wm, inputs, layer_index),
-                     layer_outputs(model_clean, inputs, layer_index)], axis=1)
+    outs = np.stack([layer_outputs(model_wm, inputs),
+                     layer_outputs(model_clean, inputs)], axis=1)
     rng = np.random.default_rng(seed)
     perms = rng.permuted(np.tile(np.arange(wm_dim), (n * 2 * n_shuffles, 1)),
                          axis=1).reshape(n, 2 * n_shuffles, wm_dim)
@@ -229,14 +223,14 @@ class VerificationResult:
 
 
 def verify(suspect: KanModel, detector: MlpModel, test_inputs,
-           tau: float = 0.5, layer_index: int = 0) -> VerificationResult:
+           tau: float = 0.5) -> VerificationResult:
     """Fraction of test samples whose layer outputs the detector classifies
     as watermarked; ownership is claimed when the rate reaches tau.
 
     The test data must be unseen by both the suspect's training and the
     detector's training (caller contract).
     """
-    outs = layer_outputs(suspect, test_inputs, layer_index)
+    outs = layer_outputs(suspect, test_inputs)
     if outs.shape[1] != detector.widths[0]:
         raise ShapeError(f"layer width {outs.shape[1]} vs detector input "
                          f"{detector.widths[0]}")

@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kanmark import KanModel, MlpModel
+from kanmark import Dataset, KanModel, MlpModel, write_idx
 from kanmark.cli import (CheckpointError, ConfigError, SeedBundle,
                          canonical_json, config_hash, derive_seed,
-                         load_checkpoint, load_config, main, save_checkpoint)
+                         load_checkpoint, load_config, main, resolve_dataset,
+                         save_checkpoint)
 
 
 def write_config(path, **overrides):
@@ -226,9 +227,11 @@ class TestCommands:
         assert not (out / "attacked-finetune.json").exists()
 
     @pytest.mark.parametrize("watermark", [{"alpha": -0.5}, {"band": [3, 1]},
-                                           {"epochs": 0}, {"band": [1, 4]}],
+                                           {"epochs": 0}, {"band": [1, 4]},
+                                           {"alpha": 0.1, "band": [1, 4]}],
                              ids=["negative_alpha", "reversed_band", "zero_epochs",
-                                  "band_wider_than_layer"])
+                                  "band_wider_than_layer",
+                                  "band_wider_than_layer_fixed_alpha"])
     def test_invalid_watermark_config_exit_code(self, tmp_path, watermark):
         clean = tmp_path / "clean.json"
         save_checkpoint(clean, KanModel.create([2, 4, 1], seed=0), "clean", "hash", 0)
@@ -251,17 +254,26 @@ class TestCommands:
         ("embed", {"detector": {"epochs": 1, "n_samples": 0}}, []),
         ("attack", {}, ["--epochs", "-1"]),
         ("attack", {"attack": {"epochs": -2}}, []),
+        ("train-clean", {"train": {"epochs": 1, "stages": [[-3, 1e-3]]}}, []),
+        ("embed", {"watermark": {"epochs": 1, "layer_index": 0}}, []),
+        ("verify", {}, ["--tau", "1.5"]),
     ], ids=["grid_intervals_0", "grid_degree_negative", "grid_t_min_eq_t_max",
             "negative_train_lr", "negative_stage_lr", "negative_lr_main",
             "negative_lr_wm", "negative_detector_lr", "one_width",
             "negative_n_shuffles", "zero_n_samples", "negative_attack_epochs_flag",
-            "negative_attack_epochs_config"])
+            "negative_attack_epochs_config", "negative_stage_epochs",
+            "watermark_layer_index_key", "verify_tau_above_one"])
     def test_user_error_exits_2_and_writes_nothing(self, tmp_path, command,
                                                    overrides, flags):
         model = tmp_path / "model.json"
         save_checkpoint(model, KanModel.create([2, 4, 1], seed=0), "clean", "hash", 0)
+        detector = tmp_path / "detector.json"
+        save_checkpoint(detector, MlpModel.create([4, 8, 2], seed=0), "detector",
+                        "hash", 0)
         ckpt = {"train-clean": [], "embed": ["--clean-ckpt", str(model)],
-                "attack": ["--wm-ckpt", str(model)]}[command]
+                "attack": ["--wm-ckpt", str(model)],
+                "verify": ["--detector-ckpt", str(detector),
+                           "--suspect-ckpt", str(model)]}[command]
         out = tmp_path / "runs"
         cfg = write_config(tmp_path / "c.json", **overrides)
         assert main([command, "--config", cfg, "--out", str(out), *ckpt, *flags]) == 2
@@ -299,6 +311,54 @@ class TestCommands:
         save_checkpoint(det_path, det, "detector", "hash", 0)
         assert main(["verify", "--config", cfg, "--detector-ckpt", str(det_path),
                      "--suspect-ckpt", str(clean), "--out", out]) == 4
+        # a clean model expecting 3 input columns meets 2-column data in the
+        # amplitude calibration, before any band check
+        wide = tmp_path / "wide.json"
+        save_checkpoint(wide, KanModel.create([3, 4, 1], seed=0), "clean", "hash", 0)
+        assert main(["embed", "--config", cfg, "--clean-ckpt", str(wide),
+                     "--out", out]) == 4
+
+    def test_detector_for_another_layer_exit_code(self, tmp_path):
+        # detectors saved while the watermarked layer was configurable
+        model = tmp_path / "model.json"
+        save_checkpoint(model, KanModel.create([2, 4, 1], seed=0), "watermarked",
+                        "hash", 0)
+        detector = tmp_path / "detector.json"
+        save_checkpoint(detector, MlpModel.create([1, 8, 2], seed=0), "detector",
+                        "hash", 0, extra={"layer_index": 1})
+        out = tmp_path / "runs"
+        assert main(["verify", "--config", write_config(tmp_path / "c.json"),
+                     "--detector-ckpt", str(detector), "--suspect-ckpt", str(model),
+                     "--out", str(out)]) == 4
+        assert not out.exists()
+
+    def test_separate_test_files_split_into_test_and_holdout(self, tmp_path):
+        rng = np.random.default_rng(0)
+        # byte-valued pixels, normalised the way load_idx does
+        primary = Dataset(2.0 * (rng.integers(0, 256, (30, 4)) / 255.0) - 1.0,
+                          rng.integers(0, 10, 30))
+        secondary = Dataset(2.0 * (rng.integers(0, 256, (21, 4)) / 255.0) - 1.0,
+                            rng.integers(0, 10, 21))
+        paths = {}
+        for name, ds in (("train", primary), ("test", secondary)):
+            paths[name] = (str(tmp_path / f"{name}-images"),
+                           str(tmp_path / f"{name}-labels"))
+            write_idx(ds, *paths[name], image_shape=(2, 2))
+        cfg = load_config(write_config(
+            tmp_path / "c.json", task="classification",
+            dataset={"kind": "idx", "images": paths["train"][0],
+                     "labels": paths["train"][1],
+                     "test_images": paths["test"][0],
+                     "test_labels": paths["test"][1]}))
+        bundle = SeedBundle(cfg["seed"])
+        train, test, hold = resolve_dataset(cfg, bundle)
+        assert np.array_equal(train.inputs, primary.inputs)
+        assert np.array_equal(train.targets, primary.targets)
+        # halves of a seeded shuffle of the secondary file, test first
+        order = np.random.default_rng(derive_seed(bundle.data, "split")).permutation(21)
+        assert np.array_equal(test.inputs, secondary.inputs[order[:10]])
+        assert np.array_equal(hold.inputs, secondary.inputs[order[10:]])
+        assert np.array_equal(hold.targets, secondary.targets[order[10:]])
 
     def test_mlp_training_and_sweep(self, tmp_path, digits_idx):
         images, labels = digits_idx

@@ -107,6 +107,19 @@ class TestLoadIdx:
         assert np.array_equal(again.inputs, ds.inputs)
         assert np.array_equal(again.targets, ds.targets)
 
+    def test_write_infers_square_shape(self, tmp_path):
+        rng = np.random.default_rng(1)
+        ds = Dataset(rng.uniform(-1, 1, size=(3, 25)), np.array([1, 7, 2]))
+        inferred = tmp_path / "inferred.idx", tmp_path / "inferred-labels.idx"
+        explicit = tmp_path / "explicit.idx", tmp_path / "explicit-labels.idx"
+        write_idx(ds, *inferred)
+        write_idx(ds, *explicit, image_shape=(5, 5))
+        assert inferred[0].read_bytes() == explicit[0].read_bytes()
+        assert inferred[1].read_bytes() == explicit[1].read_bytes()
+        not_square = Dataset(np.zeros((2, 10)), np.array([0, 1]))
+        with pytest.raises(DataError):
+            write_idx(not_square, tmp_path / "a.idx", tmp_path / "b.idx")
+
 
 class TestFeynman:
     def test_registry_has_all_formulas(self):
@@ -209,7 +222,6 @@ class TestSplit:
         order = np.lexsort(seen.T)
         base = np.lexsort(ds.inputs.T)
         assert np.array_equal(seen[order], ds.inputs[base])
-        assert (train.split, test.split, hold.split) == ("train", "test", "holdout")
 
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(DataError):
@@ -245,7 +257,3 @@ class TestDatasetValidation:
     def test_row_count_mismatch(self):
         with pytest.raises(DataError):
             Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int))
-
-    def test_bad_split_tag(self):
-        with pytest.raises(DataError):
-            Dataset(np.zeros((2, 2)), np.zeros(2, dtype=int), split="valid")

@@ -60,6 +60,11 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(model, np.zeros((0, 2)), np.zeros(0), "regression", 1, adam(1e-3))
 
+    def test_negative_epochs_rejected(self):
+        model = KanModel.create([2, 2], seed=1)
+        with pytest.raises(ValueError, match="epochs"):
+            fit(model, np.zeros((4, 2)), np.zeros(4), "regression", -3, adam(1e-3))
+
     def test_exploding_loss_raises(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(-1, 1, size=(64, 2))

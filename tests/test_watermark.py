@@ -3,7 +3,6 @@ import pytest
 
 from kanmark import (KanModel, adam, build_detector_dataset, embed, fit,
                      gen_feynman, gen_signal, sgd, train_detector, verify)
-from kanmark.kan import propagate
 from kanmark.mlp import MlpModel
 from kanmark.numeric import ShapeError, mse_loss
 from kanmark.transform import dct, perturb
@@ -97,30 +96,28 @@ class TestEmbed:
         sig = gen_signal(9, 4, (1, 2), 0.2)
         deeper_before = [p.copy() for p in model.layers[1].parameters()]
         first_before = [p.copy() for p in model.layers[0].parameters()]
-        signal_step(model, x, sig, adam(1e-3), layer_index=0)
+        signal_step(model, x, sig, adam(1e-3))
         for p, snap in zip(model.layers[1].parameters(), deeper_before):
             assert np.array_equal(p, snap)
         assert any(not np.array_equal(p, snap)
                    for p, snap in zip(model.layers[0].parameters(), first_before))
 
-    @pytest.mark.parametrize("widths, layer_index", [([64, 32, 10], 0),
-                                                     ([2, 4, 3, 1], 1)])
-    def test_closed_form_step_matches_moving_target_backprop(self, widths,
-                                                              layer_index):
-        # reference: backprop of mse(O, perturb(O, P)) on the layer
+    @pytest.mark.parametrize("widths", [[64, 32, 10], [2, 4, 3, 1]])
+    def test_closed_form_step_matches_moving_target_backprop(self, widths):
+        # reference: backprop of mse(O, perturb(O, P)) on the first layer
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, size=(64, widths[0]))
         model = KanModel.create(widths, seed=7)
-        layer = model.layers[layer_index]
+        layer = model.layers[0]
         band = default_band(layer.out_dim)
-        alpha = calibrate_amplitude(model, x, band, 0.3, layer_index=layer_index)
+        alpha = calibrate_amplitude(model, x, band, 0.3)
         sig = gen_signal(11, layer.out_dim, band, alpha)
-        out, cache = layer.forward(propagate(model, x, layer_index))
+        out, cache = layer.forward(x)
         ref_loss, g_out = mse_loss(out, perturb(out, sig.values))
         ref, _ = layer.backward(cache, g_out, need_input_grad=False)
 
         before = [p.copy() for p in layer.parameters()]
-        loss = signal_step(model, x, sig, sgd(1.0), layer_index=layer_index)
+        loss = signal_step(model, x, sig, sgd(1.0))
         assert loss == pytest.approx(ref_loss, rel=1e-10)
         for b, p, r in zip(before, layer.parameters(), ref):
             assert np.linalg.norm((b - p) - r) <= 1e-10 * np.linalg.norm(r)
@@ -137,30 +134,12 @@ class TestEmbed:
         assert any(not np.array_equal(a, b) for a, b in
                    zip(wm.parameters(), model.parameters()))
 
-    def test_embedding_into_deeper_layer(self):
-        # layer choice is an experiment flag; the default stays layer 0
-        x, y = small_task(seed=12)
-        model = KanModel.create([2, 4, 3, 1], seed=17)
-        sig = gen_signal(21, 3, (1, 1), 0.1)
-        wm = embed(model, sig, x, y, "regression", epochs=1, layer_index=1)
-        assert wm.widths == model.widths
-        before_l0 = [p.copy() for p in model.layers[0].parameters()]
-        signal_step(model, x, sig, adam(1e-3), layer_index=1)
-        for p, snap in zip(model.layers[0].parameters(), before_l0):
-            assert np.array_equal(p, snap)
-        ds = build_detector_dataset(wm, model, x[:10], n_shuffles=2, seed=1,
-                                    layer_index=1)
-        assert ds.inputs.shape[1] == 3
-        det = train_detector(ds, (8,), epochs=1, lr=1e-3, seed=2)
-        result = verify(wm, det, x[:20], layer_index=1)
-        assert 0.0 <= result.detection_rate <= 1.0
-
     def test_moving_target_signal_loss_is_perturbation_energy(self):
         # with the orthonormal pair, mse(O, perturb(O)) == ||P||^2 / N
         x, _ = small_task(seed=5)
         model = KanModel.create([2, 4, 1], seed=9)
         sig = gen_signal(13, 4, (1, 2), 0.3)
-        outs = layer_outputs(model, x, 0)
+        outs = layer_outputs(model, x)
         loss, _ = mse_loss(outs, perturb(outs, sig.values))
         expected = np.sum(sig.values ** 2) / sig.length
         assert loss == pytest.approx(expected, rel=1e-10)
