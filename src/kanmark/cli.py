@@ -138,8 +138,11 @@ def _validate_config(cfg: dict) -> None:
     if ds["kind"] == "feynman" and not ds["formula"]:
         raise ConfigError("feynman dataset needs a formula id")
     fr = ds["fractions"]
-    if not isinstance(fr, list) or not fr or abs(sum(fr) - 1.0) > 1e-9:
-        raise ConfigError(f"dataset.fractions must sum to 1, got {fr}")
+    if not (isinstance(fr, list) and len(fr) == 3
+            and all(type(f) in (int, float) and f >= 0 for f in fr)
+            and abs(sum(fr) - 1.0) <= 1e-9):
+        raise ConfigError("dataset.fractions must be three numbers >= 0 "
+                          f"(train, test, holdout) that sum to 1, got {fr!r}")
     _check_tau(cfg["tau"])
     if cfg["attack"]["kind"] not in ATTACK_KINDS:
         raise ConfigError(f"unknown attack kind {cfg['attack']['kind']!r}")
@@ -177,8 +180,8 @@ def _validate_config(cfg: dict) -> None:
 def _check_tau(tau) -> None:
     """The detection threshold, from the config or ``verify --tau``, is a
     rate in [0, 1]."""
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigError(f"tau must be in [0, 1], got {tau}")
+    if not (type(tau) in (int, float) and 0.0 <= tau <= 1.0):
+        raise ConfigError(f"tau must be a number in [0, 1], got {tau!r}")
 
 
 def _constructs(name: str, build):
@@ -204,12 +207,10 @@ def config_hash(cfg: dict) -> str:
 # datasets
 
 def resolve_dataset(cfg: dict, bundle: SeedBundle):
-    """Build (train, test, holdout) Datasets from the config."""
+    """Build (train, test, holdout) Datasets from the config; raises
+    ConfigError when one of them is empty."""
     ds = cfg["dataset"]
-    fractions = ds["fractions"]
-    if ds["kind"] == "feynman":
-        full = gen_feynman(ds["formula"], int(ds["n"]), seed=bundle.data)
-        return split_dataset(full, fractions, seed=derive_seed(bundle.data, "split"))
+    seed = derive_seed(bundle.data, "split")
 
     def load(images, labels):
         loaded = load_idx(images, labels, limit=ds["limit"])
@@ -217,12 +218,20 @@ def resolve_dataset(cfg: dict, bundle: SeedBundle):
             loaded = average_pool(loaded, int(ds["pool"]))
         return loaded
 
-    primary = load(ds["images"], ds["labels"])
-    if ds["test_images"]:
+    if ds["kind"] == "feynman":
+        full = gen_feynman(ds["formula"], int(ds["n"]), seed=bundle.data)
+        splits = split_dataset(full, ds["fractions"], seed=seed)
+    elif ds["test_images"]:
+        primary = load(ds["images"], ds["labels"])
         secondary = load(ds["test_images"], ds["test_labels"])
-        return [primary, *split_dataset(secondary, [0.5, 0.5],
-                                        seed=derive_seed(bundle.data, "split"))]
-    return split_dataset(primary, fractions, seed=derive_seed(bundle.data, "split"))
+        splits = [primary, *split_dataset(secondary, [0.5, 0.5], seed=seed)]
+    else:
+        splits = split_dataset(load(ds["images"], ds["labels"]), ds["fractions"],
+                               seed=seed)
+    sizes = [len(split) for split in splits]
+    if 0 in sizes:
+        raise ConfigError(f"(train, test, holdout) split sizes {sizes}: none may be empty")
+    return splits
 
 
 def resolve_widths(cfg: dict, input_dim: int) -> list[int]:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numeric import ShapeError, as_matrix, keep_masks, sigmoid, silu_grad
+from .numeric import ShapeError, as_matrix, keep_masks, sigmoid, silu_grad, views
 from .spline import SplineGrid, basis_derivative_matrix, basis_matrix, build_grid
 
 
@@ -43,12 +43,18 @@ class KanLayer:
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} contains non-finite entries")
         self.grid = grid
-        self.coeffs = coeffs
-        self.w_b = w_b
-        self.w_s = w_s
         self.prune_mask = prune_mask
         self.in_dim = in_dim
         self.out_dim = out_dim
+        self._bind(np.concatenate([coeffs.ravel(), w_b.ravel(), w_s.ravel()]))
+
+    def _bind(self, params: np.ndarray) -> None:
+        """Make ``params``, laid out as coeffs, w_b, w_s (each row-major),
+        the storage that ``coeffs``, ``w_b`` and ``w_s`` view."""
+        edges = (self.out_dim, self.in_dim)
+        self.params = params
+        self.coeffs, self.w_b, self.w_s = views(
+            params, [(*edges, self.grid.basis_count), edges, edges])
 
     @classmethod
     def create(cls, in_dim: int, out_dim: int, grid: SplineGrid,
@@ -59,9 +65,6 @@ class KanLayer:
         w_b = np.ones((out_dim, in_dim))
         w_s = np.ones((out_dim, in_dim))
         return cls(grid, coeffs, w_b, w_s)
-
-    def parameters(self) -> list[np.ndarray]:
-        return [self.coeffs, self.w_b, self.w_s]
 
     def edge_activation(self, j: int, i: int, x: float) -> float:
         """Single-edge activation value at a scalar input."""
@@ -92,8 +95,8 @@ class KanLayer:
     def backward(self, cache: dict, gy: np.ndarray, need_input_grad: bool = True):
         """Gradients of a scalar loss given upstream d(loss)/d(outputs).
 
-        Returns ([d_coeffs, d_w_b, d_w_s], d_inputs). ``d_inputs`` is None
-        when ``need_input_grad`` is False (first layer of a model).
+        Returns (d_params laid out like ``params``, d_inputs). ``d_inputs``
+        is None when ``need_input_grad`` is False (first layer of a model).
         """
         if cache is None or "x" not in cache:
             raise ValueError("missing forward cache")
@@ -112,7 +115,8 @@ class KanLayer:
             gb = (gy @ self._spline_weights()).reshape(db.shape)
             gx = silu_grad(x) * (gy @ (mask * self.w_b)) \
                 + (gb * db).sum(axis=-1).reshape(x.shape)
-        return [g_coeffs, mask * (gy.T @ s), g_ws], gx
+        grads = [g_coeffs, mask * (gy.T @ s), g_ws]
+        return np.concatenate([a.ravel() for a in grads]), gx
 
     def per_edge_activations(self, x) -> np.ndarray:
         """All edge outputs for a batch; shape (batch, out_dim, in_dim)."""
@@ -122,12 +126,13 @@ class KanLayer:
         return self.prune_mask * (self.w_b * s[:, None, :] + self.w_s * spl)
 
     def copy(self) -> "KanLayer":
-        return KanLayer(self.grid, self.coeffs.copy(), self.w_b.copy(),
-                        self.w_s.copy(), self.prune_mask.copy())
+        return KanLayer(self.grid, self.coeffs, self.w_b, self.w_s,
+                        self.prune_mask.copy())
 
 
 class KanModel:
-    """Stack of KanLayers; adjacent layer widths must chain."""
+    """Stack of KanLayers; adjacent layer widths must chain. Each layer views
+    its slice of ``params``, so it belongs to the last model built from it."""
 
     def __init__(self, layers):
         layers = list(layers)
@@ -137,6 +142,10 @@ class KanModel:
             if a.out_dim != b.in_dim:
                 raise ShapeError(f"layer widths do not chain: {a.out_dim} -> {b.in_dim}")
         self.layers = layers
+        self.params = np.concatenate([layer.params for layer in layers])
+        for layer, params in zip(layers, views(self.params, [layer.params.shape
+                                                             for layer in layers])):
+            layer._bind(params)
 
     @classmethod
     def create(cls, widths, grid: SplineGrid | None = None, seed: int = 0) -> "KanModel":
@@ -167,8 +176,8 @@ class KanModel:
             caches.append(cache)
         return h, caches
 
-    def backward(self, caches, g_out: np.ndarray) -> list[np.ndarray]:
-        """Exact gradients for every layer's [coeffs, w_b, w_s], layer-major."""
+    def backward(self, caches, g_out: np.ndarray) -> np.ndarray:
+        """Exact gradient of the loss, laid out like ``params``."""
         if caches is None or len(caches) != len(self.layers):
             raise ValueError("caches do not match model layers")
         per_layer = [None] * len(self.layers)
@@ -176,10 +185,7 @@ class KanModel:
         for k in range(len(self.layers) - 1, -1, -1):
             per_layer[k], g = self.layers[k].backward(caches[k], g,
                                                       need_input_grad=(k > 0))
-        return [t for layer_grads in per_layer for t in layer_grads]
-
-    def parameters(self) -> list[np.ndarray]:
-        return [t for layer in self.layers for t in layer.parameters()]
+        return np.concatenate(per_layer)
 
     def predict(self, x) -> np.ndarray:
         return self.forward(x)[0]

@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numeric import ShapeError, as_matrix, keep_masks, relu
+from .numeric import ShapeError, as_matrix, keep_masks, relu, views
 
 HEADS = ("logits", "scalar")
 
 
 class MlpModel:
-    """Affine -> relu per hidden layer, final affine raw."""
+    """Affine -> relu per hidden layer, final affine raw. ``weights`` and
+    ``biases`` view ``params``, laid out as w0, b0, w1, b1, ... row-major."""
 
     def __init__(self, weights, biases, head: str = "logits"):
         if head not in HEADS:
@@ -30,8 +31,10 @@ class MlpModel:
         for a, b in zip(weights, weights[1:]):
             if b.shape[1] != a.shape[0]:
                 raise ShapeError(f"layer shapes do not chain: {a.shape} -> {b.shape}")
-        self.weights = weights
-        self.biases = biases
+        arrays = [a for pair in zip(weights, biases) for a in pair]
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        arrays = views(self.params, [a.shape for a in arrays])
+        self.weights, self.biases = arrays[0::2], arrays[1::2]
         self.head = head
 
     @classmethod
@@ -66,8 +69,8 @@ class MlpModel:
             h = z if k == len(self.weights) - 1 else relu(z)
         return h, {"inputs": inputs, "pre": pre}
 
-    def backward(self, cache: dict, g_out: np.ndarray) -> list[np.ndarray]:
-        """Gradients for [w0, b0, w1, b1, ...] given d(loss)/d(output)."""
+    def backward(self, cache: dict, g_out: np.ndarray) -> np.ndarray:
+        """Gradient laid out like ``params`` given d(loss)/d(output)."""
         if cache is None or "inputs" not in cache:
             raise ValueError("missing forward cache")
         inputs, pre = cache["inputs"], cache["pre"]
@@ -83,20 +86,13 @@ class MlpModel:
             grads[2 * k + 1] = g.sum(axis=0)
             if k > 0:
                 g = g @ self.weights[k]
-        return grads
-
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
+        return np.concatenate([a.ravel() for a in grads])
 
     def predict(self, x) -> np.ndarray:
         return self.forward(x)
 
     def copy(self) -> "MlpModel":
-        return MlpModel([w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases], self.head)
+        return MlpModel(self.weights, self.biases, self.head)
 
 
 def prune_mlp(model: MlpModel, ratio: float) -> MlpModel:

@@ -1,5 +1,5 @@
 """Float64 building blocks shared by every model: activations, losses and
-first-order optimizers (SGD and Adam).
+the Adam optimizer.
 
 Everything operates on plain numpy arrays. Functions are pure except
 ``optimizer_step``, which updates parameters and optimizer state in place.
@@ -7,6 +7,7 @@ Everything operates on plain numpy arrays. Functions are pure except
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +41,17 @@ def keep_masks(scores, ratio: float) -> list[np.ndarray]:
     n_drop = int(np.floor(ratio * flat.size + 1e-9))
     keep = np.ones(flat.size, dtype=bool)
     keep[np.argsort(flat, kind="stable")[:n_drop]] = False
-    ends = np.cumsum([np.size(s) for s in scores])[:-1]
-    return [k.reshape(np.shape(s)) for k, s in zip(np.split(keep, ends), scores)]
+    return views(keep, [np.shape(s) for s in scores])
+
+
+def views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive row-major blocks of a 1-D array, one per shape."""
+    out, start = [], 0
+    for shape in shapes:
+        end = start + math.prod(shape)
+        out.append(flat[start:end].reshape(shape))
+        start = end
+    return out
 
 
 def sigmoid(x):
@@ -119,71 +129,48 @@ def cross_entropy_loss(logits, labels):
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam hyperparameters plus per-parameter Adam moments.
+    """Adam hyperparameters plus the first and second moments of one flat
+    parameter vector, allocated on the first step."""
 
-    Moments are allocated lazily on the first step and are positional: the
-    same parameter list (same order, same shapes) must be passed every call.
-    """
-
-    kind: str = "adam"
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    m: list = field(default_factory=list, repr=False)
-    v: list = field(default_factory=list, repr=False)
+    m: np.ndarray | None = field(default=None, repr=False)
+    v: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.learning_rate < 0.0:
             raise ValueError("learning_rate must be >= 0")
 
 
-def sgd(lr: float) -> OptimizerState:
-    return OptimizerState(kind="sgd", learning_rate=lr)
-
-
 def adam(lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
          epsilon: float = 1e-8) -> OptimizerState:
-    return OptimizerState(kind="adam", learning_rate=lr, beta1=beta1,
-                          beta2=beta2, epsilon=epsilon)
+    return OptimizerState(learning_rate=lr, beta1=beta1, beta2=beta2,
+                          epsilon=epsilon)
 
 
-def optimizer_step(params, grads, state: OptimizerState):
-    """Apply one optimizer step, updating ``params`` in place.
+def optimizer_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState):
+    """One bias-corrected Adam step on a flat parameter vector, in place.
 
-    SGD: p -= lr * g. Adam: bias-corrected first/second moment update.
-    ``params`` and ``grads`` are parallel lists of same-shape arrays.
-    """
-    if len(params) != len(grads):
-        raise ShapeError(f"{len(params)} params vs {len(grads)} grads")
-    for p, g in zip(params, grads):
-        if p.shape != np.shape(g):
-            raise ShapeError(f"param shape {p.shape} vs grad shape {np.shape(g)}")
-
+    Each element keeps the textbook expression order, so how parameters are
+    grouped changes no result; two scratch arrays hold every temporary."""
+    if params.shape != np.shape(grads):
+        raise ShapeError(f"param shape {params.shape} vs grad shape {np.shape(grads)}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     state.step_count += 1
-    lr = state.learning_rate
-    if state.kind == "sgd":
-        for p, g in zip(params, grads):
-            p -= lr * g
-        return params, state
-
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    if len(state.m) != len(params):
-        raise ShapeError("optimizer state tracks a different parameter set")
-    t = state.step_count
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if m.shape != p.shape:
-            raise ShapeError("optimizer moment shape does not match parameter")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m, v, t = state.m, state.v, state.step_count
+    a, b = np.empty_like(params), np.empty_like(params)
+    m *= state.beta1
+    m += np.multiply(1.0 - state.beta1, grads, out=a)
+    v *= state.beta2
+    v += np.multiply(1.0 - state.beta2, np.square(grads, out=a), out=a)
+    np.divide(m, 1.0 - state.beta1 ** t, out=a)                # m_hat
+    np.sqrt(np.divide(v, 1.0 - state.beta2 ** t, out=b), out=b)  # sqrt(v_hat)
+    b += state.epsilon
+    a *= state.learning_rate
+    a /= b
+    params -= a
     return params, state

@@ -41,7 +41,7 @@ def train_step(model, x, y, task: str, opt) -> float:
     returns the loss before the step."""
     out, cache = model.forward_with_cache(x)
     loss, g = task_loss(out, y, task)
-    optimizer_step(model.parameters(), model.backward(cache, g), opt)
+    optimizer_step(model.params, model.backward(cache, g), opt)
     return loss
 
 

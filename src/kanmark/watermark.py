@@ -98,7 +98,7 @@ def signal_step(model: KanModel, x, signal: PerturbationSignal, opt) -> float:
     out, cache = layer.forward(as_matrix(x, "inputs"))
     g_out = np.broadcast_to(-2.0 * idct(signal.values) / out.size, out.shape)
     grads, _ = layer.backward(cache, g_out, need_input_grad=False)
-    optimizer_step(layer.parameters(), grads, opt)
+    optimizer_step(layer.params, grads, opt)
     return float(signal.values @ signal.values / signal.length)
 
 

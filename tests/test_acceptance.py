@@ -57,18 +57,18 @@ def test_criterion_1_numeric_correctness():
     tk = rng.normal(size=(4, 2))
     out, caches = kan.forward_with_cache(xk)
     _, g = mse_loss(out, tk)
-    assert_grads_close(kan.backward(caches, g),
+    assert_grads_close([kan.backward(caches, g)],
                        central_diff(lambda: mse_loss(kan.forward(xk)[0], tk)[0],
-                                    kan.parameters()), rel_tol=1e-4)
+                                    [kan.params]), rel_tol=1e-4)
 
     mlp = MlpModel.create([3, 5, 4], seed=102)
     xm = rng.normal(size=(4, 3))
     ym = rng.integers(0, 4, size=4)
     outm, cache = mlp.forward_with_cache(xm)
     _, gm = cross_entropy_loss(outm, ym)
-    assert_grads_close(mlp.backward(cache, gm),
+    assert_grads_close([mlp.backward(cache, gm)],
                        central_diff(lambda: cross_entropy_loss(mlp.forward(xm), ym)[0],
-                                    mlp.parameters()), rel_tol=1e-4)
+                                    [mlp.params]), rel_tol=1e-4)
 
     elapsed = time.time() - start
     ok = worst_rt < 1e-12 and worst_pv < 1e-10 and worst_pu < 1e-9 and elapsed < 10

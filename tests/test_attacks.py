@@ -37,24 +37,21 @@ class TestFinetune:
         x, y = small_task(seed=1)
         model = KanModel.create([2, 4, 1], seed=1)
         out = finetune(model, x, y, "regression", epochs=0, lr=1e-3)
-        for a, b in zip(out.parameters(), model.parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(out.params, model.params)
 
     def test_architecture_preserved_and_original_untouched(self):
         x, y = small_task(seed=2)
         model = KanModel.create([2, 4, 1], seed=2)
-        snaps = [p.copy() for p in model.parameters()]
+        snap = model.params.copy()
         out = finetune(model, x, y, "regression", epochs=2, lr=1e-3, seed=3)
         assert out.widths == model.widths
-        for p, s in zip(model.parameters(), snaps):
-            assert np.array_equal(p, s)
+        assert np.array_equal(model.params, snap)
 
     def test_vanishing_lr_limit(self):
         x, y = small_task(seed=3)
         model = KanModel.create([2, 4, 1], seed=4)
         out = finetune(model, x, y, "regression", epochs=8, lr=1e-12, seed=5)
-        for a, b in zip(out.parameters(), model.parameters()):
-            assert np.max(np.abs(a - b)) < 1e-6
+        assert np.max(np.abs(out.params - model.params)) < 1e-6
 
     def test_empty_data_rejected(self):
         model = KanModel.create([2, 4, 1], seed=6)
@@ -67,8 +64,7 @@ class TestPruneAttack:
         x, _ = small_task(seed=4)
         model = KanModel.create([2, 4, 1], seed=7)
         out = prune_kan(model, 0.0, x[:32])
-        for a, b in zip(out.parameters(), model.parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(out.params, model.params)
 
     def test_requires_calibration(self):
         model = KanModel.create([2, 4, 1], seed=8)
@@ -81,8 +77,7 @@ class TestPruneAttack:
         a = run_attack(model, AttackSpec(kind="prune", prune_ratio=0.5),
                        x, None, "regression", x[:32])
         b = prune_kan(model, 0.5, x[:32])
-        for pa, pb in zip(a.parameters(), b.parameters()):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.params, b.params)
 
 
 class TestRetrainAfterPrune:
@@ -92,8 +87,7 @@ class TestRetrainAfterPrune:
         out = retrain_after_prune(model, x, y, "regression", ratio=0.5,
                                   epochs=0, calibration=x[:32])
         ref = lift_prune_masks(prune_kan(model, 0.5, x[:32]))
-        for a, b in zip(out.parameters(), ref.parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(out.params, ref.params)
         assert all(np.all(layer.prune_mask == 1.0) for layer in out.layers)
 
     def test_pruned_edges_become_trainable_again(self):
@@ -145,10 +139,9 @@ class TestPruneSweep:
 
     def test_models_not_mutated(self, trained_pair):
         kan, mlp, x, y = trained_pair
-        snap = [p.copy() for p in kan.parameters()]
+        snap = kan.params.copy()
         prune_sweep(kan, mlp, x[200:], y[200:], calibration=x[:64], step=0.5)
-        for p, s in zip(kan.parameters(), snap):
-            assert np.array_equal(p, s)
+        assert np.array_equal(kan.params, snap)
 
     def test_bad_step(self, trained_pair):
         kan, mlp, x, y = trained_pair
@@ -172,8 +165,7 @@ class TestRunAttack:
         ]:
             out = run_attack(model, spec, x, y, "regression",
                              calibration=x[:256])
-            for a, b in zip(out.parameters(), ref.parameters()):
-                assert np.array_equal(a, b)
+            assert np.array_equal(out.params, ref.params)
 
 
 ORACLE_RATIOS = (0.0, 0.1, 0.3, 0.5, 0.77, 1.0)

@@ -257,12 +257,22 @@ class TestCommands:
         ("train-clean", {"train": {"epochs": 1, "stages": [[-3, 1e-3]]}}, []),
         ("embed", {"watermark": {"epochs": 1, "layer_index": 0}}, []),
         ("verify", {}, ["--tau", "1.5"]),
+        ("train-clean", {"dataset": {"kind": "feynman", "formula": "I.12.11",
+                                     "n": 400, "fractions": [0.5, 0.5]}}, []),
+        ("train-clean", {"dataset": {"kind": "feynman", "formula": "I.12.11",
+                                     "n": 400, "fractions": [1.0, 0.0, 0.0]}}, []),
+        ("train-clean", {"dataset": {"kind": "feynman", "formula": "I.12.11",
+                                     "n": 400, "fractions": [0.995, 0.002, 0.003]}}, []),
+        ("train-clean", {"tau": "0.5"}, []),
+        ("train-clean", {"tau": True}, []),
     ], ids=["grid_intervals_0", "grid_degree_negative", "grid_t_min_eq_t_max",
             "negative_train_lr", "negative_stage_lr", "negative_lr_main",
             "negative_lr_wm", "negative_detector_lr", "one_width",
             "negative_n_shuffles", "zero_n_samples", "negative_attack_epochs_flag",
             "negative_attack_epochs_config", "negative_stage_epochs",
-            "watermark_layer_index_key", "verify_tau_above_one"])
+            "watermark_layer_index_key", "verify_tau_above_one",
+            "two_fractions", "zero_test_fraction", "test_fraction_floors_to_zero",
+            "string_tau", "boolean_tau"])
     def test_user_error_exits_2_and_writes_nothing(self, tmp_path, command,
                                                    overrides, flags):
         model = tmp_path / "model.json"

@@ -1,8 +1,44 @@
 import numpy as np
 import pytest
 
-from kanmark import KanModel, adam, evaluate, fit
+from kanmark import KanModel, MlpModel, adam, evaluate, fit, mse_loss
 from kanmark.training import DivergenceError
+
+from oracles import assert_grads_close, central_diff
+
+
+def named_arrays(model) -> list[np.ndarray]:
+    """A model's parameter arrays in the documented order of ``params``."""
+    if isinstance(model, KanModel):
+        return [a for layer in model.layers for a in (layer.coeffs, layer.w_b, layer.w_s)]
+    return [a for w, b in zip(model.weights, model.biases) for a in (w, b)]
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("model", [KanModel.create([3, 4, 2], seed=1),
+                                       MlpModel.create([3, 5, 2], seed=2)],
+                             ids=["kan", "mlp"])
+    def test_params_store_every_array_and_backward_shares_the_layout(self, model):
+        rng = np.random.default_rng(3)
+        model.params[:] = np.arange(model.params.size)
+        assert np.array_equal(
+            np.concatenate([a.ravel() for a in named_arrays(model)]), model.params)
+
+        clone = model.copy()
+        assert np.array_equal(clone.params, model.params)
+        assert not any(np.shares_memory(a, model.params)
+                       for a in [clone.params, *named_arrays(clone)])
+        assert all(np.shares_memory(a, clone.params) for a in named_arrays(clone))
+
+        model.params[:] = rng.normal(scale=0.3, size=model.params.size)
+        x = rng.uniform(-0.9, 0.9, size=(4, 3))
+        target = rng.normal(size=(4, 2))
+        out, cache = model.forward_with_cache(x)
+        grads = model.backward(cache, mse_loss(out, target)[1])
+        assert grads.shape == model.params.shape
+        numeric = central_diff(lambda: mse_loss(model.predict(x), target)[0],
+                               named_arrays(model))
+        assert_grads_close([grads], [np.concatenate([g.ravel() for g in numeric])])
 
 
 class TestEvaluate:
@@ -43,8 +79,7 @@ class TestFit:
             return model
 
         a, b = run(), run()
-        for pa, pb in zip(a.parameters(), b.parameters()):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.params, b.params)
 
     def test_loss_history_length_and_descent(self):
         rng = np.random.default_rng(1)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from kanmark import (KanModel, adam, build_detector_dataset, embed, fit,
-                     gen_feynman, gen_signal, sgd, train_detector, verify)
+                     gen_feynman, gen_signal, train_detector, verify)
+from kanmark import watermark
 from kanmark.mlp import MlpModel
 from kanmark.numeric import ShapeError, mse_loss
 from kanmark.transform import dct, perturb
@@ -87,23 +88,21 @@ class TestEmbed:
 
         plain = base.copy()
         fit(plain, x, y, "regression", 3, adam(1e-3), 64, seed=77)
-        for a, b in zip(wm.parameters(), plain.parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(wm.params, plain.params)
 
     def test_phase_two_touches_only_target_layer(self):
         x, y = small_task(seed=2)
         model = KanModel.create([2, 4, 1], seed=6)
         sig = gen_signal(9, 4, (1, 2), 0.2)
-        deeper_before = [p.copy() for p in model.layers[1].parameters()]
-        first_before = [p.copy() for p in model.layers[0].parameters()]
+        deeper_before = model.layers[1].params.copy()
+        first_before = model.layers[0].params.copy()
         signal_step(model, x, sig, adam(1e-3))
-        for p, snap in zip(model.layers[1].parameters(), deeper_before):
-            assert np.array_equal(p, snap)
-        assert any(not np.array_equal(p, snap)
-                   for p, snap in zip(model.layers[0].parameters(), first_before))
+        assert np.array_equal(model.layers[1].params, deeper_before)
+        assert not np.array_equal(model.layers[0].params, first_before)
 
     @pytest.mark.parametrize("widths", [[64, 32, 10], [2, 4, 3, 1]])
-    def test_closed_form_step_matches_moving_target_backprop(self, widths):
+    def test_closed_form_step_matches_moving_target_backprop(self, widths,
+                                                             monkeypatch):
         # reference: backprop of mse(O, perturb(O, P)) on the first layer
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, size=(64, widths[0]))
@@ -116,11 +115,14 @@ class TestEmbed:
         ref_loss, g_out = mse_loss(out, perturb(out, sig.values))
         ref, _ = layer.backward(cache, g_out, need_input_grad=False)
 
-        before = [p.copy() for p in layer.parameters()]
-        loss = signal_step(model, x, sig, sgd(1.0))
+        steps = []
+        monkeypatch.setattr(watermark, "optimizer_step",
+                            lambda params, grads, opt: steps.append((params, grads)))
+        loss = signal_step(model, x, sig, adam(1e-3))
         assert loss == pytest.approx(ref_loss, rel=1e-10)
-        for b, p, r in zip(before, layer.parameters(), ref):
-            assert np.linalg.norm((b - p) - r) <= 1e-10 * np.linalg.norm(r)
+        [(params, grads)] = steps
+        assert params is layer.params
+        assert np.linalg.norm(grads - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_embed_returns_new_model_and_checks_dims(self):
         x, y = small_task(seed=4)
@@ -131,8 +133,7 @@ class TestEmbed:
         good = gen_signal(3, 4, (1, 2), 0.1)
         wm = embed(model, good, x, y, "regression", epochs=1)
         assert wm is not model
-        assert any(not np.array_equal(a, b) for a, b in
-                   zip(wm.parameters(), model.parameters()))
+        assert not np.array_equal(wm.params, model.params)
 
     def test_moving_target_signal_loss_is_perturbation_energy(self):
         # with the orthonormal pair, mse(O, perturb(O)) == ||P||^2 / N
@@ -227,8 +228,7 @@ class TestTrainDetector:
         ds = self.separable_dataset(n=20)
         det = train_detector(ds, hidden=(8,), epochs=5, lr=0.0, seed=9)
         init = MlpModel.create([6, 8, 2], head="logits", seed=9)
-        for a, b in zip(det.parameters(), init.parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(det.params, init.params)
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(4)
