@@ -16,11 +16,10 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from .attacks import ATTACK_KINDS, AttackSpec, prune_sweep, run_attack
 from .data import DataError, average_pool, gen_feynman, load_idx, split_dataset
@@ -68,45 +67,89 @@ class SeedBundle:
 # ---------------------------------------------------------------------------
 # config
 
-DEFAULTS = {
-    "task": "classification",
+# Every config key: (default, kind) or (default, kind, least). kind is int (a
+# JSON integer, never 8.0), float (an int or a finite float), str, a tuple of
+# allowed values, [kind] (a non-empty list) or [kind, kind, ...] (exactly that
+# many). least bounds every number in the value; null is allowed only where the
+# default is null; bools are never numbers. Values are checked, never coerced,
+# so a well-typed config keeps its config_hash.
+SCHEMA = {
+    "task": ("classification", TASKS),
     "dataset": {
-        "kind": "idx",
-        "images": None, "labels": None,
-        "test_images": None, "test_labels": None,
-        "limit": None, "pool": None,
-        "formula": None, "n": 3000,
-        "fractions": [0.7, 0.15, 0.15],
+        "kind": ("idx", ("idx", "feynman")),
+        "images": (None, str), "labels": (None, str),
+        "test_images": (None, str), "test_labels": (None, str),
+        "limit": (None, int, 1), "pool": (None, int, 1),
+        "formula": (None, str), "n": (3000, int, 1),
+        "fractions": ([0.7, 0.15, 0.15], [float, float, float], 0),
     },
-    "model": {"widths": None, "hidden": None},
-    "grid": {"degree": 3, "intervals": 5, "t_min": -1.0, "t_max": 1.0},
-    "train": {"epochs": 50, "lr": 1e-3, "batch_size": 64, "stages": None},
+    "model": {"widths": (None, [int], 1), "hidden": (None, int, 1)},
+    "grid": {"degree": (3, int, 0), "intervals": (5, int, 1),
+             "t_min": (-1.0, float), "t_max": (1.0, float)},
+    "train": {"epochs": (50, int, 0), "lr": (1e-3, float, 0),
+              "batch_size": (64, int, 1), "stages": (None, [[int, float]], 0)},
     "watermark": {
-        "band": None, "alpha": None, "amplitude_scale": 0.3,
-        "epochs": 8, "lr_main": None, "lr_wm": None, "key": None,
+        "band": (None, [int, int], 0), "alpha": (None, float, 0),
+        "amplitude_scale": (0.3, float, 0), "epochs": (8, int, 1),
+        "lr_main": (None, float, 0), "lr_wm": (None, float, 0),
+        # numpy seeds its generator from a non-negative key only
+        "key": (None, int, 0),
     },
     "detector": {
-        "hidden": [64, 32], "epochs": 50, "lr": 1e-3,
-        "n_shuffles": 10, "n_samples": 2000, "batch_size": 128,
+        "hidden": ([64, 32], [int], 1), "epochs": (50, int, 0),
+        "lr": (1e-3, float, 0), "n_shuffles": (10, int, 0),
+        "n_samples": (2000, int, 1), "batch_size": (128, int, 1),
     },
-    "attack": {"kind": "finetune", "lr": 1e-3, "epochs": 8, "ratio": 0.6},
-    "tau": 0.5,
-    "seed": 0,
+    "attack": {"kind": ("finetune", ATTACK_KINDS), "lr": (1e-3, float, 0),
+               "epochs": (8, int, 0), "ratio": (0.6, float, 0)},
+    "tau": (0.5, float, 0),
+    "seed": (0, int),
 }
 
 
-def _merge_defaults(cfg: dict, defaults: dict, path: str = "") -> dict:
-    out = {}
-    for key, default in defaults.items():
-        if key in cfg and isinstance(default, dict) and isinstance(cfg[key], dict):
-            out[key] = _merge_defaults(cfg[key], default, f"{path}{key}.")
-        elif key in cfg:
-            out[key] = cfg[key]
-        else:
-            out[key] = copy.deepcopy(default)
+def _fits(value, kind, least) -> bool:
+    if isinstance(kind, tuple):
+        return value in kind
+    if isinstance(kind, list):
+        kinds = kind * len(value) if len(kind) == 1 and isinstance(value, list) else kind
+        return (isinstance(value, list) and 0 < len(value) == len(kinds)
+                and all(_fits(v, k, least) for v, k in zip(value, kinds)))
+    if kind is str:
+        return isinstance(value, str)
+    number = type(value) is int or (kind is float and type(value) is float
+                                    and math.isfinite(value))
+    return number and (least is None or value >= least)
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, tuple):
+        return "one of " + ", ".join(map(repr, kind))
+    if isinstance(kind, list):
+        return "[" + ", ".join(map(_describe, kind)) + (", ...]" if len(kind) == 1 else "]")
+    return {int: "int", float: "number", str: "string"}[kind]
+
+
+def _merge(cfg, schema: dict, path: str = "") -> dict:
+    """``cfg`` with every missing key set to its default; raises ConfigError
+    on an unknown key or a value that does not fit its leaf."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path.rstrip('.') or 'config root'} must be a JSON object")
     for key in cfg:
-        if key not in defaults:
+        if key not in schema:
             raise ConfigError(f"unknown config key {path}{key!r}")
+    out = {}
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            out[key] = _merge(cfg.get(key, {}), spec, f"{path}{key}.")
+            continue
+        default, kind, least = (*spec, None)[:3]
+        value = cfg[key] if key in cfg else copy.deepcopy(default)
+        if not (value is None and default is None or _fits(value, kind, least)):
+            raise ConfigError(
+                f"{path}{key} must be {_describe(kind)}"
+                f"{'' if least is None else f' (numbers >= {least})'}"
+                f"{' or null' if default is None else ''}, got {json.dumps(value)}")
+        out[key] = value
     return out
 
 
@@ -118,9 +161,7 @@ def load_config(path, seed_override: int | None = None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    cfg = _merge_defaults(raw, DEFAULTS)
+    cfg = _merge(raw, SCHEMA)
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
     _validate_config(cfg)
@@ -128,59 +169,32 @@ def load_config(path, seed_override: int | None = None) -> dict:
 
 
 def _validate_config(cfg: dict) -> None:
-    if cfg["task"] not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {cfg['task']!r}")
+    """The rules that span fields or need a constructor; :data:`SCHEMA`
+    has already checked each key's type and least value."""
     ds = cfg["dataset"]
-    if ds["kind"] not in ("idx", "feynman"):
-        raise ConfigError(f"dataset.kind must be idx or feynman, got {ds['kind']!r}")
     if ds["kind"] == "idx" and not (ds["images"] and ds["labels"]):
         raise ConfigError("idx dataset needs images and labels paths")
+    if bool(ds["test_images"]) != bool(ds["test_labels"]):
+        raise ConfigError("dataset.test_images and dataset.test_labels come as a pair")
     if ds["kind"] == "feynman" and not ds["formula"]:
         raise ConfigError("feynman dataset needs a formula id")
-    fr = ds["fractions"]
-    if not (isinstance(fr, list) and len(fr) == 3
-            and all(type(f) in (int, float) and f >= 0 for f in fr)
-            and abs(sum(fr) - 1.0) <= 1e-9):
-        raise ConfigError("dataset.fractions must be three numbers >= 0 "
-                          f"(train, test, holdout) that sum to 1, got {fr!r}")
+    if abs(sum(ds["fractions"]) - 1.0) > 1e-9:
+        raise ConfigError("dataset.fractions (train, test, holdout) must sum "
+                          f"to 1, got {ds['fractions']!r}")
     _check_tau(cfg["tau"])
-    if cfg["attack"]["kind"] not in ATTACK_KINDS:
-        raise ConfigError(f"unknown attack kind {cfg['attack']['kind']!r}")
     widths = cfg["model"]["widths"]
     if widths and len(widths) < 2:
         raise ConfigError(f"model.widths must list input and output widths, got {widths}")
-    for key, least in (("watermark.epochs", 1), ("detector.epochs", 0),
-                       ("detector.n_shuffles", 0), ("detector.n_samples", 1)):
-        section, name = key.split(".")
-        if cfg[section][name] < least:
-            raise ConfigError(f"{key} must be >= {least}")
-    wm = cfg["watermark"]
-    # The grid and the optimizers are built by the constructors the commands
-    # use, so their bounds live in one place.
-    _constructs("grid", lambda: build_grid(**cfg["grid"]))
-    _constructs("train.lr / train.stages",
-                lambda: [adam(lr) for _, lr in train_stages(cfg)])
-    if any(epochs < 0 for epochs, _ in train_stages(cfg)):
-        raise ConfigError("train.epochs and every train.stages epoch count must be >= 0")
-    for key in ("lr_main", "lr_wm"):
-        if wm[key] is not None:
-            _constructs(f"watermark.{key}", lambda: adam(float(wm[key])))
-    _constructs("detector.lr", lambda: adam(float(cfg["detector"]["lr"])))
-    alpha = wm["alpha"]
-    if alpha is not None and not (isinstance(alpha, (int, float))
-                                  and np.isfinite(alpha) and alpha >= 0):
-        raise ConfigError(f"watermark.alpha must be a finite number >= 0, got {alpha!r}")
-    band = wm["band"]
-    if band is not None and not (isinstance(band, list) and len(band) == 2
-                                 and all(type(k) is int for k in band)
-                                 and 0 <= band[0] <= band[1]):
-        raise ConfigError(f"watermark.band must be two ints 0 <= lo <= hi, got {band!r}")
+    band = cfg["watermark"]["band"]
+    if band is not None and band[0] > band[1]:
+        raise ConfigError(f"watermark.band must be [lo, hi] with lo <= hi, got {band!r}")
+    _constructs("grid", lambda: build_grid(**cfg["grid"]))  # t_min < t_max
 
 
 def _check_tau(tau) -> None:
     """The detection threshold, from the config or ``verify --tau``, is a
     rate in [0, 1]."""
-    if not (type(tau) in (int, float) and 0.0 <= tau <= 1.0):
+    if not 0.0 <= tau <= 1.0:
         raise ConfigError(f"tau must be a number in [0, 1], got {tau!r}")
 
 
@@ -215,11 +229,11 @@ def resolve_dataset(cfg: dict, bundle: SeedBundle):
     def load(images, labels):
         loaded = load_idx(images, labels, limit=ds["limit"])
         if ds["pool"]:
-            loaded = average_pool(loaded, int(ds["pool"]))
+            loaded = average_pool(loaded, ds["pool"])
         return loaded
 
     if ds["kind"] == "feynman":
-        full = gen_feynman(ds["formula"], int(ds["n"]), seed=bundle.data)
+        full = gen_feynman(ds["formula"], ds["n"], seed=bundle.data)
         splits = split_dataset(full, ds["fractions"], seed=seed)
     elif ds["test_images"]:
         primary = load(ds["images"], ds["labels"])
@@ -236,30 +250,22 @@ def resolve_dataset(cfg: dict, bundle: SeedBundle):
 
 def resolve_widths(cfg: dict, input_dim: int) -> list[int]:
     if cfg["model"]["widths"]:
-        widths = [int(w) for w in cfg["model"]["widths"]]
+        widths = list(cfg["model"]["widths"])
         if widths[0] != input_dim:
             raise ShapeError(f"config widths start at {widths[0]}, "
                              f"data has {input_dim} columns")
         return widths
     if cfg["task"] == "classification":
-        hidden = cfg["model"]["hidden"] or 32
-        return [input_dim, int(hidden), 10]
-    hidden = cfg["model"]["hidden"] or 5
-    return [input_dim, int(hidden), 1]
-
-
-def train_stages(cfg: dict) -> list[tuple[int, float]]:
-    tr = cfg["train"]
-    stages = [(int(tr["epochs"]), float(tr["lr"]))]
-    if tr["stages"]:
-        stages += [(int(e), float(lr)) for e, lr in tr["stages"]]
-    return stages
+        return [input_dim, cfg["model"]["hidden"] or 32, 10]
+    return [input_dim, cfg["model"]["hidden"] or 5, 1]
 
 
 def _fit_stages(model, train, task, cfg, bundle):
-    for si, (epochs, lr) in enumerate(train_stages(cfg)):
+    """``train.epochs`` at ``train.lr``, then each ``train.stages`` pair."""
+    tr = cfg["train"]
+    for si, (epochs, lr) in enumerate([(tr["epochs"], tr["lr"]), *(tr["stages"] or [])]):
         fit(model, train.inputs, train.targets, task, epochs, adam(lr),
-            batch_size=int(cfg["train"]["batch_size"]),
+            batch_size=tr["batch_size"],
             seed=derive_seed(bundle.data, f"fit-stage-{si}"))
 
 
@@ -418,36 +424,32 @@ def cmd_embed(args) -> int:
     wm_cfg = cfg["watermark"]
     n_sig = clean.layers[0].out_dim
     band = wm_cfg["band"] or list(default_band(n_sig))
-    if wm_cfg["alpha"] is not None:
-        alpha = float(wm_cfg["alpha"])
-    else:
+    alpha = wm_cfg["alpha"]
+    if alpha is None:
         alpha = _constructs("watermark.band", lambda: calibrate_amplitude(
-            clean, train.inputs[:256], band, scale=float(wm_cfg["amplitude_scale"])))
+            clean, train.inputs[:256], band, scale=wm_cfg["amplitude_scale"]))
     key = wm_cfg["key"] if wm_cfg["key"] is not None else bundle.signal
     signal = _constructs("watermark.band",
-                         lambda: gen_signal(int(key), n_sig, band, alpha))
-    lr_main = float(wm_cfg["lr_main"] if wm_cfg["lr_main"] is not None
-                    else cfg["train"]["lr"])
-    lr_wm = None if wm_cfg["lr_wm"] is None else float(wm_cfg["lr_wm"])
+                         lambda: gen_signal(key, n_sig, band, alpha))
+    lr_main = wm_cfg["lr_main"] if wm_cfg["lr_main"] is not None else cfg["train"]["lr"]
     wm = embed(clean, signal, train.inputs, train.targets, task,
-               epochs=int(wm_cfg["epochs"]), lr_main=lr_main, lr_wm=lr_wm,
-               batch_size=int(cfg["train"]["batch_size"]),
+               epochs=wm_cfg["epochs"], lr_main=lr_main, lr_wm=wm_cfg["lr_wm"],
+               batch_size=cfg["train"]["batch_size"],
                seed=derive_seed(bundle.data, "embed"))
 
     det_cfg = cfg["detector"]
-    det_rows = train.inputs[:int(det_cfg["n_samples"])]
+    det_rows = train.inputs[:det_cfg["n_samples"]]
     det_data = build_detector_dataset(wm, clean, det_rows,
-                                      n_shuffles=int(det_cfg["n_shuffles"]),
+                                      n_shuffles=det_cfg["n_shuffles"],
                                       seed=bundle.detector)
-    detector = train_detector(det_data, hidden=tuple(det_cfg["hidden"]),
-                              epochs=int(det_cfg["epochs"]),
-                              lr=float(det_cfg["lr"]),
-                              batch_size=int(det_cfg["batch_size"]),
+    detector = train_detector(det_data, hidden=det_cfg["hidden"],
+                              epochs=det_cfg["epochs"], lr=det_cfg["lr"],
+                              batch_size=det_cfg["batch_size"],
                               seed=derive_seed(bundle.detector, "train"))
 
     metrics = evaluate(wm, test.inputs, test.targets, task)
     value, kind = _main_metric(metrics, task)
-    result = verify(wm, detector, hold.inputs, tau=float(cfg["tau"]))
+    result = verify(wm, detector, hold.inputs, tau=cfg["tau"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
@@ -480,14 +482,11 @@ def cmd_attack(args) -> int:
         atk["epochs"] = args.epochs
     if args.ratio is not None:
         atk["ratio"] = args.ratio
-    try:
-        spec = AttackSpec(kind=atk["kind"], lr=float(atk["lr"]),
-                          epochs=int(atk["epochs"]),
-                          prune_ratio=(None if atk["kind"] == "finetune"
-                                       else float(atk["ratio"])),
-                          seed=bundle.attack)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # float(): the checkpoint and report row record lr and ratio as floats
+    spec = _constructs("attack", lambda: AttackSpec(
+        kind=atk["kind"], lr=float(atk["lr"]), epochs=atk["epochs"],
+        prune_ratio=None if atk["kind"] == "finetune" else float(atk["ratio"]),
+        seed=bundle.attack))
     attacked = run_attack(wm, spec, train.inputs, train.targets, task,
                           calibration=train.inputs[:256])
     metrics = evaluate(attacked, test.inputs, test.targets, task)
@@ -507,7 +506,7 @@ def cmd_attack(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg, bundle, (train, test, hold) = _setup(args)
-    tau = float(args.tau if args.tau is not None else cfg["tau"])
+    tau = args.tau if args.tau is not None else cfg["tau"]
     _check_tau(tau)
     detector, det_meta = load_checkpoint(args.detector_ckpt)
     if not isinstance(detector, MlpModel):

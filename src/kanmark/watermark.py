@@ -86,20 +86,19 @@ def default_band(length: int) -> tuple[int, int]:
     return length // 4, min(length // 2, length - 1)
 
 
-def signal_step(model: KanModel, x, signal: PerturbationSignal, opt) -> float:
+def signal_step(model: KanModel, x, signal: PerturbationSignal, opt) -> None:
     """One gradient step of the first layer's outputs O toward perturb(O).
 
     The signal loss mse(O, perturb(O)) has the constant residual
-    O - perturb(O) = -idct(P) on every row, so its value is ||P||^2 / N and
-    its output gradient is -2 idct(P) / (rows * N). Only the first layer's
-    parameters move. Returns the signal loss.
+    O - perturb(O) = -idct(P) on every row, so its output gradient is
+    -2 idct(P) / (rows * N); the loss itself is the constant ||P||^2 / N and
+    is not returned. Only the first layer's parameters move.
     """
     layer = model.layers[0]
     out, cache = layer.forward(as_matrix(x, "inputs"))
     g_out = np.broadcast_to(-2.0 * idct(signal.values) / out.size, out.shape)
     grads, _ = layer.backward(cache, g_out, need_input_grad=False)
     optimizer_step(layer.params, grads, opt)
-    return float(signal.values @ signal.values / signal.length)
 
 
 def embed(model: KanModel, signal: PerturbationSignal, inputs, targets,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from kanmark import Dataset, KanModel, MlpModel, write_idx
-from kanmark.cli import (CheckpointError, ConfigError, SeedBundle,
-                         canonical_json, config_hash, derive_seed,
+from kanmark.cli import (SCHEMA, CheckpointError, ConfigError, SeedBundle,
+                         _fits, canonical_json, config_hash, derive_seed,
                          load_checkpoint, load_config, main, resolve_dataset,
                          save_checkpoint)
 
@@ -71,6 +71,38 @@ class TestConfig:
         write_config(path, dataset={"kind": "idx"})
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"watermark": {"key": -1}}, "watermark.key"),
+        ({"watermark": {"key": "k"}}, "watermark.key"),
+        ({"detector": {"hidden": [8, 0]}}, "detector.hidden"),
+        ({"train": {"stages": [[2, "0.1"]]}}, "train.stages"),
+        ({"model": 5}, "model"),
+    ])
+    def test_type_error_names_the_key(self, tmp_path, overrides, key):
+        with pytest.raises(ConfigError, match=rf"^{key} must be "):
+            load_config(write_config(tmp_path / "c.json", **overrides))
+
+    def test_every_default_fits_its_own_kind(self):
+        def leaves(schema, path=""):
+            for key, spec in schema.items():
+                if isinstance(spec, dict):
+                    yield from leaves(spec, f"{path}{key}.")
+                else:
+                    yield f"{path}{key}", spec
+
+        for name, spec in leaves(SCHEMA):
+            default, kind, least = (*spec, None)[:3]
+            assert default is None or _fits(default, kind, least), name
+
+    def test_readme_quickstart_config_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "config.json"
+        path.write_text(block)
+        cfg = load_config(path)
+        assert cfg["dataset"]["formula"] == "I.12.11"
+        assert cfg["model"]["widths"] == [2, 5, 1]
 
     def test_hash_is_stable_and_seed_sensitive(self, tmp_path):
         path = write_config(tmp_path / "c.json")
@@ -265,6 +297,24 @@ class TestCommands:
                                      "n": 400, "fractions": [0.995, 0.002, 0.003]}}, []),
         ("train-clean", {"tau": "0.5"}, []),
         ("train-clean", {"tau": True}, []),
+        ("embed", {"detector": {"epochs": "5"}}, []),
+        ("embed", {"watermark": {"epochs": 1, "alpha": True}}, []),
+        ("embed", {"detector": {"epochs": 1, "n_samples": 1.5}}, []),
+        ("train-clean", {"train": {"epochs": 1, "batch_size": 0}}, []),
+        ("train-clean", {"dataset": {"kind": "feynman", "formula": "I.12.11",
+                                     "n": 0}}, []),
+        ("train-clean", {"train": {"epochs": 1.9}}, []),
+        ("train-clean", {"dataset": {"kind": "feynman", "formula": "I.12.11",
+                                     "n": "abc"}}, []),
+        ("train-clean", {"model": {"widths": [2, 0, 1]}}, []),
+        ("embed", {"detector": {"epochs": 1, "hidden": [0], "n_samples": 20}}, []),
+        ("train-clean", {"seed": "x"}, []),
+        ("train-clean", {"watermark": 5}, []),
+        ("train-clean", {"detector": 5}, []),
+        ("train-clean", {"dataset": 5}, []),
+        ("train-clean", {"task": "classification", "model": {"hidden": 4},
+                         "dataset": {"kind": "idx", "images": "i", "labels": "l",
+                                     "test_images": "t"}}, []),
     ], ids=["grid_intervals_0", "grid_degree_negative", "grid_t_min_eq_t_max",
             "negative_train_lr", "negative_stage_lr", "negative_lr_main",
             "negative_lr_wm", "negative_detector_lr", "one_width",
@@ -272,7 +322,12 @@ class TestCommands:
             "negative_attack_epochs_config", "negative_stage_epochs",
             "watermark_layer_index_key", "verify_tau_above_one",
             "two_fractions", "zero_test_fraction", "test_fraction_floors_to_zero",
-            "string_tau", "boolean_tau"])
+            "string_tau", "boolean_tau", "string_detector_epochs",
+            "boolean_alpha", "fractional_n_samples", "zero_train_batch_size",
+            "zero_dataset_n", "fractional_train_epochs", "string_dataset_n",
+            "zero_width", "zero_detector_hidden", "string_seed",
+            "scalar_watermark_section", "scalar_detector_section",
+            "scalar_dataset_section", "test_images_without_test_labels"])
     def test_user_error_exits_2_and_writes_nothing(self, tmp_path, command,
                                                    overrides, flags):
         model = tmp_path / "model.json"

@@ -112,14 +112,13 @@ class TestEmbed:
         alpha = calibrate_amplitude(model, x, band, 0.3)
         sig = gen_signal(11, layer.out_dim, band, alpha)
         out, cache = layer.forward(x)
-        ref_loss, g_out = mse_loss(out, perturb(out, sig.values))
+        _, g_out = mse_loss(out, perturb(out, sig.values))
         ref, _ = layer.backward(cache, g_out, need_input_grad=False)
 
         steps = []
         monkeypatch.setattr(watermark, "optimizer_step",
                             lambda params, grads, opt: steps.append((params, grads)))
-        loss = signal_step(model, x, sig, adam(1e-3))
-        assert loss == pytest.approx(ref_loss, rel=1e-10)
+        signal_step(model, x, sig, adam(1e-3))
         [(params, grads)] = steps
         assert params is layer.params
         assert np.linalg.norm(grads - ref) <= 1e-10 * np.linalg.norm(ref)
