@@ -64,12 +64,17 @@ def retrain_after_prune(model: KanModel, inputs, targets, task: str,
     return attacked
 
 
+def check_step(step: float) -> None:
+    """Raises ValueError unless the prune-sweep step lies in (0, 1]."""
+    if not 0 < step <= 1:
+        raise ValueError(f"step must be in (0, 1], got {step}")
+
+
 def prune_sweep(kan_model: KanModel, mlp_model: MlpModel, test_inputs,
                 test_labels, calibration, step: float = 0.1) -> list[dict]:
     """Evaluate both models at prune ratios 0, step, ..., 1, each pruned
     fresh from the original trained model."""
-    if not 0 < step <= 1:
-        raise ValueError(f"step must be in (0, 1], got {step}")
+    check_step(step)
     count = int(round(1.0 / step))
     ratios = np.round(np.arange(count + 1) * step, 10)
     rows = []

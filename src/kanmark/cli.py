@@ -3,8 +3,8 @@ attacks, verify ownership, and reproduce the pruning sweep.
 
 Subcommands: train-clean, embed, attack, verify, prune-sweep, report.
 Configs, checkpoints, and reports are JSON (checkpoints carry parameters as
-nested decimal arrays and are byte-stable across save/load/save). Reports
-are JSON lines appended to <out>/report.jsonl.
+one base64 string of float64 bytes and are byte-stable across
+save/load/save). Reports are JSON lines appended to <out>/report.jsonl.
 
 Exit codes: 0 success, 2 config error or diverged training (no checkpoint
 is written), 3 data error, 4 dimension or checkpoint-compatibility error.
@@ -13,6 +13,7 @@ is written), 3 data error, 4 dimension or checkpoint-compatibility error.
 from __future__ import annotations
 
 import argparse
+import base64
 import copy
 import hashlib
 import json
@@ -21,18 +22,22 @@ import sys
 import time
 from pathlib import Path
 
-from .attacks import ATTACK_KINDS, AttackSpec, prune_sweep, run_attack
+import numpy as np
+
+from .attacks import ATTACK_KINDS, AttackSpec, check_step, prune_sweep, run_attack
 from .data import DataError, average_pool, gen_feynman, load_idx, split_dataset
 from .kan import KanModel, KanLayer
 from .mlp import MlpModel
-from .numeric import ShapeError, adam
+from .numeric import ShapeError, adam, views
 from .spline import build_grid
 from .training import TASKS, DivergenceError, evaluate, fit
 from .watermark import (build_detector_dataset, calibrate_amplitude,
                         default_band, embed, gen_signal, train_detector,
                         verify)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# Byte layout of a checkpoint's params blob: little-endian float64.
+PARAMS_DTYPE = "<f8"
 
 
 class ConfigError(Exception):
@@ -286,67 +291,101 @@ def _grid_to_dict(grid) -> dict:
             "t_min": grid.t_min, "t_max": grid.t_max}
 
 
+def _encode_params(params) -> str:
+    return base64.b64encode(np.asarray(params, PARAMS_DTYPE).tobytes()).decode("ascii")
+
+
 def save_checkpoint(path, model, stage: str, cfg_hash: str, seed: int,
                     extra: dict | None = None) -> None:
+    """Writes ``model`` as canonical JSON: readable metadata plus its flat
+    ``params`` vector as one base64 string of PARAMS_DTYPE bytes. Raises
+    ValueError on non-finite parameters."""
+    if not isinstance(model, (KanModel, MlpModel)):
+        raise CheckpointError(f"cannot checkpoint a {type(model).__name__}")
+    if not np.all(np.isfinite(model.params)):
+        raise ValueError("cannot checkpoint non-finite parameters")
     payload = {
         "format_version": FORMAT_VERSION,
         "stage": stage,
         "config_hash": cfg_hash,
         "seed": int(seed),
+        "widths": model.widths,
+        "params": _encode_params(model.params),
     }
     if isinstance(model, KanModel):
         payload["kind"] = "kan"
-        payload["widths"] = model.widths
-        payload["grid"] = _grid_to_dict(model.layers[0].grid)
-        payload["layers"] = [{
-            "coeffs": layer.coeffs.tolist(),
-            "w_b": layer.w_b.tolist(),
-            "w_s": layer.w_s.tolist(),
-            "prune_mask": layer.prune_mask.astype(int).tolist(),
-        } for layer in model.layers]
-    elif isinstance(model, MlpModel):
-        payload["kind"] = "mlp"
-        payload["widths"] = model.widths
-        payload["head"] = model.head
-        payload["layers"] = [{"weight": w.tolist(), "bias": b.tolist()}
-                             for w, b in zip(model.weights, model.biases)]
+        payload["layers"] = [{"grid": _grid_to_dict(layer.grid),
+                              "prune_mask": layer.prune_mask.astype(int).tolist()}
+                             for layer in model.layers]
     else:
-        raise CheckpointError(f"cannot checkpoint a {type(model).__name__}")
+        payload["kind"] = "mlp"
+        payload["head"] = model.head
     if extra:
         payload["extra"] = extra
     Path(path).write_text(canonical_json(payload), encoding="utf-8")
 
 
+def _from_version_1(payload: dict) -> dict:
+    """A version-1 payload, which held each array as nested JSON lists and one
+    grid for every KAN layer, in the version-2 layout."""
+    kan = payload["kind"] == "kan"
+    keys = ("coeffs", "w_b", "w_s") if kan else ("weight", "bias")
+    params = np.concatenate([np.asarray(rec[key], dtype=np.float64).ravel()
+                             for rec in payload["layers"] for key in keys])
+    out = dict(payload, params=_encode_params(params))
+    if kan:
+        out["layers"] = [{"grid": payload["grid"], "prune_mask": rec["prune_mask"]}
+                         for rec in payload["layers"]]
+    return out
+
+
 def load_checkpoint(path):
-    """Returns (model, payload-metadata)."""
+    """Returns (model, payload-metadata). Also reads version-1 checkpoints,
+    which held parameters as nested decimal arrays."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    # Malformed payloads raise lookup/type errors here, bad values ValueError.
+    # Malformed payloads raise lookup/type errors here, bad values ValueError
+    # (a bad base64 string raises binascii.Error, a ValueError).
     try:
         version = payload.get("format_version")
-        if version != FORMAT_VERSION:
+        if version not in (1, FORMAT_VERSION):
             raise CheckpointError(f"checkpoint {path}: format_version {version}, "
-                                  f"expected {FORMAT_VERSION}")
+                                  f"expected {FORMAT_VERSION} or 1")
         kind = payload.get("kind")
-        if kind == "kan":
-            g = payload["grid"]
-            grid = build_grid(g["degree"], g["intervals"], g["t_min"], g["t_max"])
-            layers = [KanLayer(grid, rec["coeffs"], rec["w_b"], rec["w_s"],
-                               rec["prune_mask"]) for rec in payload["layers"]]
-            return KanModel(layers), payload
+        if kind not in ("kan", "mlp"):
+            raise CheckpointError(f"checkpoint {path}: unknown kind {kind!r}")
+        if version == 1:
+            payload = _from_version_1(payload)
+        widths, layers = payload["widths"], payload.get("layers")
+        edges = list(zip(widths[1:], widths))  # (out, in) of each layer
         if kind == "mlp":
-            layers = payload["layers"]
-            return MlpModel([rec["weight"] for rec in layers],
-                            [rec["bias"] for rec in layers],
-                            payload.get("head", "logits")), payload
+            shapes = [shape for edge in edges for shape in (edge, edge[:1])]
+        elif len(layers) != len(edges):
+            raise ValueError(f"{len(layers)} layer records for widths {widths}")
+        else:
+            grids = [build_grid(**rec["grid"]) for rec in layers]
+            shapes = [shape for edge, grid in zip(edges, grids)
+                      for shape in ((*edge, grid.basis_count), edge, edge)]
+        params = np.frombuffer(base64.b64decode(payload["params"], validate=True),
+                               dtype=PARAMS_DTYPE)
+        need = sum(math.prod(shape) for shape in shapes)
+        if params.size != need:
+            raise ValueError(f"params hold {params.size} values, widths {widths} "
+                             f"need {need}")
+        arrays = views(params, shapes)
+        if kind == "mlp":
+            model = MlpModel(arrays[0::2], arrays[1::2], payload.get("head", "logits"))
+        else:
+            model = KanModel([KanLayer(grid, *arrays[3 * k:3 * k + 3], rec["prune_mask"])
+                              for k, (grid, rec) in enumerate(zip(grids, layers))])
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} is malformed: "
                               f"{type(exc).__name__}: {exc}") from exc
-    raise CheckpointError(f"checkpoint {path}: unknown kind {kind!r}")
+    return model, payload
 
 
 def _load_kan(path) -> tuple[KanModel, dict]:
@@ -472,16 +511,11 @@ def cmd_embed(args) -> int:
 def cmd_attack(args) -> int:
     cfg, bundle, (train, test, hold) = _setup(args)
     task = cfg["task"]
+    flags = {"kind": {"retrain": "retrain_after_prune"}.get(args.kind, args.kind),
+             "lr": args.lr, "epochs": args.epochs, "ratio": args.ratio}
+    atk = _merge({**cfg["attack"], **{k: v for k, v in flags.items() if v is not None}},
+                 SCHEMA["attack"], "attack.")
     wm, _ = _load_kan(args.wm_ckpt)
-    atk = dict(cfg["attack"])
-    if args.kind:
-        atk["kind"] = {"retrain": "retrain_after_prune"}.get(args.kind, args.kind)
-    if args.lr is not None:
-        atk["lr"] = args.lr
-    if args.epochs is not None:
-        atk["epochs"] = args.epochs
-    if args.ratio is not None:
-        atk["ratio"] = args.ratio
     # float(): the checkpoint and report row record lr and ratio as floats
     spec = _constructs("attack", lambda: AttackSpec(
         kind=atk["kind"], lr=float(atk["lr"]), epochs=atk["epochs"],
@@ -531,6 +565,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_prune_sweep(args) -> int:
+    _constructs("prune-sweep --step", lambda: check_step(args.step))
     cfg, bundle, (train, test, hold) = _setup(args)
     if cfg["task"] != "classification":
         raise ConfigError("prune-sweep is a classification experiment")

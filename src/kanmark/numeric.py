@@ -20,13 +20,17 @@ class ShapeError(ValueError):
     """Operand shapes (or dimensions across objects) do not line up."""
 
 
+class NonFiniteError(ValueError):
+    """An array that must be finite holds an inf or a nan."""
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite float64 2-D array, or raise."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"{name}: expected a 2-D array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name}: contains non-finite entries")
+        raise NonFiniteError(f"{name}: contains non-finite entries")
     return a
 
 

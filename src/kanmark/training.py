@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from .data import epoch_batches
-from .numeric import as_matrix, cross_entropy_loss, mse_loss, optimizer_step
+from .numeric import (NonFiniteError, as_matrix, cross_entropy_loss, mse_loss,
+                      optimizer_step)
 
 TASKS = ("classification", "regression")
 
@@ -15,7 +16,8 @@ DIVERGENCE_FACTOR = 1e6
 
 
 class DivergenceError(ValueError):
-    """A training run's batch loss became non-finite or exploded."""
+    """A training run's forward pass or batch loss became non-finite, or its
+    loss exploded."""
 
 
 def check_divergence(loss: float, first: float) -> None:
@@ -38,8 +40,13 @@ def task_loss(out: np.ndarray, targets, task: str):
 
 def train_step(model, x, y, task: str, opt) -> float:
     """One gradient step of a KanModel or MlpModel on the main-task loss;
-    returns the loss before the step."""
-    out, cache = model.forward_with_cache(x)
+    returns the loss before the step. Raises DivergenceError when the forward
+    pass yields an inf or a nan, in a hidden layer or in the output."""
+    try:
+        out, cache = model.forward_with_cache(x)
+        as_matrix(out, "model output")
+    except NonFiniteError as exc:
+        raise DivergenceError(f"training diverged: {exc}") from exc
     loss, g = task_loss(out, y, task)
     optimizer_step(model.params, model.backward(cache, g), opt)
     return loss

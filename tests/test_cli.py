@@ -1,14 +1,21 @@
+import base64
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kanmark import Dataset, KanModel, MlpModel, write_idx
+from kanmark import Dataset, KanLayer, KanModel, MlpModel, build_grid, write_idx
 from kanmark.cli import (SCHEMA, CheckpointError, ConfigError, SeedBundle,
                          _fits, canonical_json, config_hash, derive_seed,
                          load_checkpoint, load_config, main, resolve_dataset,
                          save_checkpoint)
+
+
+# A classification run on the 30-image IDX pair that
+# test_user_error_exits_2_and_writes_nothing writes for prune-sweep.
+CLASSIFY = {"task": "classification", "model": {"hidden": 4},
+            "dataset": {"kind": "idx", "images": "images.idx", "labels": "labels.idx"}}
 
 
 def write_config(path, **overrides):
@@ -143,6 +150,62 @@ class TestCheckpointRoundTrip:
         loaded, _ = load_checkpoint(path)
         assert loaded.layers[0].prune_mask[1, 2] == 0.0
 
+    def test_grid_per_layer_survives(self, tmp_path):
+        model = KanModel.create([2, 3, 2], seed=5)
+        hidden = model.layers[1]
+        model = KanModel([model.layers[0],
+                          KanLayer(build_grid(3, 5, -4.0, 4.0), hidden.coeffs,
+                                   hidden.w_b, hidden.w_s)])
+        path = tmp_path / "m.json"
+        save_checkpoint(path, model, "clean", "hash", 1)
+        loaded, _ = load_checkpoint(path)
+        assert [(layer.grid.t_min, layer.grid.t_max) for layer in loaded.layers] \
+            == [(-1.0, 1.0), (-4.0, 4.0)]
+        x = np.random.default_rng(6).uniform(-1, 1, size=(8, 2))
+        assert np.array_equal(model.predict(x), loaded.predict(x))
+
+    def test_non_finite_parameters_refused(self, tmp_path):
+        model = MlpModel.create([4, 8, 2], seed=2)
+        model.params[3] = np.nan
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_checkpoint(path, model, "detector", "hash", 7)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("model", [KanModel.create([3, 4, 2], seed=8),
+                                       MlpModel.create([4, 8, 2], seed=9)],
+                             ids=["kan", "mlp"])
+    def test_version_1_file_loads_and_resaves_as_version_2(self, tmp_path, model):
+        # version 1 held every array as nested decimal lists and one grid
+        payload = {"format_version": 1, "stage": "clean", "config_hash": "hash",
+                   "seed": 1, "widths": model.widths, "extra": {"key": 3}}
+        if isinstance(model, KanModel):
+            model.layers[1].prune_mask[0, 2] = 0.0
+            grid = model.layers[0].grid
+            payload.update(kind="kan", grid={"degree": grid.degree,
+                                             "intervals": grid.intervals,
+                                             "t_min": grid.t_min, "t_max": grid.t_max},
+                           layers=[{"coeffs": layer.coeffs.tolist(),
+                                    "w_b": layer.w_b.tolist(), "w_s": layer.w_s.tolist(),
+                                    "prune_mask": layer.prune_mask.astype(int).tolist()}
+                                   for layer in model.layers])
+        else:
+            payload.update(kind="mlp", head=model.head,
+                           layers=[{"weight": w.tolist(), "bias": b.tolist()}
+                                   for w, b in zip(model.weights, model.biases)])
+        v1, v2, direct = tmp_path / "v1.json", tmp_path / "v2.json", tmp_path / "d.json"
+        v1.write_text(canonical_json(payload))
+        loaded, meta = load_checkpoint(v1)
+        assert np.array_equal(loaded.params, model.params)
+        if isinstance(model, KanModel):
+            assert all(np.array_equal(a.prune_mask, b.prune_mask)
+                       for a, b in zip(loaded.layers, model.layers))
+        save_checkpoint(v2, loaded, meta["stage"], meta["config_hash"], meta["seed"],
+                        extra=meta["extra"])
+        save_checkpoint(direct, model, "clean", "hash", 1, extra={"key": 3})
+        assert json.loads(v2.read_text())["format_version"] == 2
+        assert v2.read_bytes() == direct.read_bytes()
+
     def test_version_mismatch_rejected(self, tmp_path):
         model = KanModel.create([2, 2], seed=4)
         path = tmp_path / "m.json"
@@ -154,15 +217,28 @@ class TestCheckpointRoundTrip:
                      "--detector-ckpt", str(path), "--suspect-ckpt", str(path),
                      "--out", str(tmp_path)]) == 4
 
-    @pytest.mark.parametrize("defect", ["no_grid", "list_root", "mask_entry_2"])
+    @pytest.mark.parametrize("defect", ["no_grid", "list_root", "mask_entry_2",
+                                        "params_8_bytes_short", "params_not_base64",
+                                        "nan_in_params", "widths_disagree_with_params"])
     def test_malformed_checkpoint_exit_code(self, tmp_path, defect):
         path = tmp_path / "m.json"
         save_checkpoint(path, KanModel.create([2, 2], seed=4), "clean", "hash", 1)
         payload = json.loads(path.read_text())
+        blob = base64.b64decode(payload["params"])
         if defect == "no_grid":
-            del payload["grid"]
+            del payload["layers"][0]["grid"]
         elif defect == "mask_entry_2":
             payload["layers"][0]["prune_mask"][0][0] = 2
+        elif defect == "params_8_bytes_short":
+            payload["params"] = base64.b64encode(blob[:-8]).decode()
+        elif defect == "params_not_base64":
+            payload["params"] = "not base64!"
+        elif defect == "nan_in_params":
+            params = np.frombuffer(blob, dtype="<f8").copy()
+            params[1] = np.nan
+            payload["params"] = base64.b64encode(params.tobytes()).decode()
+        elif defect == "widths_disagree_with_params":
+            payload["widths"] = [2, 3]
         else:
             payload = [payload]
         path.write_text(json.dumps(payload))
@@ -258,6 +334,18 @@ class TestCommands:
                      "--out", str(out)]) == 2
         assert not (out / "attacked-finetune.json").exists()
 
+    def test_non_finite_finetune_exit_code(self, tmp_path):
+        model = tmp_path / "model.json"
+        save_checkpoint(model, KanModel.create([2, 4, 1], seed=0), "watermarked",
+                        "hash", 0)
+        out = tmp_path / "runs"
+        # the forward pass overflows before any batch loss explodes
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["attack", "--config", write_config(tmp_path / "c.json"),
+                         "--wm-ckpt", str(model), "--kind", "finetune",
+                         "--lr", "1e200", "--epochs", "3", "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("watermark", [{"alpha": -0.5}, {"band": [3, 1]},
                                            {"epochs": 0}, {"band": [1, 4]},
                                            {"alpha": 0.1, "band": [1, 4]}],
@@ -315,6 +403,13 @@ class TestCommands:
         ("train-clean", {"task": "classification", "model": {"hidden": 4},
                          "dataset": {"kind": "idx", "images": "i", "labels": "l",
                                      "test_images": "t"}}, []),
+        ("attack", {}, ["--kind", "prune", "--lr", "nan"]),
+        ("attack", {}, ["--lr", "inf"]),
+        ("attack", {}, ["--kind", "prune", "--lr", "-0.1"]),
+        ("attack", {}, ["--ratio", "nan"]),
+        ("prune-sweep", CLASSIFY, ["--step", "0"]),
+        ("prune-sweep", CLASSIFY, ["--step", "1.5"]),
+        ("prune-sweep", CLASSIFY, ["--step", "nan"]),
     ], ids=["grid_intervals_0", "grid_degree_negative", "grid_t_min_eq_t_max",
             "negative_train_lr", "negative_stage_lr", "negative_lr_main",
             "negative_lr_wm", "negative_detector_lr", "one_width",
@@ -327,9 +422,18 @@ class TestCommands:
             "zero_dataset_n", "fractional_train_epochs", "string_dataset_n",
             "zero_width", "zero_detector_hidden", "string_seed",
             "scalar_watermark_section", "scalar_detector_section",
-            "scalar_dataset_section", "test_images_without_test_labels"])
-    def test_user_error_exits_2_and_writes_nothing(self, tmp_path, command,
-                                                   overrides, flags):
+            "scalar_dataset_section", "test_images_without_test_labels",
+            "attack_lr_nan_prune", "attack_lr_inf", "attack_lr_negative_prune",
+            "attack_ratio_nan_finetune", "prune_sweep_step_0",
+            "prune_sweep_step_above_1", "prune_sweep_step_nan"])
+    def test_user_error_exits_2_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                   command, overrides, flags):
+        if command == "prune-sweep":  # CLASSIFY names its IDX pair relatively
+            monkeypatch.chdir(tmp_path)
+            rng = np.random.default_rng(0)
+            write_idx(Dataset(2.0 * (rng.integers(0, 256, (30, 4)) / 255.0) - 1.0,
+                              rng.integers(0, 10, 30)),
+                      "images.idx", "labels.idx", image_shape=(2, 2))
         model = tmp_path / "model.json"
         save_checkpoint(model, KanModel.create([2, 4, 1], seed=0), "clean", "hash", 0)
         detector = tmp_path / "detector.json"
@@ -338,7 +442,7 @@ class TestCommands:
         ckpt = {"train-clean": [], "embed": ["--clean-ckpt", str(model)],
                 "attack": ["--wm-ckpt", str(model)],
                 "verify": ["--detector-ckpt", str(detector),
-                           "--suspect-ckpt", str(model)]}[command]
+                           "--suspect-ckpt", str(model)], "prune-sweep": []}[command]
         out = tmp_path / "runs"
         cfg = write_config(tmp_path / "c.json", **overrides)
         assert main([command, "--config", cfg, "--out", str(out), *ckpt, *flags]) == 2

@@ -111,3 +111,14 @@ class TestFit:
         model = KanModel.create([2, 1], seed=7)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError):
             fit(model, np.zeros((4, 2)), np.full(4, 1e200), "regression", 1, adam(1e-3))
+
+    @pytest.mark.parametrize("model", [KanModel.create([2, 3, 1], seed=5),
+                                       MlpModel.create([2, 3, 1], head="scalar", seed=5)],
+                             ids=["kan", "mlp"])
+    def test_non_finite_forward_raises(self, model):
+        # a step this large overflows the next forward pass before any batch
+        # loss can be compared with the first
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1, 1, size=(64, 2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+            fit(model, x, x[:, 0] * x[:, 1], "regression", 3, adam(1e200), 16, seed=6)
