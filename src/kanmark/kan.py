@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numeric import ShapeError, as_matrix, keep_masks, sigmoid, silu_grad, views
-from .spline import SplineGrid, basis_derivative_matrix, basis_matrix, build_grid
+from .numeric import ShapeError, as_matrix, keep_masks, sigmoid, views
+from .spline import SplineGrid, basis_and_lower, basis_matrix, build_grid, slope_rows
 
 
 class KanLayer:
@@ -73,12 +73,13 @@ class KanLayer:
                              f"{self.out_dim}x{self.in_dim} layer")
         return float(self.per_edge_activations(np.full((1, self.in_dim), x))[0, j, i])
 
-    def _inputs(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Checked input and silu(x)."""
+    def _inputs(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Checked input, sigmoid(x) and silu(x)."""
         x = as_matrix(x, "layer input")
         if x.shape[1] != self.in_dim:
             raise ShapeError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
-        return x, x * sigmoid(x)
+        sig = sigmoid(x)
+        return x, sig, x * sig
 
     def _spline_weights(self) -> np.ndarray:
         """Masked, w_s-scaled coefficients as one (out, in * m) GEMM operand."""
@@ -86,11 +87,15 @@ class KanLayer:
         return (ms[:, :, None] * self.coeffs).reshape(self.out_dim, -1)
 
     def forward(self, x) -> tuple[np.ndarray, dict]:
-        """Batch forward; returns (outputs, cache-for-backward)."""
-        x, s = self._inputs(x)
-        b = basis_matrix(self.grid, x.ravel()).reshape(x.shape[0], -1)
-        y = s @ (self.prune_mask * self.w_b).T + b @ self._spline_weights().T
-        return y, {"x": x, "s": s, "b": b}
+        """Batch forward; returns (outputs, cache-for-backward). The cache
+        keeps what backward would otherwise recompute, none of it above 2-D:
+        sigmoid(x), B, W, and basis_and_lower's knot intervals and values."""
+        x, sig, s = self._inputs(x)
+        b, idx, lower = basis_and_lower(self.grid, x)
+        b = b.reshape(x.shape[0], -1)
+        w = self._spline_weights()
+        y = s @ (self.prune_mask * self.w_b).T + b @ w.T
+        return y, {"x": x, "sig": sig, "s": s, "b": b, "w": w, "idx": idx, "lower": lower}
 
     def backward(self, cache: dict, gy: np.ndarray, need_input_grad: bool = True):
         """Gradients of a scalar loss given upstream d(loss)/d(outputs).
@@ -100,7 +105,7 @@ class KanLayer:
         """
         if cache is None or "x" not in cache:
             raise ValueError("missing forward cache")
-        x, s, b = cache["x"], cache["s"], cache["b"]
+        x, sig, s, b = cache["x"], cache["sig"], cache["s"], cache["b"]
         gy = np.asarray(gy, dtype=np.float64)
         if gy.shape != (x.shape[0], self.out_dim):
             raise ShapeError(f"upstream grad shape {gy.shape} does not match "
@@ -111,16 +116,17 @@ class KanLayer:
         g_ws = mask * (g * self.coeffs).sum(axis=-1)
         gx = None
         if need_input_grad:
-            db = basis_derivative_matrix(self.grid, x.ravel())
-            gb = (gy @ self._spline_weights()).reshape(db.shape)
-            gx = silu_grad(x) * (gy @ (mask * self.w_b)) \
+            db = slope_rows(self.grid, x.ravel(), cache["idx"], cache["lower"])
+            gb = (gy @ cache["w"]).reshape(db.shape)
+            # silu'(x) = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
+            gx = sig * (1.0 + x * (1.0 - sig)) * (gy @ (mask * self.w_b)) \
                 + (gb * db).sum(axis=-1).reshape(x.shape)
         grads = [g_coeffs, mask * (gy.T @ s), g_ws]
         return np.concatenate([a.ravel() for a in grads]), gx
 
     def per_edge_activations(self, x) -> np.ndarray:
         """All edge outputs for a batch; shape (batch, out_dim, in_dim)."""
-        x, s = self._inputs(x)
+        x, _, s = self._inputs(x)
         bv = basis_matrix(self.grid, x.ravel()).reshape(x.shape[0], self.in_dim, -1)
         spl = np.einsum("bim,jim->bji", bv, self.coeffs)
         return self.prune_mask * (self.w_b * s[:, None, :] + self.w_s * spl)

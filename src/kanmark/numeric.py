@@ -60,12 +60,11 @@ def views(flat: np.ndarray, shapes) -> list[np.ndarray]:
 
 def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
-    # Branch on sign so neither exp() argument is large positive; the
-    # discarded branch may overflow to inf (or inf/inf) harmlessly.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(x >= 0.0,
-                        1.0 / (1.0 + np.exp(-x)),
-                        np.exp(x) / (1.0 + np.exp(x)))
+    # exp(-|x|) is exp(-x) for x >= 0 and exp(x) below, so both branches
+    # share one exp whose argument is never positive and cannot overflow.
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0.0, 1.0 / d, e / d)
 
 
 def silu(x):
@@ -145,8 +144,10 @@ class OptimizerState:
     v: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (0.0 <= self.learning_rate < math.inf and 0.0 <= self.beta1 < 1.0
+                and 0.0 <= self.beta2 < 1.0 and 0.0 < self.epsilon < math.inf):
+            raise ValueError("Adam needs a finite learning_rate >= 0, betas in [0, 1) "
+                             f"and a finite epsilon > 0, got {self}")
 
 
 def adam(lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,

@@ -38,8 +38,8 @@ def build_grid(degree: int = 3, intervals: int = 5,
         raise ValueError(f"degree must be >= 0, got {degree}")
     if intervals < 1:
         raise ValueError(f"intervals must be >= 1, got {intervals}")
-    if not t_min < t_max:
-        raise ValueError(f"need t_min < t_max, got [{t_min}, {t_max}]")
+    if not -np.inf < t_min < t_max < np.inf:
+        raise ValueError(f"need finite t_min < t_max, got [{t_min}, {t_max}]")
     h = (t_max - t_min) / intervals
     knots = t_min + h * np.arange(-degree, intervals + degree + 1, dtype=np.float64)
     knots.setflags(write=False)
@@ -47,8 +47,9 @@ def build_grid(degree: int = 3, intervals: int = 5,
 
 
 def _local_basis(grid: SplineGrid, x: np.ndarray, degree: int):
-    """Knot interval idx of each clamped point and the degree+1 B-splines
-    nonzero on it (local[r] is basis function idx - degree + r).
+    """Knot interval idx of each point clamped to [t_min, t_max], and the
+    B-splines of degrees degree - 1 (empty for degree 0) and degree nonzero
+    on it; values[r] is basis function idx - degree + r of that degree.
 
     Intervals are right-open; a point at the last knot falls into the final
     interval, so the basis stays a partition of unity at t_max without knot
@@ -56,13 +57,14 @@ def _local_basis(grid: SplineGrid, x: np.ndarray, degree: int):
     N_r^j = ((u + j - r) N_{r-1}^{j-1} + (r + 1 - u) N_r^{j-1}) / j.
     """
     knots = grid.knots
-    idx = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
+    x = np.minimum(np.maximum(x, grid.t_min), grid.t_max)
+    idx = np.minimum(np.searchsorted(knots, x, side="right") - 1, len(knots) - 2)
     u = (x - knots[idx]) / grid.spacing
-    b = [np.ones_like(u)]
+    lower, b = [], [np.ones_like(u)]
     for j in range(1, degree + 1):
         mid = [(u + (j - r)) * b[r - 1] + (r + 1 - u) * b[r] for r in range(1, j)]
-        b = [v / j for v in ((1 - u) * b[0], *mid, u * b[j - 1])]
-    return idx, b
+        lower, b = b, [v / j for v in ((1 - u) * b[0], *mid, u * b[j - 1])]
+    return idx, lower, b
 
 
 def _scatter(idx: np.ndarray, local: list, width: int) -> np.ndarray:
@@ -76,13 +78,20 @@ def _scatter(idx: np.ndarray, local: list, width: int) -> np.ndarray:
     return out[:, :width]
 
 
+def basis_and_lower(grid: SplineGrid, x):
+    """basis_matrix(grid, x), plus the knot interval of each clamped point
+    and its degree - 1 local B-splines, from which :func:`slope_rows`
+    builds the derivative rows without a second Cox-de Boor pass."""
+    idx, lower, b = _local_basis(grid, np.asarray(x, dtype=np.float64).ravel(), grid.degree)
+    return _scatter(idx, b, grid.basis_count), idx, lower
+
+
 def basis_matrix(grid: SplineGrid, x) -> np.ndarray:
     """Basis values for a 1-D array of points; shape (len(x), basis_count).
 
     Points are clamped to [t_min, t_max] first.
     """
-    x = np.clip(np.asarray(x, dtype=np.float64).ravel(), grid.t_min, grid.t_max)
-    return _scatter(*_local_basis(grid, x, grid.degree), grid.basis_count)
+    return basis_and_lower(grid, x)[0]
 
 
 def basis_values(grid: SplineGrid, x: float) -> np.ndarray:
@@ -92,22 +101,30 @@ def basis_values(grid: SplineGrid, x: float) -> np.ndarray:
     return basis_matrix(grid, np.asarray([x]))[0]
 
 
-def basis_derivative_matrix(grid: SplineGrid, x) -> np.ndarray:
-    """d/dx of every basis function at each point; shape (len(x), basis_count).
+def slope_rows(grid: SplineGrid, x: np.ndarray, idx: np.ndarray, lower) -> np.ndarray:
+    """d/dx of every basis function at the (unclamped, 1-D) points x, given
+    their knot intervals and degree - 1 local B-splines from
+    :func:`basis_and_lower`; shape (len(x), basis_count).
 
     Uses the degree-lowering formula, which on a uniform grid collapses to
     (B_{i,k-1} - B_{i+1,k-1}) / h. At a knot the right-limit is returned.
     Strictly outside [t_min, t_max] the clamped basis is constant, so the
     derivative is 0 there.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
     if grid.degree == 0:
         return np.zeros((x.size, grid.basis_count))
-    idx, b = _local_basis(grid, np.clip(x, grid.t_min, grid.t_max), grid.degree - 1)
     scale = ((x >= grid.t_min) & (x <= grid.t_max)) / grid.spacing
     zero = np.zeros_like(x)
-    return _scatter(idx, [(lo - hi) * scale for lo, hi in zip([zero, *b], [*b, zero])],
+    return _scatter(idx, [(lo - hi) * scale for lo, hi in zip([zero, *lower], [*lower, zero])],
                     grid.basis_count)
+
+
+def basis_derivative_matrix(grid: SplineGrid, x) -> np.ndarray:
+    """d/dx of every basis function at each point; shape (len(x), basis_count).
+    See :func:`slope_rows`."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    idx, _, lower = _local_basis(grid, x, grid.degree - 1)
+    return slope_rows(grid, x, idx, lower)
 
 
 def basis_derivatives(grid: SplineGrid, x: float) -> np.ndarray:

@@ -53,8 +53,8 @@ def gen_signal(key: int, length: int, band, amplitude: float) -> PerturbationSig
     amplitude = 0 yields the all-zero signal (used to disable phase 2).
     """
     k_lo, k_hi = _band(band, length)
-    if amplitude < 0:
-        raise ValueError(f"amplitude must be >= 0, got {amplitude}")
+    if not (np.isfinite(amplitude) and amplitude >= 0):
+        raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
     rng = np.random.default_rng(key)
     signs = rng.integers(0, 2, size=k_hi - k_lo + 1) * 2.0 - 1.0
     values = np.zeros(length)

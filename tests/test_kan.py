@@ -3,8 +3,8 @@ import pytest
 
 from kanmark.kan import (KanLayer, KanModel, edge_importance, lift_prune_masks,
                          prune_kan)
-from kanmark.numeric import ShapeError, mse_loss, silu
-from kanmark.spline import build_grid
+from kanmark.numeric import ShapeError, mse_loss, silu, silu_grad
+from kanmark.spline import basis_derivative_matrix, build_grid
 
 from oracles import (assert_grads_close, central_diff, edge_activation_ref,
                      kan_forward_ref, layer_forward_ref, silu_ref)
@@ -222,6 +222,26 @@ class TestModelBackward:
         assert np.all(g_coeffs[1, 2, :] == 0.0)
         assert g_wb[1, 2] == 0.0
         assert g_ws[1, 2] == 0.0
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_input_grad_matches_uncached_reference(self, degree):
+        # backward reads sigmoid and the degree k-1 local B-splines from the
+        # forward cache; the result must equal recomputing them from x.
+        grid = build_grid(degree, 4, -1.0, 1.0)
+        layer = random_layer(3, 2, seed=23, grid=grid)
+        layer.prune_mask[1, 0] = 0.0
+        rng = np.random.default_rng(15)
+        points = np.concatenate([grid.knots, [-1.0, 1.0, -3.0, 2.5, -1.0 - 1e-12],
+                                 rng.uniform(-1.5, 1.5, size=7)])
+        x = np.resize(points, (len(points) // 3 + 1, 3))
+        out, cache = layer.forward(x)
+        gy = rng.normal(size=out.shape)
+        _, gx = layer.backward(cache, gy)
+        w = (layer.prune_mask * layer.w_s)[:, :, None] * layer.coeffs
+        db = basis_derivative_matrix(grid, x.ravel())
+        ref = silu_grad(x) * (gy @ (layer.prune_mask * layer.w_b)) \
+            + ((gy @ w.reshape(2, -1)).reshape(db.shape) * db).sum(axis=-1).reshape(x.shape)
+        assert np.array_equal(gx, ref)
 
     def test_stale_cache_rejected(self):
         model = random_model([2, 2], seed=20)

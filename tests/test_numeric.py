@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from kanmark.numeric import (OptimizerState, ShapeError, adam,
                              cross_entropy_loss, mse_loss, optimizer_step,
-                             silu, silu_grad, softmax)
+                             sigmoid, silu, silu_grad, softmax)
 
 from oracles import adam_scalar_ref, central_diff, silu_ref
 
@@ -31,6 +31,16 @@ class TestSilu:
         assert out.shape == x.shape
         assert np.all(np.isfinite(out))
         assert out[0, 0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_sigmoid_matches_two_branch_formula_bit_for_bit(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 4001), [0.0, -0.0, 1e-300, -1e-300],
+                            np.random.default_rng(1).normal(0.0, 40.0, size=500)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-x)),
+                           np.exp(x) / (1.0 + np.exp(x)))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = sigmoid(x)
+        assert out.tobytes() == ref.tobytes()
 
     def test_grad_matches_finite_difference(self):
         for x in (-3.0, -0.5, 0.0, 0.7, 4.0):
@@ -162,3 +172,12 @@ class TestOptimizer:
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError):
             OptimizerState(learning_rate=-1.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"lr": np.nan}, {"lr": np.inf}, {"beta1": 1.0}, {"beta1": -0.1},
+        {"beta1": np.nan}, {"beta2": 1.0}, {"beta2": 1.5}, {"epsilon": 0.0},
+        {"epsilon": -1e-8}, {"epsilon": np.nan}, {"epsilon": np.inf}],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_invalid_hyperparameters_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            adam(**kwargs)

@@ -54,6 +54,11 @@ class TestGenSignal:
         with pytest.raises(ValueError):
             gen_signal(1, 8, (1, 3), -0.5)
 
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude"):
+            gen_signal(1, 8, (1, 3), amplitude)
+
     def test_zero_amplitude_is_allowed_and_zero(self):
         sig = gen_signal(1, 8, (1, 3), 0.0)
         assert np.all(sig.values == 0.0)
