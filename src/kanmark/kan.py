@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numeric import ShapeError, as_matrix, keep_masks, sigmoid, views
-from .spline import SplineGrid, basis_and_lower, basis_matrix, build_grid, slope_rows
+from .numeric import ShapeError, as_matrix, keep_masks, sigmoid, silu_slope, views
+from .spline import SplineGrid, basis_and_slopes, basis_matrix, build_grid
 
 
 class KanLayer:
@@ -88,20 +88,22 @@ class KanLayer:
 
     def forward(self, x) -> tuple[np.ndarray, dict]:
         """Batch forward; returns (outputs, cache-for-backward). The cache
-        keeps what backward would otherwise recompute, none of it above 2-D:
-        sigmoid(x), B, W, and basis_and_lower's knot intervals and values."""
+        keeps what backward would otherwise recompute, no array above 2-D:
+        sigmoid(x), B, W, and the slope function from basis_and_slopes."""
         x, sig, s = self._inputs(x)
-        b, idx, lower = basis_and_lower(self.grid, x)
+        b, slopes = basis_and_slopes(self.grid, x)
         b = b.reshape(x.shape[0], -1)
         w = self._spline_weights()
         y = s @ (self.prune_mask * self.w_b).T + b @ w.T
-        return y, {"x": x, "sig": sig, "s": s, "b": b, "w": w, "idx": idx, "lower": lower}
+        return y, {"x": x, "sig": sig, "s": s, "b": b, "w": w, "slopes": slopes}
 
     def backward(self, cache: dict, gy: np.ndarray, need_input_grad: bool = True):
         """Gradients of a scalar loss given upstream d(loss)/d(outputs).
 
         Returns (d_params laid out like ``params``, d_inputs). ``d_inputs``
         is None when ``need_input_grad`` is False (first layer of a model).
+        The cache holds values of the parameters and masks that forward saw,
+        so change neither between the two calls.
         """
         if cache is None or "x" not in cache:
             raise ValueError("missing forward cache")
@@ -116,10 +118,9 @@ class KanLayer:
         g_ws = mask * (g * self.coeffs).sum(axis=-1)
         gx = None
         if need_input_grad:
-            db = slope_rows(self.grid, x.ravel(), cache["idx"], cache["lower"])
+            db = cache["slopes"]()
             gb = (gy @ cache["w"]).reshape(db.shape)
-            # silu'(x) = sigmoid(x) * (1 + x * (1 - sigmoid(x)))
-            gx = sig * (1.0 + x * (1.0 - sig)) * (gy @ (mask * self.w_b)) \
+            gx = silu_slope(x, sig) * (gy @ (mask * self.w_b)) \
                 + (gb * db).sum(axis=-1).reshape(x.shape)
         grads = [g_coeffs, mask * (gy.T @ s), g_ws]
         return np.concatenate([a.ravel() for a in grads]), gx

@@ -74,11 +74,15 @@ def silu(x):
     return float(out) if out.ndim == 0 else out
 
 
+def silu_slope(x, sig):
+    """d/dx silu at x, given sig = sigmoid(x)."""
+    return sig * (1.0 + x * (1.0 - sig))
+
+
 def silu_grad(x):
     """d/dx silu(x) = sigmoid(x) * (1 + x * (1 - sigmoid(x)))."""
     arr = np.asarray(x, dtype=np.float64)
-    s = sigmoid(arr)
-    out = s * (1.0 + arr * (1.0 - s))
+    out = silu_slope(arr, sigmoid(arr))
     return float(out) if out.ndim == 0 else out
 
 

@@ -78,12 +78,14 @@ def _scatter(idx: np.ndarray, local: list, width: int) -> np.ndarray:
     return out[:, :width]
 
 
-def basis_and_lower(grid: SplineGrid, x):
-    """basis_matrix(grid, x), plus the knot interval of each clamped point
-    and its degree - 1 local B-splines, from which :func:`slope_rows`
-    builds the derivative rows without a second Cox-de Boor pass."""
-    idx, lower, b = _local_basis(grid, np.asarray(x, dtype=np.float64).ravel(), grid.degree)
-    return _scatter(idx, b, grid.basis_count), idx, lower
+def basis_and_slopes(grid: SplineGrid, x):
+    """basis_matrix(grid, x) and a function of no arguments that returns
+    basis_derivative_matrix(grid, x) from the same Cox-de Boor pass: its
+    knot intervals and degree - 1 values, with no second clamp, knot search
+    or recursion."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    idx, lower, b = _local_basis(grid, x, grid.degree)
+    return _scatter(idx, b, grid.basis_count), lambda: _slope_rows(grid, x, idx, lower)
 
 
 def basis_matrix(grid: SplineGrid, x) -> np.ndarray:
@@ -91,7 +93,8 @@ def basis_matrix(grid: SplineGrid, x) -> np.ndarray:
 
     Points are clamped to [t_min, t_max] first.
     """
-    return basis_and_lower(grid, x)[0]
+    idx, _, b = _local_basis(grid, np.asarray(x, dtype=np.float64).ravel(), grid.degree)
+    return _scatter(idx, b, grid.basis_count)
 
 
 def basis_values(grid: SplineGrid, x: float) -> np.ndarray:
@@ -101,16 +104,9 @@ def basis_values(grid: SplineGrid, x: float) -> np.ndarray:
     return basis_matrix(grid, np.asarray([x]))[0]
 
 
-def slope_rows(grid: SplineGrid, x: np.ndarray, idx: np.ndarray, lower) -> np.ndarray:
-    """d/dx of every basis function at the (unclamped, 1-D) points x, given
-    their knot intervals and degree - 1 local B-splines from
-    :func:`basis_and_lower`; shape (len(x), basis_count).
-
-    Uses the degree-lowering formula, which on a uniform grid collapses to
-    (B_{i,k-1} - B_{i+1,k-1}) / h. At a knot the right-limit is returned.
-    Strictly outside [t_min, t_max] the clamped basis is constant, so the
-    derivative is 0 there.
-    """
+def _slope_rows(grid: SplineGrid, x: np.ndarray, idx: np.ndarray, lower) -> np.ndarray:
+    """Derivative rows at the unclamped 1-D points x, given their knot
+    intervals and degree - 1 local B-splines from :func:`_local_basis`."""
     if grid.degree == 0:
         return np.zeros((x.size, grid.basis_count))
     scale = ((x >= grid.t_min) & (x <= grid.t_max)) / grid.spacing
@@ -121,10 +117,15 @@ def slope_rows(grid: SplineGrid, x: np.ndarray, idx: np.ndarray, lower) -> np.nd
 
 def basis_derivative_matrix(grid: SplineGrid, x) -> np.ndarray:
     """d/dx of every basis function at each point; shape (len(x), basis_count).
-    See :func:`slope_rows`."""
+
+    Uses the degree-lowering formula, which on a uniform grid collapses to
+    (B_{i,k-1} - B_{i+1,k-1}) / h. At a knot the right-limit is returned.
+    Strictly outside [t_min, t_max] the clamped basis is constant, so the
+    derivative is 0 there.
+    """
     x = np.asarray(x, dtype=np.float64).ravel()
     idx, _, lower = _local_basis(grid, x, grid.degree - 1)
-    return slope_rows(grid, x, idx, lower)
+    return _slope_rows(grid, x, idx, lower)
 
 
 def basis_derivatives(grid: SplineGrid, x: float) -> np.ndarray:
