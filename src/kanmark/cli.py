@@ -6,8 +6,9 @@ Configs, checkpoints, and reports are JSON (checkpoints carry parameters as
 one base64 string of float64 bytes and are byte-stable across
 save/load/save). Reports are JSON lines appended to <out>/report.jsonl.
 
-Exit codes: 0 success, 2 config error or diverged training (no checkpoint
-is written), 3 data error, 4 dimension or checkpoint-compatibility error.
+Exit codes: 0 success, 2 config error, unusable --out or diverged training
+(nothing is written), 3 data error or a damaged report.jsonl line (named by
+file and line number), 4 dimension or checkpoint-compatibility error.
 """
 
 from __future__ import annotations
@@ -291,10 +292,6 @@ def _grid_to_dict(grid) -> dict:
             "t_min": grid.t_min, "t_max": grid.t_max}
 
 
-def _encode_params(params) -> str:
-    return base64.b64encode(np.asarray(params, PARAMS_DTYPE).tobytes()).decode("ascii")
-
-
 def save_checkpoint(path, model, stage: str, cfg_hash: str, seed: int,
                     extra: dict | None = None) -> None:
     """Writes ``model`` as canonical JSON: readable metadata plus its flat
@@ -310,7 +307,8 @@ def save_checkpoint(path, model, stage: str, cfg_hash: str, seed: int,
         "config_hash": cfg_hash,
         "seed": int(seed),
         "widths": model.widths,
-        "params": _encode_params(model.params),
+        "params": base64.b64encode(np.asarray(model.params, PARAMS_DTYPE).tobytes())
+                  .decode("ascii"),
     }
     if isinstance(model, KanModel):
         payload["kind"] = "kan"
@@ -325,23 +323,8 @@ def save_checkpoint(path, model, stage: str, cfg_hash: str, seed: int,
     Path(path).write_text(canonical_json(payload), encoding="utf-8")
 
 
-def _from_version_1(payload: dict) -> dict:
-    """A version-1 payload, which held each array as nested JSON lists and one
-    grid for every KAN layer, in the version-2 layout."""
-    kan = payload["kind"] == "kan"
-    keys = ("coeffs", "w_b", "w_s") if kan else ("weight", "bias")
-    params = np.concatenate([np.asarray(rec[key], dtype=np.float64).ravel()
-                             for rec in payload["layers"] for key in keys])
-    out = dict(payload, params=_encode_params(params))
-    if kan:
-        out["layers"] = [{"grid": payload["grid"], "prune_mask": rec["prune_mask"]}
-                         for rec in payload["layers"]]
-    return out
-
-
 def load_checkpoint(path):
-    """Returns (model, payload-metadata). Also reads version-1 checkpoints,
-    which held parameters as nested decimal arrays."""
+    """Returns (model, payload-metadata)."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -352,14 +335,12 @@ def load_checkpoint(path):
     # (a bad base64 string raises binascii.Error, a ValueError).
     try:
         version = payload.get("format_version")
-        if version not in (1, FORMAT_VERSION):
+        if version != FORMAT_VERSION:
             raise CheckpointError(f"checkpoint {path}: format_version {version}, "
-                                  f"expected {FORMAT_VERSION} or 1")
+                                  f"expected {FORMAT_VERSION}")
         kind = payload.get("kind")
         if kind not in ("kan", "mlp"):
             raise CheckpointError(f"checkpoint {path}: unknown kind {kind!r}")
-        if version == 1:
-            payload = _from_version_1(payload)
         widths, layers = payload["widths"], payload.get("layers")
         edges = list(zip(widths[1:], widths))  # (out, in) of each layer
         if kind == "mlp":
@@ -433,7 +414,11 @@ def _main_metric(metrics: dict, task: str) -> tuple[float, str]:
 # commands
 
 def _setup(args):
-    """(config, seed bundle, (train, test, holdout)) of a command."""
+    """(config, seed bundle, (train, test, holdout)) of a command; raises
+    ConfigError first if ``--out`` cannot be a directory."""
+    out = Path(args.out)
+    if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
+        raise ConfigError(f"--out {out} is not a directory and cannot become one")
     cfg = load_config(args.config, args.seed)
     bundle = SeedBundle(cfg["seed"])
     return cfg, bundle, resolve_dataset(cfg, bundle)
@@ -542,15 +527,9 @@ def cmd_verify(args) -> int:
     cfg, bundle, (train, test, hold) = _setup(args)
     tau = args.tau if args.tau is not None else cfg["tau"]
     _check_tau(tau)
-    detector, det_meta = load_checkpoint(args.detector_ckpt)
+    detector, _ = load_checkpoint(args.detector_ckpt)
     if not isinstance(detector, MlpModel):
         raise CheckpointError(f"{args.detector_ckpt}: expected an mlp detector")
-    # Detectors saved before the watermark was fixed to layer 0 record its
-    # layer; one trained on another layer cannot read layer 0.
-    layer = det_meta.get("extra", {}).get("layer_index", 0)
-    if layer != 0:
-        raise CheckpointError(f"{args.detector_ckpt}: detector reads layer "
-                              f"{layer}, but only layer 0 is watermarked")
     suspect, _ = _load_kan(args.suspect_ckpt)
     result = verify(suspect, detector, hold.inputs, tau=tau)
     out = Path(args.out)
@@ -591,15 +570,23 @@ def cmd_report(args) -> int:
     if not path.exists():
         print(f"no report at {path}")
         return 0
-    rows = [json.loads(line) for line in path.read_text().splitlines() if line]
-    print(f"{'stage':<24} {'metric':>12} {'value':>10} {'wm rate %':>10} {'decision':>9}")
-    for row in rows:
-        rate = row.get("wm_detection_rate")
-        decision = row.get("decision")
-        print(f"{row['stage']:<24} {row['metric_kind']:>12} "
-              f"{row['main_metric']:>10.4f} "
-              f"{rate if rate is not None else '-':>10} "
-              f"{str(decision) if decision is not None else '-':>9}")
+    table = [f"{'stage':<24} {'metric':>12} {'value':>10} {'wm rate %':>10} {'decision':>9}"]
+    for number, line in enumerate(path.read_bytes().splitlines(), 1):
+        if not line:
+            continue
+        # Not UTF-8 or JSON (ValueErrors), not an object, or a field missing or mistyped.
+        try:
+            row = json.loads(line)
+            rate = row.get("wm_detection_rate")
+            decision = row.get("decision")
+            table.append(f"{row['stage']:<24} {row['metric_kind']:>12} "
+                         f"{row['main_metric']:>10.4f} "
+                         f"{rate if rate is not None else '-':>10} "
+                         f"{str(decision) if decision is not None else '-':>9}")
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise DataError(f"{path} line {number} is not a report row: "
+                            f"{type(exc).__name__}: {exc}") from exc
+    print("\n".join(table))
     return 0
 
 

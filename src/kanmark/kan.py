@@ -66,13 +66,6 @@ class KanLayer:
         w_s = np.ones((out_dim, in_dim))
         return cls(grid, coeffs, w_b, w_s)
 
-    def edge_activation(self, j: int, i: int, x: float) -> float:
-        """Single-edge activation value at a scalar input."""
-        if not (0 <= j < self.out_dim and 0 <= i < self.in_dim):
-            raise IndexError(f"edge ({j}, {i}) out of range for "
-                             f"{self.out_dim}x{self.in_dim} layer")
-        return float(self.per_edge_activations(np.full((1, self.in_dim), x))[0, j, i])
-
     def _inputs(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Checked input, sigmoid(x) and silu(x)."""
         x = as_matrix(x, "layer input")
@@ -176,12 +169,11 @@ class KanModel:
     def forward_with_cache(self, x):
         """Forward pass keeping per-layer caches for :meth:`backward`;
         returns (output, caches)."""
-        h = as_matrix(x, "model input")  # layer 0 checks the width
         caches = []
         for layer in self.layers:
-            h, cache = layer.forward(h)
+            x, cache = layer.forward(x)  # each layer checks its own input
             caches.append(cache)
-        return h, caches
+        return x, caches
 
     def backward(self, caches, g_out: np.ndarray) -> np.ndarray:
         """Exact gradient of the loss, laid out like ``params``."""

@@ -79,13 +79,6 @@ def silu_slope(x, sig):
     return sig * (1.0 + x * (1.0 - sig))
 
 
-def silu_grad(x):
-    """d/dx silu(x) = sigmoid(x) * (1 + x * (1 - sigmoid(x)))."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = silu_slope(arr, sigmoid(arr))
-    return float(out) if out.ndim == 0 else out
-
-
 def relu(x):
     return np.maximum(x, 0.0)
 

@@ -97,13 +97,6 @@ def basis_matrix(grid: SplineGrid, x) -> np.ndarray:
     return _scatter(idx, b, grid.basis_count)
 
 
-def basis_values(grid: SplineGrid, x: float) -> np.ndarray:
-    """All basis function values at a single point."""
-    if not np.isfinite(x):
-        raise ValueError("x must be finite")
-    return basis_matrix(grid, np.asarray([x]))[0]
-
-
 def _slope_rows(grid: SplineGrid, x: np.ndarray, idx: np.ndarray, lower) -> np.ndarray:
     """Derivative rows at the unclamped 1-D points x, given their knot
     intervals and degree - 1 local B-splines from :func:`_local_basis`."""
@@ -126,10 +119,3 @@ def basis_derivative_matrix(grid: SplineGrid, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).ravel()
     idx, _, lower = _local_basis(grid, x, grid.degree - 1)
     return _slope_rows(grid, x, idx, lower)
-
-
-def basis_derivatives(grid: SplineGrid, x: float) -> np.ndarray:
-    """Derivatives of all basis functions at a single point."""
-    if not np.isfinite(x):
-        raise ValueError("x must be finite")
-    return basis_derivative_matrix(grid, np.asarray([x]))[0]

@@ -95,7 +95,7 @@ def signal_step(model: KanModel, x, signal: PerturbationSignal, opt) -> None:
     is not returned. Only the first layer's parameters move.
     """
     layer = model.layers[0]
-    out, cache = layer.forward(as_matrix(x, "inputs"))
+    out, cache = layer.forward(x)
     g_out = np.broadcast_to(-2.0 * idct(signal.values) / out.size, out.shape)
     grads, _ = layer.backward(cache, g_out, need_input_grad=False)
     optimizer_step(layer.params, grads, opt)
@@ -140,26 +140,10 @@ def embed(model: KanModel, signal: PerturbationSignal, inputs, targets,
 @dataclass
 class DetectorDataset:
     """Labeled activation rows: watermarked (1) vs clean (0), each original
-    row accompanied by shuffled variants with the same label.
-
-    ``provenance[r]`` indexes :attr:`TAGS`; even tags are watermarked rows.
-    """
+    row accompanied by shuffled variants with the same label."""
 
     inputs: np.ndarray
     labels: np.ndarray
-    provenance: np.ndarray
-
-    TAGS = ("wm", "clean", "wm_shuffled", "clean_shuffled")
-
-    def validate(self) -> None:
-        n = self.inputs.shape[0]
-        tags = np.asarray(self.provenance)
-        if self.labels.shape != (n,) or tags.shape != (n,):
-            raise ShapeError("detector dataset fields disagree on row count")
-        if np.any((tags < 0) | (tags >= len(self.TAGS)) | (self.labels != 1 - tags % 2)):
-            raise ValueError("labels inconsistent with provenance tags")
-        if int(self.labels.sum()) * 2 != n:
-            raise ValueError("watermarked and clean row counts differ")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -191,12 +175,10 @@ def build_detector_dataset(model_wm: KanModel, model_clean: KanModel, inputs,
                          axis=1).reshape(n, 2 * n_shuffles, wm_dim)
     identity = np.broadcast_to(np.arange(wm_dim), (n, 2, wm_dim))
     columns = np.concatenate([identity, perms], axis=1)
-    tags = np.repeat(np.arange(len(DetectorDataset.TAGS), dtype=np.int8),
-                     [1, 1, n_shuffles, n_shuffles])
-    clean = tags % 2
+    clean = np.repeat([0, 1, 0, 1], [1, 1, n_shuffles, n_shuffles])
     rows = outs[np.arange(n)[:, None, None], clean[None, :, None], columns]
     return DetectorDataset(rows.reshape(-1, wm_dim),
-                           np.tile(1 - clean, n).astype(np.int64), np.tile(tags, n))
+                           np.tile(1 - clean, n).astype(np.int64))
 
 
 def train_detector(dataset: DetectorDataset, hidden=(64, 32), epochs: int = 50,

@@ -172,50 +172,21 @@ class TestCheckpointRoundTrip:
             save_checkpoint(path, model, "detector", "hash", 7)
         assert not path.exists()
 
-    @pytest.mark.parametrize("model", [KanModel.create([3, 4, 2], seed=8),
-                                       MlpModel.create([4, 8, 2], seed=9)],
-                             ids=["kan", "mlp"])
-    def test_version_1_file_loads_and_resaves_as_version_2(self, tmp_path, model):
-        # version 1 held every array as nested decimal lists and one grid
-        payload = {"format_version": 1, "stage": "clean", "config_hash": "hash",
-                   "seed": 1, "widths": model.widths, "extra": {"key": 3}}
-        if isinstance(model, KanModel):
-            model.layers[1].prune_mask[0, 2] = 0.0
-            grid = model.layers[0].grid
-            payload.update(kind="kan", grid={"degree": grid.degree,
-                                             "intervals": grid.intervals,
-                                             "t_min": grid.t_min, "t_max": grid.t_max},
-                           layers=[{"coeffs": layer.coeffs.tolist(),
-                                    "w_b": layer.w_b.tolist(), "w_s": layer.w_s.tolist(),
-                                    "prune_mask": layer.prune_mask.astype(int).tolist()}
-                                   for layer in model.layers])
-        else:
-            payload.update(kind="mlp", head=model.head,
-                           layers=[{"weight": w.tolist(), "bias": b.tolist()}
-                                   for w, b in zip(model.weights, model.biases)])
-        v1, v2, direct = tmp_path / "v1.json", tmp_path / "v2.json", tmp_path / "d.json"
-        v1.write_text(canonical_json(payload))
-        loaded, meta = load_checkpoint(v1)
-        assert np.array_equal(loaded.params, model.params)
-        if isinstance(model, KanModel):
-            assert all(np.array_equal(a.prune_mask, b.prune_mask)
-                       for a, b in zip(loaded.layers, model.layers))
-        save_checkpoint(v2, loaded, meta["stage"], meta["config_hash"], meta["seed"],
-                        extra=meta["extra"])
-        save_checkpoint(direct, model, "clean", "hash", 1, extra={"key": 3})
-        assert json.loads(v2.read_text())["format_version"] == 2
-        assert v2.read_bytes() == direct.read_bytes()
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        model = KanModel.create([2, 2], seed=4)
-        path = tmp_path / "m.json"
-        save_checkpoint(path, model, "clean", "hash", 1)
-        payload = json.loads(path.read_text())
-        payload["format_version"] = 999
-        path.write_text(canonical_json(payload))
-        assert main(["verify", "--config", write_config(tmp_path / "c.json"),
-                     "--detector-ckpt", str(path), "--suspect-ckpt", str(path),
-                     "--out", str(tmp_path)]) == 4
+    def test_version_mismatch_rejected(self, tmp_path, capsys):
+        # version 1 held every array as nested decimal lists; it is not read
+        path, out = tmp_path / "m.json", tmp_path / "runs"
+        cfg = write_config(tmp_path / "c.json")
+        commands = {"embed": ["--clean-ckpt", str(path)], "attack": ["--wm-ckpt", str(path)],
+                    "verify": ["--detector-ckpt", str(path), "--suspect-ckpt", str(path)]}
+        for version in (1, 999):
+            save_checkpoint(path, KanModel.create([2, 4, 1], seed=4), "clean", "hash", 1)
+            payload = json.loads(path.read_text())
+            payload["format_version"] = version
+            path.write_text(canonical_json(payload))
+            for command, ckpt in commands.items():
+                assert main([command, "--config", cfg, "--out", str(out), *ckpt]) == 4
+                assert f"format_version {version}, expected 2" in capsys.readouterr().err
+                assert not out.exists()
 
     @pytest.mark.parametrize("defect", ["no_grid", "list_root", "mask_entry_2",
                                         "params_8_bytes_short", "params_not_base64",
@@ -448,6 +419,39 @@ class TestCommands:
         assert main([command, "--config", cfg, "--out", str(out), *ckpt, *flags]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["afile", "afile/x"], ids=["file", "under_file"])
+    def test_out_naming_a_file_exits_2_before_loading_data(self, tmp_path, monkeypatch,
+                                                            out):
+        monkeypatch.setattr("kanmark.cli.resolve_dataset", lambda *a: pytest.fail("loaded"))
+        (tmp_path / "afile").write_text("keep")
+        model = tmp_path / "model.json"
+        save_checkpoint(model, KanModel.create([2, 4, 1], seed=0), "clean", "hash", 0)
+        cfg = write_config(tmp_path / "c.json")
+        before = sorted(tmp_path.iterdir())
+        for command, ckpt in (("train-clean", []), ("embed", ["--clean-ckpt", str(model)]),
+                              ("attack", ["--wm-ckpt", str(model)]),
+                              ("verify", ["--detector-ckpt", str(model),
+                                          "--suspect-ckpt", str(model)])):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / out),
+                         *ckpt]) == 2
+        assert sorted(tmp_path.iterdir()) == before
+        assert (tmp_path / "afile").read_text() == "keep"
+
+    @pytest.mark.parametrize("line", [
+        b'{"stage": "clean"',
+        b'{"stage": "clean", "main_metric": 1}',
+        b'[1, 2]',
+        b'{"stage": "clean", "metric_kind": "rmse", "main_metric": "high"}',
+        b'{"stage": "\xff"}',
+    ], ids=["not_json", "no_metric_kind", "not_an_object", "string_metric", "not_utf8"])
+    def test_damaged_report_exits_3_naming_the_line(self, tmp_path, capsys, line):
+        good = json.dumps({"stage": "clean", "metric_kind": "rmse", "main_metric": 0.5})
+        (tmp_path / "report.jsonl").write_bytes(b"\n".join([good.encode(), line, good.encode()]))
+        assert main(["report", "--out", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{tmp_path / 'report.jsonl'} line 2" in captured.err
+
     def test_data_error_exit_code(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json", task="classification",
@@ -488,13 +492,14 @@ class TestCommands:
                      "--out", out]) == 4
 
     def test_detector_for_another_layer_exit_code(self, tmp_path):
-        # detectors saved while the watermarked layer was configurable
+        # a detector trained on another layer's outputs expects another width
+        # than layer 0's; verify's width check rejects it
         model = tmp_path / "model.json"
         save_checkpoint(model, KanModel.create([2, 4, 1], seed=0), "watermarked",
                         "hash", 0)
         detector = tmp_path / "detector.json"
         save_checkpoint(detector, MlpModel.create([1, 8, 2], seed=0), "detector",
-                        "hash", 0, extra={"layer_index": 1})
+                        "hash", 0)
         out = tmp_path / "runs"
         assert main(["verify", "--config", write_config(tmp_path / "c.json"),
                      "--detector-ckpt", str(detector), "--suspect-ckpt", str(model),

@@ -3,7 +3,8 @@ import pytest
 
 from kanmark.kan import (KanLayer, KanModel, edge_importance, lift_prune_masks,
                          prune_kan)
-from kanmark.numeric import ShapeError, mse_loss, silu, silu_grad
+from kanmark.numeric import (NonFiniteError, ShapeError, mse_loss, sigmoid, silu,
+                             silu_slope)
 from kanmark.spline import basis_derivative_matrix, build_grid
 
 from oracles import (assert_grads_close, central_diff, edge_activation_ref,
@@ -37,6 +38,11 @@ def random_model(widths, seed=0):
     return model
 
 
+def edge_activation(layer, j, i, x):
+    """Edge (j, i)'s activation at the scalar x, through the batch path."""
+    return layer.per_edge_activations(np.full((1, layer.in_dim), x))[0, j, i]
+
+
 class TestEdgeActivation:
     def test_all_zero_parameters(self):
         layer = random_layer(2, 2, seed=1)
@@ -44,29 +50,22 @@ class TestEdgeActivation:
         layer.w_b[:] = 0.0
         layer.w_s[:] = 0.0
         for x in (-1.0, 0.0, 0.3, 2.0):
-            assert layer.edge_activation(0, 1, x) == 0.0
+            assert edge_activation(layer, 0, 1, x) == 0.0
 
     def test_reduces_to_silu(self):
         layer = random_layer(1, 1, seed=2)
         layer.w_b[:] = 1.0
         layer.w_s[:] = 0.0
         for x in (-0.5, 0.1, 0.9):
-            assert layer.edge_activation(0, 0, x) == pytest.approx(silu(x), rel=1e-12)
+            assert edge_activation(layer, 0, 0, x) == pytest.approx(silu(x), rel=1e-12)
 
     def test_matches_scalar_oracle(self):
         layer = random_layer(3, 2, seed=3)
         for j in range(2):
             for i in range(3):
-                got = layer.edge_activation(j, i, 0.3)
+                got = edge_activation(layer, j, i, 0.3)
                 assert got == pytest.approx(edge_activation_ref(layer, j, i, 0.3),
                                             abs=1e-12)
-
-    def test_index_out_of_range(self):
-        layer = random_layer(2, 2, seed=4)
-        with pytest.raises(IndexError):
-            layer.edge_activation(2, 0, 0.0)
-        with pytest.raises(IndexError):
-            layer.edge_activation(0, -1, 0.0)
 
 
 class TestLayerForward:
@@ -160,6 +159,13 @@ class TestModelForward:
         with pytest.raises(ShapeError):
             model.forward(np.zeros((2, 5)))
 
+    def test_non_finite_input_rejected(self):
+        # layer 0 checks the model input; no model-level check runs before it
+        model = random_model([2, 3, 1], seed=15)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteError, match="layer input"):
+                model.forward_with_cache(np.array([[0.1, bad]]))
+
 
 class TestModelBackward:
     def test_zero_upstream_grad(self):
@@ -239,7 +245,7 @@ class TestModelBackward:
         _, gx = layer.backward(cache, gy)
         w = (layer.prune_mask * layer.w_s)[:, :, None] * layer.coeffs
         db = basis_derivative_matrix(grid, x.ravel())
-        ref = silu_grad(x) * (gy @ (layer.prune_mask * layer.w_b)) \
+        ref = silu_slope(x, sigmoid(x)) * (gy @ (layer.prune_mask * layer.w_b)) \
             + ((gy @ w.reshape(2, -1)).reshape(db.shape) * db).sum(axis=-1).reshape(x.shape)
         assert np.array_equal(gx, ref)
 

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kanmark.spline import (basis_derivative_matrix, basis_derivatives,
-                            basis_matrix, basis_values, build_grid)
+from kanmark.spline import basis_derivative_matrix, basis_matrix, build_grid
 
 from oracles import basis_derivative_naive, basis_vector_naive
 
@@ -37,8 +36,8 @@ class TestBuildGrid:
 class TestBasisValues:
     def test_degree_zero_indicator(self):
         grid = build_grid(0, 2, 0.0, 1.0)
-        assert np.allclose(basis_values(grid, 0.25), [1.0, 0.0])
-        assert np.allclose(basis_values(grid, 0.75), [0.0, 1.0])
+        assert np.allclose(basis_matrix(grid, [0.25])[0], [1.0, 0.0])
+        assert np.allclose(basis_matrix(grid, [0.75])[0], [0.0, 1.0])
 
     def test_partition_of_unity(self):
         grid = build_grid(3, 5, -1.0, 1.0)
@@ -52,7 +51,7 @@ class TestBasisValues:
     def test_partition_of_unity_any_grid(self, degree, intervals, u):
         grid = build_grid(degree, intervals, -2.0, 3.0)
         x = -2.0 + 5.0 * u
-        assert abs(basis_values(grid, x).sum() - 1.0) < 1e-9
+        assert abs(basis_matrix(grid, [x])[0].sum() - 1.0) < 1e-9
 
     def test_range_and_locality(self):
         grid = build_grid(3, 5, -1.0, 1.0)
@@ -64,26 +63,20 @@ class TestBasisValues:
     def test_matches_recursive_oracle(self):
         grid = build_grid(3, 5, -1.0, 1.0)
         for x in np.random.default_rng(2).uniform(-1, 1, size=25):
-            assert np.allclose(basis_values(grid, x),
+            assert np.allclose(basis_matrix(grid, [x])[0],
                                basis_vector_naive(grid, x), atol=1e-12)
-        assert np.allclose(basis_values(grid, 0.1),
+        assert np.allclose(basis_matrix(grid, [0.1])[0],
                            basis_vector_naive(grid, 0.1), atol=1e-12)
 
     def test_clamping_is_exact(self):
         grid = build_grid(3, 5, -1.0, 1.0)
-        assert np.array_equal(basis_values(grid, 3.7), basis_values(grid, 1.0))
-        assert np.array_equal(basis_values(grid, -9.0), basis_values(grid, -1.0))
+        assert np.array_equal(basis_matrix(grid, [3.7, -9.0]), basis_matrix(grid, [1.0, -1.0]))
 
     def test_partition_holds_at_boundaries(self):
         for degree in (0, 1, 3):
             grid = build_grid(degree, 4, -1.0, 1.0)
-            assert basis_values(grid, -1.0).sum() == pytest.approx(1.0, abs=1e-12)
-            assert basis_values(grid, 1.0).sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_non_finite_rejected(self):
-        grid = build_grid(3, 5, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            basis_values(grid, float("nan"))
+            assert basis_matrix(grid, [-1.0])[0].sum() == pytest.approx(1.0, abs=1e-12)
+            assert basis_matrix(grid, [1.0])[0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBasisDerivatives:
@@ -95,7 +88,7 @@ class TestBasisDerivatives:
 
     def test_hat_function_slopes(self):
         grid = build_grid(1, 2, 0.0, 1.0)
-        d = basis_derivatives(grid, 0.25)
+        d = basis_derivative_matrix(grid, [0.25])[0]
         # hat centered at 0: falling at 1/spacing; hat centered at 0.5: rising
         assert d[0] == pytest.approx(-2.0, rel=1e-12)
         assert d[1] == pytest.approx(2.0, rel=1e-12)
@@ -108,8 +101,8 @@ class TestBasisDerivatives:
         for x in rng.uniform(-0.95, 0.95, size=30):
             if np.min(np.abs(grid.knots - x)) < 1e-3:
                 continue
-            fd = (basis_values(grid, x + h) - basis_values(grid, x - h)) / (2 * h)
-            d = basis_derivatives(grid, x)
+            fd = (basis_matrix(grid, [x + h])[0] - basis_matrix(grid, [x - h])[0]) / (2 * h)
+            d = basis_derivative_matrix(grid, [x])[0]
             err = np.abs(d - fd) / np.maximum(np.abs(fd), 1.0)
             assert err.max() < 1e-5
 
@@ -119,8 +112,8 @@ class TestBasisDerivatives:
 
     def test_outside_domain_is_zero(self):
         grid = build_grid(3, 5, -1.0, 1.0)
-        assert np.all(basis_derivatives(grid, 2.5) == 0.0)
-        assert np.all(basis_derivatives(grid, -1.5) == 0.0)
+        assert np.all(basis_derivative_matrix(grid, [2.5])[0] == 0.0)
+        assert np.all(basis_derivative_matrix(grid, [-1.5])[0] == 0.0)
 
 
 @pytest.mark.parametrize("degree", range(5))

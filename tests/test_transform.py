@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kanmark.numeric import ShapeError
@@ -31,10 +31,13 @@ class TestDct:
             idct([])
 
     @given(finite_vec)
+    @example([0.0] * 18 + [34.0, -83.0, 98.0])  # round-off 1.009e-12 at max|x| 98
     @settings(max_examples=80, deadline=None)
     def test_round_trip(self, vec):
+        # Round-off grows with the entries: over 20,000 random vectors of
+        # length 1-64 in +-100 the worst error was below 4e-14 * max|x|.
         x = np.array(vec)
-        assert np.max(np.abs(idct(dct(x)) - x)) < 1e-12
+        assert np.max(np.abs(idct(dct(x)) - x)) < 1e-13 * max(1.0, np.max(np.abs(x)))
 
     def test_round_trip_large(self):
         rng = np.random.default_rng(0)
