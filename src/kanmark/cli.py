@@ -7,8 +7,8 @@ one base64 string of float64 bytes and are byte-stable across
 save/load/save). Reports are JSON lines appended to <out>/report.jsonl.
 
 Exit codes: 0 success, 2 config error, unusable --out or diverged training
-(nothing is written), 3 data error or a damaged report.jsonl line (named by
-file and line number), 4 dimension or checkpoint-compatibility error.
+(nothing is written), 3 data error or an unreadable or damaged report.jsonl
+(a bad line named by number), 4 dimension or checkpoint-compatibility error.
 """
 
 from __future__ import annotations
@@ -570,8 +570,12 @@ def cmd_report(args) -> int:
     if not path.exists():
         print(f"no report at {path}")
         return 0
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     table = [f"{'stage':<24} {'metric':>12} {'value':>10} {'wm rate %':>10} {'decision':>9}"]
-    for number, line in enumerate(path.read_bytes().splitlines(), 1):
+    for number, line in enumerate(data.splitlines(), 1):
         if not line:
             continue
         # Not UTF-8 or JSON (ValueErrors), not an object, or a field missing or mistyped.

@@ -196,10 +196,11 @@ class KanModel:
 def propagate(model: KanModel, x, depth: int) -> np.ndarray:
     """Activations after the first ``depth`` layers for a batch of model
     inputs: depth 0 is the input itself, depth k the input of layer k."""
-    h = as_matrix(x, "inputs")
+    if depth == 0:
+        return as_matrix(x, "inputs")
     for layer in model.layers[:depth]:
-        h, _ = layer.forward(h)
-    return h
+        x, _ = layer.forward(x)  # layer 0 checks the input
+    return x
 
 
 def edge_importance(model: KanModel, layer_index: int, calibration) -> np.ndarray:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numeric import ShapeError, as_matrix, keep_masks, relu, views
+from .numeric import ShapeError, as_matrix, keep_masks, views
 
 HEADS = ("logits", "scalar")
 
@@ -57,31 +57,35 @@ class MlpModel:
         return out
 
     def forward_with_cache(self, x):
+        """Forward pass; the cache holds each layer's input, which for a
+        hidden layer is the previous layer's in-place ReLU output."""
         h = as_matrix(x, "mlp input")
         if h.shape[1] != self.weights[0].shape[1]:
             raise ShapeError(f"mlp expects {self.weights[0].shape[1]} inputs, "
                              f"got {h.shape[1]}")
-        inputs, pre = [], []
+        inputs = []
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(h)
-            z = h @ w.T + b
-            pre.append(z)
-            h = z if k == len(self.weights) - 1 else relu(z)
-        return h, {"inputs": inputs, "pre": pre}
+            h = h @ w.T
+            h += b
+            if k != len(self.weights) - 1:
+                np.maximum(h, 0.0, out=h)
+        return h, {"inputs": inputs}
 
     def backward(self, cache: dict, g_out: np.ndarray) -> np.ndarray:
         """Gradient laid out like ``params`` given d(loss)/d(output)."""
         if cache is None or "inputs" not in cache:
             raise ValueError("missing forward cache")
-        inputs, pre = cache["inputs"], cache["pre"]
+        inputs = cache["inputs"]
         g = np.asarray(g_out, dtype=np.float64)
-        if g.shape != pre[-1].shape:
+        if g.shape != (inputs[0].shape[0], self.weights[-1].shape[0]):
             raise ShapeError(f"upstream grad shape {g.shape} does not match "
-                             f"output shape {pre[-1].shape}")
+                             f"{inputs[0].shape[0]} rows of {self.widths[-1]} outputs")
         grads = [None] * (2 * len(self.weights))
         for k in range(len(self.weights) - 1, -1, -1):
             if k != len(self.weights) - 1:
-                g = g * (pre[k] > 0.0)
+                # g is a fresh g @ W here; relu(z) > 0 exactly where z > 0.
+                np.multiply(g, inputs[k + 1] > 0.0, out=g)
             grads[2 * k] = g.T @ inputs[k]
             grads[2 * k + 1] = g.sum(axis=0)
             if k > 0:

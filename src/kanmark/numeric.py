@@ -29,7 +29,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"{name}: expected a 2-D array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteError(f"{name}: contains non-finite entries")
     return a
 
@@ -79,13 +79,11 @@ def silu_slope(x, sig):
     return sig * (1.0 + x * (1.0 - sig))
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction for stability."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    # Max is exact in any order, and a column-wise max of the transposed
+    # copy takes about half the time of a row-wise max of narrow logits.
+    z = logits - np.ascontiguousarray(logits.T).max(axis=0)[:, None]
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -95,14 +93,27 @@ def mse_loss(pred, target):
 
     Returns (loss, grad) with grad = 2 * (pred - target) / element_count.
     """
-    pred = as_matrix(pred, "pred")
-    target = as_matrix(target, "target")
+    return mse_core(as_matrix(pred, "pred"), as_matrix(target, "target"))
+
+
+def mse_core(pred: np.ndarray, target: np.ndarray):
+    """:func:`mse_loss` on finite float64 matrices; only shapes are checked."""
     if pred.shape != target.shape:
         raise ShapeError(f"mse_loss: shapes {pred.shape} vs {target.shape}")
     diff = pred - target
-    loss = float(np.mean(diff * diff))
-    grad = 2.0 * diff / diff.size
-    return loss, grad
+    loss = float((diff * diff).sum() / diff.size)  # np.mean, minus its wrapper
+    return loss, 2.0 * diff / diff.size
+
+
+def class_labels(labels, rows: int, classes: int) -> np.ndarray:
+    """``labels`` as int64, checked 1-D, one per row and each in [0, classes)."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != rows:
+        raise ShapeError(f"{labels.shape} labels for {rows} rows")
+    labels = labels.astype(np.int64)
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= classes:
+        raise ValueError(f"labels must lie in [0, {classes})")
+    return labels
 
 
 def cross_entropy_loss(logits, labels):
@@ -111,26 +122,24 @@ def cross_entropy_loss(logits, labels):
     Returns (loss, grad) with grad = (softmax - one_hot) / rows.
     """
     logits = as_matrix(logits, "logits")
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-        raise ShapeError(
-            f"cross_entropy_loss: {labels.shape} labels for {logits.shape[0]} rows")
-    labels = labels.astype(np.int64)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[1]:
-        raise ValueError("cross_entropy_loss: label out of range")
+    return cross_entropy_core(logits, class_labels(labels, *logits.shape))
+
+
+def cross_entropy_core(logits: np.ndarray, labels: np.ndarray):
+    """:func:`cross_entropy_loss` on finite logits and :func:`class_labels`."""
     p = softmax(logits)
     rows = np.arange(logits.shape[0])
-    loss = float(np.mean(-np.log(np.maximum(p[rows, labels], LOG_FLOOR))))
-    grad = p.copy()
-    grad[rows, labels] -= 1.0
-    grad /= logits.shape[0]
-    return loss, grad
+    picked = np.maximum(p[rows, labels], LOG_FLOOR)
+    loss = float((-np.log(picked)).sum() / rows.size)  # np.mean, minus its wrapper
+    p[rows, labels] -= 1.0
+    p /= logits.shape[0]
+    return loss, p
 
 
 @dataclass
 class OptimizerState:
     """Adam hyperparameters plus the first and second moments of one flat
-    parameter vector, allocated on the first step."""
+    parameter vector and two scratch vectors, allocated on the first step."""
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -139,6 +148,8 @@ class OptimizerState:
     step_count: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
+    scratch: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.learning_rate < math.inf and 0.0 <= self.beta1 < 1.0
@@ -157,14 +168,17 @@ def optimizer_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState)
     """One bias-corrected Adam step on a flat parameter vector, in place.
 
     Each element keeps the textbook expression order, so how parameters are
-    grouped changes no result; two scratch arrays hold every temporary."""
+    grouped changes no result; the state's two scratch vectors hold every
+    temporary."""
     if params.shape != np.shape(grads):
         raise ShapeError(f"param shape {params.shape} vs grad shape {np.shape(grads)}")
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+    if state.scratch is None:
+        state.scratch = (np.empty_like(params), np.empty_like(params))
     state.step_count += 1
     m, v, t = state.m, state.v, state.step_count
-    a, b = np.empty_like(params), np.empty_like(params)
+    a, b = state.scratch
     m *= state.beta1
     m += np.multiply(1.0 - state.beta1, grads, out=a)
     v *= state.beta2

@@ -3,11 +3,13 @@ MLP models."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .data import epoch_batches
-from .numeric import (NonFiniteError, as_matrix, cross_entropy_loss, mse_loss,
-                      optimizer_step)
+from .numeric import (NonFiniteError, as_matrix, class_labels, cross_entropy_core,
+                      cross_entropy_loss, mse_core, mse_loss, optimizer_step)
 
 TASKS = ("classification", "regression")
 
@@ -23,42 +25,35 @@ class DivergenceError(ValueError):
 def check_divergence(loss: float, first: float) -> None:
     """Raises DivergenceError when a batch loss is non-finite or exceeds
     DIVERGENCE_FACTOR times the run's (positive) first batch loss."""
-    if not np.isfinite(loss) or (first > 0 and loss > DIVERGENCE_FACTOR * first):
+    if not math.isfinite(loss) or (first > 0 and loss > DIVERGENCE_FACTOR * first):
         raise DivergenceError(f"training diverged: batch loss {loss:.4g}, "
                               f"first batch loss {first:.4g}")
-
-
-def task_loss(out: np.ndarray, targets, task: str):
-    """(loss, d(loss)/d(out)) of the main task: cross-entropy against integer
-    labels, or MSE against targets reshaped like ``out``."""
-    if task == "classification":
-        return cross_entropy_loss(out, targets)
-    if task == "regression":
-        return mse_loss(out, np.asarray(targets, dtype=np.float64).reshape(out.shape))
-    raise ValueError(f"unknown task {task!r}")
 
 
 def train_step(model, x, y, task: str, opt) -> float:
     """One gradient step of a KanModel or MlpModel on the main-task loss;
     returns the loss before the step. Raises DivergenceError when the forward
-    pass yields an inf or a nan, in a hidden layer or in the output."""
+    pass yields an inf or a nan, in a hidden layer or in the output. The loss
+    core checks nothing, so ``y`` must be as :func:`steps` passes it."""
     try:
         out, cache = model.forward_with_cache(x)
         as_matrix(out, "model output")
     except NonFiniteError as exc:
         raise DivergenceError(f"training diverged: {exc}") from exc
-    loss, g = task_loss(out, y, task)
+    core = cross_entropy_core if task == "classification" else mse_core
+    loss, g = core(out, y)
     optimizer_step(model.params, model.backward(cache, g), opt)
     return loss
 
 
-def fit(model, inputs, targets, task: str, epochs: int, opt,
-        batch_size: int = 64, seed: int = 0) -> list[float]:
-    """Train in place for the given epochs; returns mean loss per epoch.
+def steps(model, inputs, targets, task: str, epochs: int, opt,
+          batch_size: int = 64, seed: int = 0):
+    """Train in place, yielding (epoch, batch inputs, loss) after each step.
 
-    Batch order is a seeded shuffle, so the whole run is deterministic in
-    (model state, seed). Raises DivergenceError (see :func:`check_divergence`)
-    as soon as a batch loss diverges.
+    The data are checked once, before the first step (ValueError): finite
+    inputs, and labels below the model's output width or finite targets of
+    its output shape. Batches follow a seeded shuffle (``epoch_batches``),
+    and a diverging loss raises DivergenceError (:func:`check_divergence`).
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
@@ -66,21 +61,35 @@ def fit(model, inputs, targets, task: str, epochs: int, opt,
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     inputs = as_matrix(inputs, "inputs")
     targets = np.asarray(targets)
-    if inputs.shape[0] == 0:
+    n, width = inputs.shape[0], model.widths[-1]
+    if n == 0:
         raise ValueError("empty training data")
-    if targets.shape[0] != inputs.shape[0]:
+    if targets.shape[0] != n:
         raise ValueError("one target per input row required")
+    if task == "classification":
+        targets = class_labels(targets, n, width)
+    else:
+        targets = as_matrix(targets.reshape(n, width), "targets")
     rng = np.random.default_rng(seed)
-    history, first = [], None
-    for _ in range(epochs):
-        losses = []
-        for idx in epoch_batches(inputs.shape[0], batch_size, rng):
-            loss = train_step(model, inputs[idx], targets[idx], task, opt)
+    first = None
+    for epoch in range(epochs):
+        for idx in epoch_batches(n, batch_size, rng):
+            xb = inputs.take(idx, axis=0)
+            loss = train_step(model, xb, targets.take(idx, axis=0), task, opt)
             first = loss if first is None else first
             check_divergence(loss, first)
-            losses.append(loss)
-        history.append(float(np.mean(losses)))
-    return history
+            yield epoch, xb, loss
+
+
+def fit(model, inputs, targets, task: str, epochs: int, opt,
+        batch_size: int = 64, seed: int = 0) -> list[float]:
+    """Train in place for the given epochs (see :func:`steps`); returns the
+    mean batch loss per epoch."""
+    losses = {}
+    for epoch, _, loss in steps(model, inputs, targets, task, epochs, opt,
+                                batch_size, seed):
+        losses.setdefault(epoch, []).append(loss)
+    return [float(np.mean(batch_losses)) for batch_losses in losses.values()]
 
 
 def accuracy(logits: np.ndarray, labels) -> float:
@@ -94,9 +103,13 @@ def rmse(pred: np.ndarray, targets) -> float:
 
 
 def evaluate(model, inputs, targets, task: str) -> dict:
-    """Loss plus accuracy (classification) or RMSE (regression)."""
+    """Loss plus accuracy (classification) or RMSE (regression), every input
+    checked."""
     out = model.predict(inputs)
-    loss, _ = task_loss(out, targets, task)
     if task == "classification":
-        return {"loss": loss, "accuracy": accuracy(out, targets)}
-    return {"loss": loss, "rmse": rmse(out, targets)}
+        return {"loss": cross_entropy_loss(out, targets)[0],
+                "accuracy": accuracy(out, targets)}
+    if task == "regression":
+        target = np.asarray(targets, dtype=np.float64).reshape(out.shape)
+        return {"loss": mse_loss(out, target)[0], "rmse": rmse(out, targets)}
+    raise ValueError(f"unknown task {task!r}")

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import epoch_batches
 from .kan import KanModel, propagate
 from .mlp import MlpModel
 from .numeric import ShapeError, adam, as_matrix, optimizer_step
-from .training import check_divergence, fit, train_step
+from .training import fit, steps
 from .transform import dct, idct
 
 
@@ -118,22 +117,14 @@ def embed(model: KanModel, signal: PerturbationSignal, inputs, targets,
     if signal.length != model.layers[0].out_dim:
         raise ShapeError(f"signal length {signal.length} vs layer width "
                          f"{model.layers[0].out_dim}")
-    inputs = as_matrix(inputs, "inputs")
-    targets = np.asarray(targets)
     wm = model.copy()
     opt_main = adam(lr_main)
     opt_wm = adam(lr_main if lr_wm is None else lr_wm)
     active = bool(np.any(signal.values))
-    rng = np.random.default_rng(seed)
-    first = None
-    for _ in range(epochs):
-        for idx in epoch_batches(inputs.shape[0], batch_size, rng):
-            xb = inputs[idx]
-            loss = train_step(wm, xb, targets[idx], task, opt_main)
-            first = loss if first is None else first
-            check_divergence(loss, first)
-            if active:
-                signal_step(wm, xb, signal, opt_wm)
+    for _, xb, _ in steps(wm, inputs, targets, task, epochs, opt_main,
+                          batch_size, seed):
+        if active:
+            signal_step(wm, xb, signal, opt_wm)
     return wm
 
 
@@ -185,8 +176,6 @@ def train_detector(dataset: DetectorDataset, hidden=(64, 32), epochs: int = 50,
                    lr: float = 1e-3, batch_size: int = 128,
                    seed: int = 0) -> MlpModel:
     """Train the MLP detector with cross-entropy on the labeled rows."""
-    if len(dataset) == 0:
-        raise ValueError("empty detector dataset")
     if len(np.unique(dataset.labels)) < 2:
         raise ValueError("detector dataset must contain both classes")
     widths = [dataset.inputs.shape[1], *hidden, 2]

@@ -1,7 +1,8 @@
 """Independent brute-force oracles the library is checked against.
 
 Everything here is deliberately naive (recursion, scalar loops, O(N^2)
-summation) and shares no code with the package.
+summation) and shares no code with the package, except the training
+reference, which composes the package's checked public pieces.
 """
 
 import math
@@ -159,6 +160,81 @@ def adam_scalar_ref(p0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         v_hat = v / (1 - beta2 ** t)
         p -= lr * m_hat / (math.sqrt(v_hat) + eps)
     return p
+
+
+def adam_ref(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step on a flat vector in place, every temporary fresh;
+    ``state`` is a dict of m, v and the step count t."""
+    state["t"] += 1
+    t = state["t"]
+    state["m"] = beta1 * state["m"] + (1 - beta1) * grads
+    state["v"] = beta2 * state["v"] + (1 - beta2) * (grads * grads)
+    m_hat = state["m"] / (1 - beta1 ** t)
+    v_hat = state["v"] / (1 - beta2 ** t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+# --- training loop --------------------------------------------------------------
+
+def mlp_loss_grad_ref(model, x, y, loss):
+    """Loss and flat gradient of an MlpModel: a forward that keeps every
+    pre-activation, the textbook backward (ReLU mask from z > 0), and the
+    per-array gradients concatenated in ``params`` order."""
+    hs, zs, h = [], [], x
+    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+        hs.append(h)
+        zs.append(h @ w.T + b)
+        h = zs[-1] if k == len(model.weights) - 1 else np.maximum(zs[-1], 0.0)
+    value, g = loss(h, y)
+    grads = []
+    for k in range(len(model.weights) - 1, -1, -1):
+        if k != len(model.weights) - 1:
+            g = g * (zs[k] > 0.0)
+        grads = [g.T @ hs[k], g.sum(axis=0)] + grads
+        g = g @ model.weights[k]
+    return value, np.concatenate([a.ravel() for a in grads])
+
+
+def train_ref(model, inputs, targets, task, epochs, lr, batch_size, seed,
+              signal=None, lr_wm=None):
+    """Plain reference of ``fit`` and, given a signal, of ``embed``'s loop,
+    training ``model`` in place: per-batch ``inputs[idx]`` gathers from
+    ``epoch_batches``, the checked ``cross_entropy_loss``/``mse_loss``,
+    ``forward_with_cache`` plus ``backward`` for a KAN or
+    :func:`mlp_loss_grad_ref` for an MLP, and :func:`adam_ref`. A signal
+    step moves layer 0 by the closed-form output gradient
+    -2 idct(P) / (rows * width). Returns the main-task Adam state."""
+    from kanmark.data import epoch_batches
+    from kanmark.numeric import cross_entropy_loss, mse_loss
+    from kanmark.transform import idct
+
+    def loss(out, y):
+        if task == "classification":
+            return cross_entropy_loss(out, y)
+        return mse_loss(out, np.asarray(y, dtype=np.float64).reshape(out.shape))
+
+    inputs, targets = np.asarray(inputs, dtype=np.float64), np.asarray(targets)
+    main = {"m": np.zeros_like(model.params), "v": np.zeros_like(model.params), "t": 0}
+    if signal is not None:
+        layer = model.layers[0]
+        wm = {"m": np.zeros_like(layer.params), "v": np.zeros_like(layer.params), "t": 0}
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        for idx in epoch_batches(inputs.shape[0], batch_size, rng):
+            x, y = inputs[idx], targets[idx]
+            if hasattr(model, "layers"):
+                out, cache = model.forward_with_cache(x)
+                _, g = loss(out, y)
+                grads = model.backward(cache, g)
+            else:
+                _, grads = mlp_loss_grad_ref(model, x, y, loss)
+            adam_ref(model.params, grads, main, lr)
+            if signal is not None:
+                out, cache = layer.forward(x)
+                g = np.broadcast_to(-2.0 * idct(signal.values) / out.size, out.shape)
+                grads, _ = layer.backward(cache, g, need_input_grad=False)
+                adam_ref(layer.params, grads, wm, lr_wm)
+    return main
 
 
 # --- finite differences -----------------------------------------------------

@@ -443,14 +443,20 @@ class TestCommands:
         b'[1, 2]',
         b'{"stage": "clean", "metric_kind": "rmse", "main_metric": "high"}',
         b'{"stage": "\xff"}',
-    ], ids=["not_json", "no_metric_kind", "not_an_object", "string_metric", "not_utf8"])
+        None,
+    ], ids=["not_json", "no_metric_kind", "not_an_object", "string_metric", "not_utf8",
+            "directory"])
     def test_damaged_report_exits_3_naming_the_line(self, tmp_path, capsys, line):
-        good = json.dumps({"stage": "clean", "metric_kind": "rmse", "main_metric": 0.5})
-        (tmp_path / "report.jsonl").write_bytes(b"\n".join([good.encode(), line, good.encode()]))
+        report = tmp_path / "report.jsonl"
+        if line is None:  # the report path names a directory
+            report.mkdir()
+        else:
+            good = json.dumps({"stage": "clean", "metric_kind": "rmse", "main_metric": 0.5})
+            report.write_bytes(b"\n".join([good.encode(), line, good.encode()]))
         assert main(["report", "--out", str(tmp_path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{tmp_path / 'report.jsonl'} line 2" in captured.err
+        assert (f"cannot read {report}" if line is None else f"{report} line 2") in captured.err
 
     def test_data_error_exit_code(self, tmp_path):
         cfg = write_config(

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from kanmark import KanModel, MlpModel, adam, evaluate, fit, mse_loss
+from kanmark import KanModel, MlpModel, adam, embed, evaluate, fit, gen_signal, mse_loss
+from kanmark import watermark
 from kanmark.training import DivergenceError
 
-from oracles import assert_grads_close, central_diff
+from oracles import assert_grads_close, central_diff, train_ref
 
 
 def named_arrays(model) -> list[np.ndarray]:
@@ -122,3 +123,93 @@ class TestFit:
         x = rng.uniform(-1, 1, size=(64, 2))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
             fit(model, x, x[:, 0] * x[:, 1], "regression", 3, adam(1e200), 16, seed=6)
+
+
+class TestReferenceLoop:
+    """fit and embed equal, byte for byte, a plain loop of the checked public
+    pieces (``oracles.train_ref``). Batches of 24 leave a short last batch."""
+
+    @pytest.mark.parametrize("kind", ["mlp_detector", "kan_regressor"])
+    def test_fit_matches_reference(self, kind):
+        rng = np.random.default_rng(11)
+        if kind == "mlp_detector":
+            model = MlpModel.create([6, 16, 8, 2], seed=12)
+            x = rng.normal(size=(100, 6))
+            y, task = rng.integers(0, 2, size=100), "classification"
+        else:
+            model = KanModel.create([3, 4, 1], seed=12)
+            x = rng.uniform(-1, 1, size=(100, 3))
+            y, task = np.sin(x[:, 0]) * x[:, 1], "regression"
+        reference = model.copy()
+        opt = adam(3e-3)
+        fit(model, x, y, task, 3, opt, 24, seed=13)
+        state = train_ref(reference, x, y, task, 3, 3e-3, 24, seed=13)
+        assert np.array_equal(model.params, reference.params)
+        assert opt.step_count == state["t"] == 15
+        assert np.array_equal(opt.m, state["m"]) and np.array_equal(opt.v, state["v"])
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_embed_with_live_signal_matches_reference(self, task):
+        rng = np.random.default_rng(14)
+        x = rng.uniform(-1, 1, size=(100, 3))
+        if task == "classification":
+            clean, y = KanModel.create([3, 8, 3], seed=15), rng.integers(0, 3, size=100)
+        else:
+            clean, y = KanModel.create([3, 8, 1], seed=15), x[:, 0] * x[:, 2]
+        signal = gen_signal(7, 8, (2, 4), 0.5)
+        wm = embed(clean, signal, x, y, task, 2, lr_main=3e-3, lr_wm=1e-2,
+                   batch_size=24, seed=16)
+        reference = clean.copy()
+        train_ref(reference, x, y, task, 2, 3e-3, 24, seed=16, signal=signal, lr_wm=1e-2)
+        assert np.array_equal(wm.params, reference.params)
+        assert not np.array_equal(wm.params, clean.params)
+
+
+class TestDataCheckedBeforeAnyStep:
+    """Bad data raise ValueError before the first step, even where only the
+    last batch of the first epoch holds it."""
+
+    N, BATCH, SEED = 40, 16, 5
+
+    def bad_data(self, case):
+        rng = np.random.default_rng(17)
+        x = rng.uniform(-1, 1, size=(self.N, 3))
+        last = np.random.default_rng(self.SEED).permutation(self.N)[-1]
+        if case == "nan_target_in_last_batch":
+            y = x[:, 0] * x[:, 1]
+            y[last] = np.nan
+            return x, y, "regression", 1
+        y = rng.integers(0, 3, size=self.N)
+        if case == "label_out_of_range_in_last_batch":
+            y[last] = 3
+            return x, y, "classification", 3
+        return x, y[:, None], "classification", 3  # 2-D labels
+
+    CASES = ["label_out_of_range_in_last_batch", "labels_2d", "nan_target_in_last_batch"]
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("kind", ["kan", "mlp"])
+    def test_fit_leaves_model_unchanged(self, case, kind):
+        x, y, task, width = self.bad_data(case)
+        model = (KanModel.create([3, 4, width], seed=18) if kind == "kan"
+                 else MlpModel.create([3, 4, width], head="logits", seed=18))
+        before = model.params.copy()
+        opt = adam(1e-2)
+        with pytest.raises(ValueError):
+            fit(model, x, y, task, 2, opt, self.BATCH, seed=self.SEED)
+        assert np.array_equal(model.params, before)
+        assert opt.step_count == 0
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_embed_runs_no_step(self, case, monkeypatch):
+        x, y, task, width = self.bad_data(case)
+        model = KanModel.create([3, 4, width], seed=18)
+        before = model.params.copy()
+        signal_steps = []
+        monkeypatch.setattr(watermark, "signal_step",
+                            lambda *args: signal_steps.append(args))
+        with pytest.raises(ValueError):
+            embed(model, gen_signal(7, 4, (1, 2), 0.5), x, y, task, 2,
+                  lr_main=1e-2, batch_size=self.BATCH, seed=self.SEED)
+        assert signal_steps == []
+        assert np.array_equal(model.params, before)
