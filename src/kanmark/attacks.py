@@ -42,25 +42,22 @@ class AttackSpec:
 
 
 def finetune(model: KanModel, inputs, targets, task: str, epochs: int = 8,
-             lr: float = SMALL_LR, batch_size: int = 64,
-             seed: int = 0) -> KanModel:
+             lr: float = SMALL_LR, seed: int = 0) -> KanModel:
     """Continue main-task training (no watermark phase) on a copy."""
     attacked = model.copy()
-    fit(attacked, inputs, targets, task, epochs, adam(lr),
-        batch_size=batch_size, seed=seed)
+    fit(attacked, inputs, targets, task, epochs, adam(lr), seed=seed)
     return attacked
 
 
 def retrain_after_prune(model: KanModel, inputs, targets, task: str,
                         ratio: float = 0.6, lr: float = SMALL_LR,
                         epochs: int = 8, *, calibration,
-                        batch_size: int = 64, seed: int = 0) -> KanModel:
+                        seed: int = 0) -> KanModel:
     """Prune (``calibration`` ranks the edges, see :func:`prune_kan`), lift
     the masks so zeroed edges are trainable again, then continue main-task
     training."""
     attacked = lift_prune_masks(prune_kan(model, ratio, calibration))
-    fit(attacked, inputs, targets, task, epochs, adam(lr),
-        batch_size=batch_size, seed=seed)
+    fit(attacked, inputs, targets, task, epochs, adam(lr), seed=seed)
     return attacked
 
 
@@ -75,7 +72,7 @@ def prune_sweep(kan_model: KanModel, mlp_model: MlpModel, test_inputs,
     """Evaluate both models at prune ratios 0, step, ..., 1, each pruned
     fresh from the original trained model."""
     check_step(step)
-    count = int(round(1.0 / step))
+    count = int(np.ceil(1.0 / step - 1e-9))  # 1 / (1/3) is 3.0000000000000004
     ratios = np.round(np.arange(count + 1) * step, 10)
     rows = []
     for ratio in ratios:

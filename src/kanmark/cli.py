@@ -8,7 +8,8 @@ save/load/save). Reports are JSON lines appended to <out>/report.jsonl.
 
 Exit codes: 0 success, 2 config error, unusable --out or diverged training
 (nothing is written), 3 data error or an unreadable or damaged report.jsonl
-(a bad line named by number), 4 dimension or checkpoint-compatibility error.
+(a bad line named by number), 4 dimension or checkpoint-compatibility error,
+among them targets that do not fit the model's output width.
 """
 
 from __future__ import annotations
@@ -184,6 +185,8 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("dataset.test_images and dataset.test_labels come as a pair")
     if ds["kind"] == "feynman" and not ds["formula"]:
         raise ConfigError("feynman dataset needs a formula id")
+    if ds["kind"] == "feynman" and cfg["task"] == "classification":
+        raise ConfigError("feynman targets are real-valued: the task is regression")
     if abs(sum(ds["fractions"]) - 1.0) > 1e-9:
         raise ConfigError("dataset.fractions (train, test, holdout) must sum "
                           f"to 1, got {ds['fractions']!r}")
@@ -279,8 +282,7 @@ def _new_model(kind: str, cfg: dict, bundle: SeedBundle, input_dim: int):
     """Freshly initialised ``kan`` or ``mlp`` model of the configured widths."""
     widths = resolve_widths(cfg, input_dim)
     if kind == "mlp":
-        head = "logits" if cfg["task"] == "classification" else "scalar"
-        return MlpModel.create(widths, head=head, seed=derive_seed(bundle.init, "mlp"))
+        return MlpModel.create(widths, seed=derive_seed(bundle.init, "mlp"))
     return KanModel.create(widths, grid=build_grid(**cfg["grid"]), seed=bundle.init)
 
 
@@ -306,18 +308,15 @@ def save_checkpoint(path, model, stage: str, cfg_hash: str, seed: int,
         "stage": stage,
         "config_hash": cfg_hash,
         "seed": int(seed),
+        "kind": "kan" if isinstance(model, KanModel) else "mlp",
         "widths": model.widths,
         "params": base64.b64encode(np.asarray(model.params, PARAMS_DTYPE).tobytes())
                   .decode("ascii"),
     }
     if isinstance(model, KanModel):
-        payload["kind"] = "kan"
         payload["layers"] = [{"grid": _grid_to_dict(layer.grid),
                               "prune_mask": layer.prune_mask.astype(int).tolist()}
                              for layer in model.layers]
-    else:
-        payload["kind"] = "mlp"
-        payload["head"] = model.head
     if extra:
         payload["extra"] = extra
     Path(path).write_text(canonical_json(payload), encoding="utf-8")
@@ -359,7 +358,7 @@ def load_checkpoint(path):
                              f"need {need}")
         arrays = views(params, shapes)
         if kind == "mlp":
-            model = MlpModel(arrays[0::2], arrays[1::2], payload.get("head", "logits"))
+            model = MlpModel(arrays[0::2], arrays[1::2])
         else:
             model = KanModel([KanLayer(grid, *arrays[3 * k:3 * k + 3], rec["prune_mask"])
                               for k, (grid, rec) in enumerate(zip(grids, layers))])
@@ -661,7 +660,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (ShapeError, CheckpointError, IndexError) as exc:
+    except (ShapeError, CheckpointError) as exc:
         print(f"compatibility error: {exc}", file=sys.stderr)
         return 4
 

@@ -147,9 +147,8 @@ def write_idx(dataset: Dataset, images_path, labels_path,
         fh.write(labels.astype(np.uint8).tobytes())
 
 
-def average_pool(dataset: Dataset, factor: int,
-                 image_shape: tuple[int, int] | None = None) -> Dataset:
-    """Average-pool image rows by an integer factor (desk-scale shrink).
+def average_pool(dataset: Dataset, factor: int) -> Dataset:
+    """Average-pool square image rows by an integer factor (desk-scale shrink).
 
     Pooled pixels are means of [-1, 1] values, so outputs stay in range.
     """
@@ -158,7 +157,7 @@ def average_pool(dataset: Dataset, factor: int,
     if factor == 1:
         return dataset
     n, d = dataset.inputs.shape
-    rows, cols = _image_shape(d, image_shape)
+    rows, cols = _image_shape(d, None)
     if rows % factor or cols % factor:
         raise DataError(f"image shape {(rows, cols)} not poolable by {factor}")
     imgs = dataset.inputs.reshape(n, rows // factor, factor, cols // factor, factor)

@@ -9,16 +9,12 @@ import numpy as np
 
 from .numeric import ShapeError, as_matrix, keep_masks, views
 
-HEADS = ("logits", "scalar")
-
 
 class MlpModel:
     """Affine -> relu per hidden layer, final affine raw. ``weights`` and
     ``biases`` view ``params``, laid out as w0, b0, w1, b1, ... row-major."""
 
-    def __init__(self, weights, biases, head: str = "logits"):
-        if head not in HEADS:
-            raise ValueError(f"head must be one of {HEADS}, got {head!r}")
+    def __init__(self, weights, biases):
         if len(weights) != len(biases) or not weights:
             raise ShapeError("weights and biases must be parallel, non-empty lists")
         weights = [np.asarray(w, dtype=np.float64) for w in weights]
@@ -35,10 +31,9 @@ class MlpModel:
         self.params = np.concatenate([a.ravel() for a in arrays])
         arrays = views(self.params, [a.shape for a in arrays])
         self.weights, self.biases = arrays[0::2], arrays[1::2]
-        self.head = head
 
     @classmethod
-    def create(cls, widths, head: str = "logits", seed: int = 0) -> "MlpModel":
+    def create(cls, widths, seed: int = 0) -> "MlpModel":
         """He-initialized weights, zero biases."""
         if len(widths) < 2:
             raise ValueError("widths must list at least input and output dims")
@@ -46,24 +41,25 @@ class MlpModel:
         weights = [rng.normal(0.0, np.sqrt(2.0 / a), size=(b, a))
                    for a, b in zip(widths, widths[1:])]
         biases = [np.zeros(b) for b in widths[1:]]
-        return cls(weights, biases, head)
+        return cls(weights, biases)
 
     @property
     def widths(self) -> list[int]:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     def forward(self, x) -> np.ndarray:
-        out, _ = self.forward_with_cache(x)
+        """Forward pass of any input, checked finite and 2-D."""
+        out, _ = self.forward_with_cache(as_matrix(x, "mlp input"))
         return out
 
-    def forward_with_cache(self, x):
-        """Forward pass; the cache holds each layer's input, which for a
-        hidden layer is the previous layer's in-place ReLU output."""
-        h = as_matrix(x, "mlp input")
-        if h.shape[1] != self.weights[0].shape[1]:
+    def forward_with_cache(self, x: np.ndarray):
+        """Forward pass of a finite float64 matrix, only its width checked;
+        the cache holds each layer's input, which for a hidden layer is the
+        previous layer's in-place ReLU output."""
+        if x.shape[1] != self.weights[0].shape[1]:
             raise ShapeError(f"mlp expects {self.weights[0].shape[1]} inputs, "
-                             f"got {h.shape[1]}")
-        inputs = []
+                             f"got {x.shape[1]}")
+        h, inputs = x, []
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(h)
             h = h @ w.T
@@ -96,7 +92,7 @@ class MlpModel:
         return self.forward(x)
 
     def copy(self) -> "MlpModel":
-        return MlpModel(self.weights, self.biases, self.head)
+        return MlpModel(self.weights, self.biases)
 
 
 def prune_mlp(model: MlpModel, ratio: float) -> MlpModel:

@@ -14,6 +14,8 @@ import numpy as np
 
 # Floor applied inside log() so a saturated softmax cannot produce -inf.
 LOG_FLOOR = 1e-300
+# Adam's published constants (Kingma & Ba, arXiv 1412.6980).
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
 class ShapeError(ValueError):
@@ -41,7 +43,7 @@ def keep_masks(scores, ratio: float) -> list[np.ndarray]:
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"prune ratio must be in [0, 1], got {ratio}")
     flat = np.concatenate([np.ravel(s) for s in scores])
-    # Tiny epsilon so ratios like 0.3 * 10 hit the mathematical floor.
+    # Tiny tolerance so ratios like 0.3 * 10 hit the mathematical floor.
     n_drop = int(np.floor(ratio * flat.size + 1e-9))
     keep = np.ones(flat.size, dtype=bool)
     keep[np.argsort(flat, kind="stable")[:n_drop]] = False
@@ -106,14 +108,27 @@ def mse_core(pred: np.ndarray, target: np.ndarray):
 
 
 def class_labels(labels, rows: int, classes: int) -> np.ndarray:
-    """``labels`` as int64, checked 1-D, one per row and each in [0, classes)."""
+    """``labels``, whole, >= 0 and one per row, as int64; ShapeError at ``classes``."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != rows:
         raise ShapeError(f"{labels.shape} labels for {rows} rows")
+    if labels.dtype.kind not in "iub" and not np.array_equal(labels, np.trunc(labels)):
+        raise ValueError("class labels must be integers")
     labels = labels.astype(np.int64)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= classes:
-        raise ValueError(f"labels must lie in [0, {classes})")
+    if labels.min(initial=0) < 0:
+        raise ValueError("class labels must be >= 0")
+    if labels.max(initial=0) >= classes:
+        raise ShapeError(f"label {labels.max()} needs more than the {classes} "
+                         "outputs the model has")
     return labels
+
+
+def real_targets(targets, rows: int, width: int) -> np.ndarray:
+    """Finite float64 ``targets`` as a (rows, width) matrix; ShapeError if they do not fit."""
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape[:1] != (rows,) or targets.size != rows * width:
+        raise ShapeError(f"{targets.shape} targets for {rows} rows of {width} outputs")
+    return as_matrix(targets.reshape(rows, width), "targets")
 
 
 def cross_entropy_loss(logits, labels):
@@ -138,13 +153,10 @@ def cross_entropy_core(logits: np.ndarray, labels: np.ndarray):
 
 @dataclass
 class OptimizerState:
-    """Adam hyperparameters plus the first and second moments of one flat
+    """Adam's learning rate plus the first and second moments of one flat
     parameter vector and two scratch vectors, allocated on the first step."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
@@ -152,20 +164,18 @@ class OptimizerState:
                                   compare=False)
 
     def __post_init__(self):
-        if not (0.0 <= self.learning_rate < math.inf and 0.0 <= self.beta1 < 1.0
-                and 0.0 <= self.beta2 < 1.0 and 0.0 < self.epsilon < math.inf):
-            raise ValueError("Adam needs a finite learning_rate >= 0, betas in [0, 1) "
-                             f"and a finite epsilon > 0, got {self}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError("Adam needs a finite learning_rate >= 0, "
+                             f"got {self.learning_rate}")
 
 
-def adam(lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-         epsilon: float = 1e-8) -> OptimizerState:
-    return OptimizerState(learning_rate=lr, beta1=beta1, beta2=beta2,
-                          epsilon=epsilon)
+def adam(lr: float = 1e-3) -> OptimizerState:
+    return OptimizerState(learning_rate=lr)
 
 
 def optimizer_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState):
-    """One bias-corrected Adam step on a flat parameter vector, in place.
+    """One bias-corrected Adam step (BETA1, BETA2, EPSILON) on a flat
+    parameter vector, in place.
 
     Each element keeps the textbook expression order, so how parameters are
     grouped changes no result; the state's two scratch vectors hold every
@@ -179,13 +189,13 @@ def optimizer_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState)
     state.step_count += 1
     m, v, t = state.m, state.v, state.step_count
     a, b = state.scratch
-    m *= state.beta1
-    m += np.multiply(1.0 - state.beta1, grads, out=a)
-    v *= state.beta2
-    v += np.multiply(1.0 - state.beta2, np.square(grads, out=a), out=a)
-    np.divide(m, 1.0 - state.beta1 ** t, out=a)                # m_hat
-    np.sqrt(np.divide(v, 1.0 - state.beta2 ** t, out=b), out=b)  # sqrt(v_hat)
-    b += state.epsilon
+    m *= BETA1
+    m += np.multiply(1.0 - BETA1, grads, out=a)
+    v *= BETA2
+    v += np.multiply(1.0 - BETA2, np.square(grads, out=a), out=a)
+    np.divide(m, 1.0 - BETA1 ** t, out=a)                # m_hat
+    np.sqrt(np.divide(v, 1.0 - BETA2 ** t, out=b), out=b)  # sqrt(v_hat)
+    b += EPSILON
     a *= state.learning_rate
     a /= b
     params -= a

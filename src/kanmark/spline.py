@@ -10,6 +10,7 @@ G + 2k + 1 knots and G + k basis functions. Inputs are clamped to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -33,11 +34,11 @@ class SplineGrid:
 
 def build_grid(degree: int = 3, intervals: int = 5,
                t_min: float = -1.0, t_max: float = 1.0) -> SplineGrid:
-    """Uniform knot vector with k-fold extension on each side."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    if intervals < 1:
-        raise ValueError(f"intervals must be >= 1, got {intervals}")
+    """Uniform knot vector with k-fold extension on each side; ``degree``
+    and ``intervals`` are integers, never bools or floats."""
+    for name, value, least in (("degree", degree, 0), ("intervals", intervals, 1)):
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     if not -np.inf < t_min < t_max < np.inf:
         raise ValueError(f"need finite t_min < t_max, got [{t_min}, {t_max}]")
     h = (t_max - t_min) / intervals

@@ -9,7 +9,8 @@ import numpy as np
 
 from .data import epoch_batches
 from .numeric import (NonFiniteError, as_matrix, class_labels, cross_entropy_core,
-                      cross_entropy_loss, mse_core, mse_loss, optimizer_step)
+                      cross_entropy_loss, mse_core, mse_loss, optimizer_step,
+                      real_targets)
 
 TASKS = ("classification", "regression")
 
@@ -51,8 +52,8 @@ def steps(model, inputs, targets, task: str, epochs: int, opt,
     """Train in place, yielding (epoch, batch inputs, loss) after each step.
 
     The data are checked once, before the first step (ValueError): finite
-    inputs, and labels below the model's output width or finite targets of
-    its output shape. Batches follow a seeded shuffle (``epoch_batches``),
+    inputs, and :func:`class_labels` or :func:`real_targets` of the model's
+    output width. Batches follow a seeded shuffle (``epoch_batches``),
     and a diverging loss raises DivergenceError (:func:`check_divergence`).
     """
     if task not in TASKS:
@@ -60,16 +61,11 @@ def steps(model, inputs, targets, task: str, epochs: int, opt,
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     inputs = as_matrix(inputs, "inputs")
-    targets = np.asarray(targets)
     n, width = inputs.shape[0], model.widths[-1]
     if n == 0:
         raise ValueError("empty training data")
-    if targets.shape[0] != n:
-        raise ValueError("one target per input row required")
-    if task == "classification":
-        targets = class_labels(targets, n, width)
-    else:
-        targets = as_matrix(targets.reshape(n, width), "targets")
+    checked = class_labels if task == "classification" else real_targets
+    targets = checked(targets, n, width)
     rng = np.random.default_rng(seed)
     first = None
     for epoch in range(epochs):
@@ -110,6 +106,6 @@ def evaluate(model, inputs, targets, task: str) -> dict:
         return {"loss": cross_entropy_loss(out, targets)[0],
                 "accuracy": accuracy(out, targets)}
     if task == "regression":
-        target = np.asarray(targets, dtype=np.float64).reshape(out.shape)
-        return {"loss": mse_loss(out, target)[0], "rmse": rmse(out, targets)}
+        target = real_targets(targets, *out.shape)
+        return {"loss": mse_loss(out, target)[0], "rmse": rmse(out, target)}
     raise ValueError(f"unknown task {task!r}")

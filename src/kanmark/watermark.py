@@ -179,7 +179,7 @@ def train_detector(dataset: DetectorDataset, hidden=(64, 32), epochs: int = 50,
     if len(np.unique(dataset.labels)) < 2:
         raise ValueError("detector dataset must contain both classes")
     widths = [dataset.inputs.shape[1], *hidden, 2]
-    detector = MlpModel.create(widths, head="logits", seed=seed)
+    detector = MlpModel.create(widths, seed=seed)
     fit(detector, dataset.inputs, dataset.labels, "classification", epochs,
         adam(lr), batch_size=batch_size, seed=seed)
     return detector

@@ -143,6 +143,14 @@ class TestPruneSweep:
         prune_sweep(kan, mlp, x[200:], y[200:], calibration=x[:64], step=0.5)
         assert np.array_equal(kan.params, snap)
 
+    @pytest.mark.parametrize("step", [0.1, 0.15, 0.25, 0.3, 1 / 3, 0.4, 0.5, 0.7, 1.0])
+    def test_ratios_end_at_one_without_repeats(self, trained_pair, step):
+        kan, mlp, x, y = trained_pair
+        ratios = [row["ratio"] for row in prune_sweep(kan, mlp, x[200:], y[200:],
+                                                      calibration=x[:64], step=step)]
+        assert ratios[0] == 0.0 and ratios[-1] == 1.0
+        assert ratios == sorted(set(ratios))
+
     def test_bad_step(self, trained_pair):
         kan, mlp, x, y = trained_pair
         with pytest.raises(ValueError):

@@ -12,10 +12,18 @@ from kanmark.cli import (SCHEMA, CheckpointError, ConfigError, SeedBundle,
                          save_checkpoint)
 
 
-# A classification run on the 30-image IDX pair that
-# test_user_error_exits_2_and_writes_nothing writes for prune-sweep.
+# A classification run on the 30-image IDX pair of write_classify_idx.
 CLASSIFY = {"task": "classification", "model": {"hidden": 4},
             "dataset": {"kind": "idx", "images": "images.idx", "labels": "labels.idx"}}
+
+
+def write_classify_idx():
+    """Writes images.idx and labels.idx to the working directory: 30 random
+    2x2 byte images with labels 0-9."""
+    rng = np.random.default_rng(0)
+    write_idx(Dataset(2.0 * (rng.integers(0, 256, (30, 4)) / 255.0) - 1.0,
+                      rng.integers(0, 10, 30)),
+              "images.idx", "labels.idx", image_shape=(2, 2))
 
 
 def write_config(path, **overrides):
@@ -190,10 +198,14 @@ class TestCheckpointRoundTrip:
 
     @pytest.mark.parametrize("defect", ["no_grid", "list_root", "mask_entry_2",
                                         "params_8_bytes_short", "params_not_base64",
-                                        "nan_in_params", "widths_disagree_with_params"])
+                                        "nan_in_params", "widths_disagree_with_params",
+                                        "fractional_degree", "boolean_degree"])
     def test_malformed_checkpoint_exit_code(self, tmp_path, defect):
         path = tmp_path / "m.json"
-        save_checkpoint(path, KanModel.create([2, 2], seed=4), "clean", "hash", 1)
+        # a degree-1 grid, so params fit int(1.5) and int(True) basis functions
+        grid = build_grid(1, 5) if defect.endswith("_degree") else build_grid()
+        save_checkpoint(path, KanModel.create([2, 2], grid=grid, seed=4), "clean",
+                        "hash", 1)
         payload = json.loads(path.read_text())
         blob = base64.b64decode(payload["params"])
         if defect == "no_grid":
@@ -210,6 +222,10 @@ class TestCheckpointRoundTrip:
             payload["params"] = base64.b64encode(params.tobytes()).decode()
         elif defect == "widths_disagree_with_params":
             payload["widths"] = [2, 3]
+        elif defect == "fractional_degree":
+            payload["layers"][0]["grid"]["degree"] = 1.5
+        elif defect == "boolean_degree":
+            payload["layers"][0]["grid"]["degree"] = True
         else:
             payload = [payload]
         path.write_text(json.dumps(payload))
@@ -381,6 +397,8 @@ class TestCommands:
         ("prune-sweep", CLASSIFY, ["--step", "0"]),
         ("prune-sweep", CLASSIFY, ["--step", "1.5"]),
         ("prune-sweep", CLASSIFY, ["--step", "nan"]),
+        ("train-clean", {"task": "classification", "model": {"hidden": 4}}, []),
+        ("prune-sweep", {"task": "classification", "model": {"hidden": 4}}, []),
     ], ids=["grid_intervals_0", "grid_degree_negative", "grid_t_min_eq_t_max",
             "negative_train_lr", "negative_stage_lr", "negative_lr_main",
             "negative_lr_wm", "negative_detector_lr", "one_width",
@@ -396,15 +414,13 @@ class TestCommands:
             "scalar_dataset_section", "test_images_without_test_labels",
             "attack_lr_nan_prune", "attack_lr_inf", "attack_lr_negative_prune",
             "attack_ratio_nan_finetune", "prune_sweep_step_0",
-            "prune_sweep_step_above_1", "prune_sweep_step_nan"])
+            "prune_sweep_step_above_1", "prune_sweep_step_nan",
+            "classification_on_feynman", "prune_sweep_classification_on_feynman"])
     def test_user_error_exits_2_and_writes_nothing(self, tmp_path, monkeypatch,
                                                    command, overrides, flags):
         if command == "prune-sweep":  # CLASSIFY names its IDX pair relatively
             monkeypatch.chdir(tmp_path)
-            rng = np.random.default_rng(0)
-            write_idx(Dataset(2.0 * (rng.integers(0, 256, (30, 4)) / 255.0) - 1.0,
-                              rng.integers(0, 10, 30)),
-                      "images.idx", "labels.idx", image_shape=(2, 2))
+            write_classify_idx()
         model = tmp_path / "model.json"
         save_checkpoint(model, KanModel.create([2, 4, 1], seed=0), "clean", "hash", 0)
         detector = tmp_path / "detector.json"
@@ -418,6 +434,27 @@ class TestCommands:
         cfg = write_config(tmp_path / "c.json", **overrides)
         assert main([command, "--config", cfg, "--out", str(out), *ckpt, *flags]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, overrides, flags", [
+        ("train-clean", {"model": {"widths": [2, 5, 3]}}, []),
+        ("embed", {}, ["--clean-ckpt", "wide.json"]),
+        ("attack", {}, ["--wm-ckpt", "wide.json", "--kind", "prune"]),
+        ("train-clean", {**CLASSIFY, "model": {"widths": [4, 3, 5]}}, []),
+        ("prune-sweep", {**CLASSIFY, "model": {"widths": [4, 3, 5]}}, []),
+    ], ids=["regression_3_outputs", "embed_3_output_checkpoint",
+            "prune_attack_3_output_checkpoint", "labels_above_5_outputs",
+            "prune_sweep_labels_above_5_outputs"])
+    def test_output_width_mismatch_exits_4_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys, command, overrides, flags):
+        # one real target per row for 3 outputs, or labels 0-9 for 5 outputs
+        monkeypatch.chdir(tmp_path)
+        write_classify_idx()
+        save_checkpoint("wide.json", KanModel.create([2, 5, 3], seed=0), "clean",
+                        "hash", 0)
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        assert main([command, "--config", cfg, "--out", "runs", *flags]) == 4
+        assert "compatibility error" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("out", ["afile", "afile/x"], ids=["file", "under_file"])
     def test_out_naming_a_file_exits_2_before_loading_data(self, tmp_path, monkeypatch,
@@ -540,8 +577,13 @@ class TestCommands:
         assert np.array_equal(hold.inputs, secondary.inputs[order[10:]])
         assert np.array_equal(hold.targets, secondary.targets[order[10:]])
 
-    def test_mlp_training_and_sweep(self, tmp_path, digits_idx):
-        images, labels = digits_idx
+    def test_mlp_training_and_sweep(self, tmp_path):
+        # 8x8 random-byte images, pooled to 4x4 for the default widths [16, 8, 10]
+        rng = np.random.default_rng(3)
+        images, labels = str(tmp_path / "images-idx3"), str(tmp_path / "labels-idx1")
+        write_idx(Dataset(2.0 * (rng.integers(0, 256, (450, 64)) / 255.0) - 1.0,
+                          rng.integers(0, 10, 450)),
+                  images, labels, image_shape=(8, 8))
         cfg_path = tmp_path / "cls.json"
         cfg_path.write_text(json.dumps({
             "task": "classification",

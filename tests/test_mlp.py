@@ -33,8 +33,6 @@ class TestForward:
         with pytest.raises(ShapeError):
             MlpModel([np.zeros((2, 3)), np.zeros((4, 5))],
                      [np.zeros(2), np.zeros(4)])
-        with pytest.raises(ValueError):
-            MlpModel([np.zeros((2, 3))], [np.zeros(2)], head="softmax")
 
 
 class TestTrainStep:

@@ -27,7 +27,9 @@ class TestBuildGrid:
 
     @pytest.mark.parametrize("args", [(-1, 5, 0, 1), (3, 0, 0, 1), (3, 5, 1, 1),
                                       (3, 5, 2, 1), (3, 5, 0, np.inf),
-                                      (3, 5, -np.inf, 1), (3, 5, np.nan, 1)])
+                                      (3, 5, -np.inf, 1), (3, 5, np.nan, 1),
+                                      (1.5, 5, 0, 1), (True, 5, 0, 1), (3, 5.0, 0, 1),
+                                      (3, True, 0, 1)])
     def test_invalid_arguments(self, args):
         with pytest.raises(ValueError):
             build_grid(*args)

@@ -114,7 +114,7 @@ class TestFit:
             fit(model, np.zeros((4, 2)), np.full(4, 1e200), "regression", 1, adam(1e-3))
 
     @pytest.mark.parametrize("model", [KanModel.create([2, 3, 1], seed=5),
-                                       MlpModel.create([2, 3, 1], head="scalar", seed=5)],
+                                       MlpModel.create([2, 3, 1], seed=5)],
                              ids=["kan", "mlp"])
     def test_non_finite_forward_raises(self, model):
         # a step this large overflows the next forward pass before any batch
@@ -192,7 +192,7 @@ class TestDataCheckedBeforeAnyStep:
     def test_fit_leaves_model_unchanged(self, case, kind):
         x, y, task, width = self.bad_data(case)
         model = (KanModel.create([3, 4, width], seed=18) if kind == "kan"
-                 else MlpModel.create([3, 4, width], head="logits", seed=18))
+                 else MlpModel.create([3, 4, width], seed=18))
         before = model.params.copy()
         opt = adam(1e-2)
         with pytest.raises(ValueError):

@@ -225,7 +225,7 @@ class TestTrainDetector:
     def test_lr_zero_returns_initialization(self):
         ds = self.separable_dataset(n=20)
         det = train_detector(ds, hidden=(8,), epochs=5, lr=0.0, seed=9)
-        init = MlpModel.create([6, 8, 2], head="logits", seed=9)
+        init = MlpModel.create([6, 8, 2], seed=9)
         assert np.array_equal(det.params, init.params)
 
     def test_single_class_rejected(self):
