@@ -79,16 +79,28 @@ class KanLayer:
         ms = self.prune_mask * self.w_s
         return (ms[:, :, None] * self.coeffs).reshape(self.out_dim, -1)
 
+    def prepare(self, x) -> dict:
+        """The parameter-free part of :meth:`forward`: the checked input x,
+        sigmoid(x), silu(x), the basis rows B and the slope function from
+        basis_and_slopes. Row r of each array depends on row r of x alone."""
+        x, sig, s = self._inputs(x)
+        b, slopes = basis_and_slopes(self.grid, x)
+        return {"x": x, "sig": sig, "s": s, "b": b.reshape(x.shape[0], -1),
+                "slopes": slopes}
+
+    def apply(self, prepared: dict) -> tuple[np.ndarray, dict]:
+        """The two GEMMs of :meth:`forward` on a :meth:`prepare` result;
+        returns (outputs, cache-for-backward). Without its "slopes" entry
+        the cache serves only ``backward(need_input_grad=False)``."""
+        w = self._spline_weights()
+        y = prepared["s"] @ (self.prune_mask * self.w_b).T + prepared["b"] @ w.T
+        return y, {**prepared, "w": w}
+
     def forward(self, x) -> tuple[np.ndarray, dict]:
         """Batch forward; returns (outputs, cache-for-backward). The cache
         keeps what backward would otherwise recompute, no array above 2-D:
         sigmoid(x), B, W, and the slope function from basis_and_slopes."""
-        x, sig, s = self._inputs(x)
-        b, slopes = basis_and_slopes(self.grid, x)
-        b = b.reshape(x.shape[0], -1)
-        w = self._spline_weights()
-        y = s @ (self.prune_mask * self.w_b).T + b @ w.T
-        return y, {"x": x, "sig": sig, "s": s, "b": b, "w": w, "slopes": slopes}
+        return self.apply(self.prepare(x))
 
     def backward(self, cache: dict, gy: np.ndarray, need_input_grad: bool = True):
         """Gradients of a scalar loss given upstream d(loss)/d(outputs).
@@ -168,9 +180,13 @@ class KanModel:
 
     def forward_with_cache(self, x):
         """Forward pass keeping per-layer caches for :meth:`backward`;
-        returns (output, caches)."""
-        caches = []
-        for layer in self.layers:
+        returns (output, caches). ``x`` is a batch of model inputs, or layer
+        0's :meth:`KanLayer.prepare` result for one, whose input was checked
+        when it was prepared."""
+        first, *rest = self.layers
+        x, cache = first.apply(x) if isinstance(x, dict) else first.forward(x)
+        caches = [cache]
+        for layer in rest:
             x, cache = layer.forward(x)  # each layer checks its own input
             caches.append(cache)
         return x, caches

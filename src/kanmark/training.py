@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from .data import epoch_batches
+from .kan import KanModel
 from .numeric import (NonFiniteError, as_matrix, class_labels, cross_entropy_core,
                       cross_entropy_loss, mse_core, mse_loss, optimizer_step,
                       real_targets)
@@ -16,6 +17,9 @@ TASKS = ("classification", "regression")
 
 # A batch loss this many times the run's first batch loss counts as diverged.
 DIVERGENCE_FACTOR = 1e6
+# Most bytes of layer-0 arrays (sigmoid, silu and basis rows of every input)
+# that :func:`steps` prepares once per run; above it, it prepares each batch.
+PREPARED_BYTES_MAX = 256 * 2**20
 
 
 class DivergenceError(ValueError):
@@ -31,16 +35,23 @@ def check_divergence(loss: float, first: float) -> None:
                               f"first batch loss {first:.4g}")
 
 
-def train_step(model, x, y, task: str, opt) -> float:
-    """One gradient step of a KanModel or MlpModel on the main-task loss;
-    returns the loss before the step. Raises DivergenceError when the forward
-    pass yields an inf or a nan, in a hidden layer or in the output. The loss
-    core checks nothing, so ``y`` must be as :func:`steps` passes it."""
+def checked_forward(model, x):
+    """``model.forward_with_cache(x)``; raises DivergenceError when it yields
+    an inf or a nan, in a hidden layer or in the output."""
     try:
         out, cache = model.forward_with_cache(x)
         as_matrix(out, "model output")
     except NonFiniteError as exc:
         raise DivergenceError(f"training diverged: {exc}") from exc
+    return out, cache
+
+
+def train_step(model, x, y, task: str, opt) -> float:
+    """One gradient step of a KanModel or MlpModel on the main-task loss;
+    returns the loss before the step. The forward pass is checked
+    (:func:`checked_forward`); the loss core checks nothing, so ``y`` must be
+    as :func:`steps` passes it."""
+    out, cache = checked_forward(model, x)
     core = cross_entropy_core if task == "classification" else mse_core
     loss, g = core(out, y)
     optimizer_step(model.params, model.backward(cache, g), opt)
@@ -49,12 +60,15 @@ def train_step(model, x, y, task: str, opt) -> float:
 
 def steps(model, inputs, targets, task: str, epochs: int, opt,
           batch_size: int = 64, seed: int = 0):
-    """Train in place, yielding (epoch, batch inputs, loss) after each step.
+    """Train in place, yielding (epoch, batch, loss) after each step; the
+    batch is the step's model input from :func:`batch_inputs`.
 
     The data are checked once, before the first step (ValueError): finite
     inputs, and :func:`class_labels` or :func:`real_targets` of the model's
     output width. Batches follow a seeded shuffle (``epoch_batches``),
     and a diverging loss raises DivergenceError (:func:`check_divergence`).
+    After the consumer's last step, the last batch's forward pass is
+    checked again, so the final update is checked too.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
@@ -66,15 +80,33 @@ def steps(model, inputs, targets, task: str, epochs: int, opt,
         raise ValueError("empty training data")
     checked = class_labels if task == "classification" else real_targets
     targets = checked(targets, n, width)
+    gather = batch_inputs(model, inputs)
     rng = np.random.default_rng(seed)
     first = None
     for epoch in range(epochs):
         for idx in epoch_batches(n, batch_size, rng):
-            xb = inputs.take(idx, axis=0)
+            xb = gather(idx)
             loss = train_step(model, xb, targets.take(idx, axis=0), task, opt)
             first = loss if first is None else first
             check_divergence(loss, first)
             yield epoch, xb, loss
+    if first is not None:
+        checked_forward(model, xb)
+
+
+def batch_inputs(model, inputs: np.ndarray):
+    """Function from a batch's row indices to its model input: the rows of
+    ``inputs`` for an MlpModel, layer 0's :meth:`KanLayer.prepare` cache of
+    them for a KanModel. Up to PREPARED_BYTES_MAX that cache is prepared
+    once for all rows, without the slopes layer 0's backward never needs."""
+    if not isinstance(model, KanModel):
+        return lambda idx: inputs.take(idx, axis=0)
+    layer = model.layers[0]
+    if inputs.size * (layer.grid.basis_count + 2) * 8 > PREPARED_BYTES_MAX:
+        return lambda idx: layer.prepare(inputs.take(idx, axis=0))
+    prepared = layer.prepare(inputs)
+    del prepared["slopes"]
+    return lambda idx: {key: a.take(idx, axis=0) for key, a in prepared.items()}
 
 
 def fit(model, inputs, targets, task: str, epochs: int, opt,

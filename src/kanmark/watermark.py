@@ -85,18 +85,22 @@ def default_band(length: int) -> tuple[int, int]:
     return length // 4, min(length // 2, length - 1)
 
 
-def signal_step(model: KanModel, x, signal: PerturbationSignal, opt) -> None:
-    """One gradient step of the first layer's outputs O toward perturb(O).
+def signal_step(model: KanModel, prepared: dict, signal: PerturbationSignal,
+                opt) -> None:
+    """One gradient step of the first layer's outputs O toward perturb(O),
+    given the first layer's prepared cache of the batch
+    (:meth:`KanLayer.prepare`, or the batch that :func:`steps` yields).
 
     The signal loss mse(O, perturb(O)) has the constant residual
     O - perturb(O) = -idct(P) on every row, so its output gradient is
-    -2 idct(P) / (rows * N); the loss itself is the constant ||P||^2 / N and
-    is not returned. Only the first layer's parameters move.
+    -2 idct(P) / (rows * N) and the step needs no forward pass; the loss
+    itself is the constant ||P||^2 / N and is not returned. Only the first
+    layer's parameters move.
     """
     layer = model.layers[0]
-    out, cache = layer.forward(x)
-    g_out = np.broadcast_to(-2.0 * idct(signal.values) / out.size, out.shape)
-    grads, _ = layer.backward(cache, g_out, need_input_grad=False)
+    shape = (prepared["x"].shape[0], layer.out_dim)
+    g_out = np.broadcast_to(-2.0 * idct(signal.values) / np.prod(shape), shape)
+    grads, _ = layer.backward(prepared, g_out, need_input_grad=False)
     optimizer_step(layer.params, grads, opt)
 
 
@@ -109,8 +113,9 @@ def embed(model: KanModel, signal: PerturbationSignal, inputs, targets,
     Per batch: (1) a main-task step on all parameters; (2) a closed-form
     signal step (:func:`signal_step`) on the first layer only. A zero
     signal skips phase 2 entirely, which makes the run bit-identical to
-    plain training under the same seed. A diverging main-task loss raises
-    DivergenceError.
+    plain training under the same seed. A diverging main-task loss, or a
+    forward pass that turns non-finite after any update, the last signal
+    step's included, raises DivergenceError (:func:`steps`).
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -121,10 +126,10 @@ def embed(model: KanModel, signal: PerturbationSignal, inputs, targets,
     opt_main = adam(lr_main)
     opt_wm = adam(lr_main if lr_wm is None else lr_wm)
     active = bool(np.any(signal.values))
-    for _, xb, _ in steps(wm, inputs, targets, task, epochs, opt_main,
-                          batch_size, seed):
+    for _, batch, _ in steps(wm, inputs, targets, task, epochs, opt_main,
+                             batch_size, seed):
         if active:
-            signal_step(wm, xb, signal, opt_wm)
+            signal_step(wm, batch, signal, opt_wm)
     return wm
 
 

@@ -333,6 +333,31 @@ class TestCommands:
                          "--lr", "1e200", "--epochs", "3", "--out", str(out)]) == 2
         assert not out.exists()
 
+    # One batch per epoch, so the only update of each run is its last one.
+    ONE_BATCH = {"dataset": {"kind": "feynman", "formula": "I.12.11", "n": 300,
+                             "fractions": [0.8, 0.1, 0.1]},
+                 "model": {"widths": [2, 4, 1]}}
+
+    def test_diverging_last_update_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", **self.ONE_BATCH,
+                           train={"epochs": 1, "lr": 1e300, "batch_size": 512})
+        out = tmp_path / "runs"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train-clean", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_diverging_last_signal_step_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", **self.ONE_BATCH,
+                           train={"epochs": 1, "lr": 1e-3, "batch_size": 512},
+                           watermark={"epochs": 1, "lr_wm": 1e300})
+        out = tmp_path / "runs"
+        assert main(["train-clean", "--config", cfg, "--out", str(out)]) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["embed", "--config", cfg, "--clean-ckpt",
+                         str(out / "clean-kan.json"), "--out", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["clean-kan.json", "report.jsonl"]
+        assert len((out / "report.jsonl").read_text().splitlines()) == 1
+
     @pytest.mark.parametrize("watermark", [{"alpha": -0.5}, {"band": [3, 1]},
                                            {"epochs": 0}, {"band": [1, 4]},
                                            {"alpha": 0.1, "band": [1, 4]}],

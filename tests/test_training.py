@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kanmark import KanModel, MlpModel, adam, embed, evaluate, fit, gen_signal, mse_loss
-from kanmark import watermark
+from kanmark import kan, training, watermark
 from kanmark.training import DivergenceError
 
 from oracles import assert_grads_close, central_diff, train_ref
@@ -129,17 +129,28 @@ class TestReferenceLoop:
     """fit and embed equal, byte for byte, a plain loop of the checked public
     pieces (``oracles.train_ref``). Batches of 24 leave a short last batch."""
 
-    @pytest.mark.parametrize("kind", ["mlp_detector", "kan_regressor"])
-    def test_fit_matches_reference(self, kind):
+    @pytest.mark.parametrize("kind", ["mlp_detector", "kan_regressor",
+                                      "kan_classifier_masked_layer0",
+                                      "kan_regressor_over_budget"])
+    def test_fit_matches_reference(self, kind, monkeypatch):
+        # A masked layer-0 edge applies at the GEMM, after the run-level
+        # preparation; with a zero budget every batch is prepared on its own.
         rng = np.random.default_rng(11)
         if kind == "mlp_detector":
             model = MlpModel.create([6, 16, 8, 2], seed=12)
             x = rng.normal(size=(100, 6))
             y, task = rng.integers(0, 2, size=100), "classification"
+        elif kind == "kan_classifier_masked_layer0":
+            model = KanModel.create([3, 4, 3], seed=12)
+            model.layers[0].prune_mask[[0, 2, 3], [1, 0, 2]] = 0.0
+            x = rng.uniform(-1.2, 1.2, size=(100, 3))
+            y, task = rng.integers(0, 3, size=100), "classification"
         else:
             model = KanModel.create([3, 4, 1], seed=12)
             x = rng.uniform(-1, 1, size=(100, 3))
             y, task = np.sin(x[:, 0]) * x[:, 1], "regression"
+            if kind == "kan_regressor_over_budget":
+                monkeypatch.setattr(training, "PREPARED_BYTES_MAX", 0)
         reference = model.copy()
         opt = adam(3e-3)
         fit(model, x, y, task, 3, opt, 24, seed=13)
@@ -163,6 +174,51 @@ class TestReferenceLoop:
         train_ref(reference, x, y, task, 2, 3e-3, 24, seed=16, signal=signal, lr_wm=1e-2)
         assert np.array_equal(wm.params, reference.params)
         assert not np.array_equal(wm.params, clean.params)
+
+
+class TestLayerZeroPreparedOncePerRun:
+    """Layer 0's basis rows depend on the inputs alone, so a run evaluates
+    them once, on all rows; the hidden layer's follow each batch, plus once
+    for the forward check after the last step. Embed's signal steps add no
+    evaluation. 100 rows in batches of 24 make 5 batches per epoch."""
+
+    EPOCHS, BATCHES = 3, 5
+
+    def run(self, how, monkeypatch):
+        shapes = []
+        basis_and_slopes = kan.basis_and_slopes
+
+        def counted(grid, x):
+            shapes.append(np.shape(x))
+            return basis_and_slopes(grid, x)
+
+        monkeypatch.setattr(kan, "basis_and_slopes", counted)
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-1, 1, size=(100, 3))
+        y = x[:, 0] * x[:, 1]
+        model = KanModel.create([3, 4, 1], seed=22)
+        if how == "fit":
+            fit(model, x, y, "regression", self.EPOCHS, adam(1e-3), 24, seed=23)
+        else:
+            embed(model, gen_signal(7, 4, (1, 2), 0.5), x, y, "regression",
+                  self.EPOCHS, batch_size=24, seed=23)
+        return shapes
+
+    @pytest.mark.parametrize("how", ["fit", "embed"])
+    def test_layer_zero_basis_once_per_run(self, how, monkeypatch):
+        shapes = self.run(how, monkeypatch)
+        steps = self.EPOCHS * self.BATCHES
+        assert shapes[0] == (100, 3)
+        assert [s[1] for s in shapes[1:]] == [4] * (steps + 1)
+        assert shapes[-1] == (100 % 24, 4)
+
+    @pytest.mark.parametrize("how", ["fit", "embed"])
+    def test_over_budget_prepares_layer_zero_per_batch(self, how, monkeypatch):
+        monkeypatch.setattr(training, "PREPARED_BYTES_MAX", 0)
+        shapes = self.run(how, monkeypatch)
+        steps = self.EPOCHS * self.BATCHES
+        assert [s[1] for s in shapes] == [3, 4] * steps + [4]
+        assert shapes[:2] == [(24, 3), (24, 4)]
 
 
 class TestDataCheckedBeforeAnyStep:

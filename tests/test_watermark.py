@@ -101,7 +101,7 @@ class TestEmbed:
         sig = gen_signal(9, 4, (1, 2), 0.2)
         deeper_before = model.layers[1].params.copy()
         first_before = model.layers[0].params.copy()
-        signal_step(model, x, sig, adam(1e-3))
+        signal_step(model, model.layers[0].prepare(x), sig, adam(1e-3))
         assert np.array_equal(model.layers[1].params, deeper_before)
         assert not np.array_equal(model.layers[0].params, first_before)
 
@@ -123,7 +123,7 @@ class TestEmbed:
         steps = []
         monkeypatch.setattr(watermark, "optimizer_step",
                             lambda params, grads, opt: steps.append((params, grads)))
-        signal_step(model, x, sig, adam(1e-3))
+        signal_step(model, model.layers[0].prepare(x), sig, adam(1e-3))
         [(params, grads)] = steps
         assert params is layer.params
         assert np.linalg.norm(grads - ref) <= 1e-10 * np.linalg.norm(ref)
