@@ -62,9 +62,10 @@ def retrain_after_prune(model: KanModel, inputs, targets, task: str,
 
 
 def check_step(step: float) -> None:
-    """Raises ValueError unless the prune-sweep step lies in (0, 1]."""
-    if not 0 < step <= 1:
-        raise ValueError(f"step must be in (0, 1], got {step}")
+    """Raises ValueError unless the prune-sweep step lies in [0.001, 1], so
+    a sweep evaluates at most 1001 ratios."""
+    if not 0.001 <= step <= 1:
+        raise ValueError(f"step must be in [0.001, 1], got {step}")
 
 
 def prune_sweep(kan_model: KanModel, mlp_model: MlpModel, test_inputs,

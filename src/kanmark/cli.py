@@ -6,10 +6,12 @@ Configs, checkpoints, and reports are JSON (checkpoints carry parameters as
 one base64 string of float64 bytes and are byte-stable across
 save/load/save). Reports are JSON lines appended to <out>/report.jsonl.
 
-Exit codes: 0 success, 2 config error, unusable --out or diverged training
-(nothing is written), 3 data error or an unreadable or damaged report.jsonl
-(a bad line named by number), 4 dimension or checkpoint-compatibility error,
-among them targets that do not fit the model's output width.
+Exit codes: 0 success, 2 config error (a prune-sweep --step outside
+[0.001, 1] among them), unusable --out or diverged training (nothing is
+written), 3 data error or an unreadable or damaged report.jsonl (a bad line
+named by number), 4 dimension or checkpoint-compatibility error, among them
+targets that do not fit the model's output width and a loaded model whose
+activations overflow.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .attacks import ATTACK_KINDS, AttackSpec, check_step, prune_sweep, run_atta
 from .data import DataError, average_pool, gen_feynman, load_idx, split_dataset
 from .kan import KanModel, KanLayer
 from .mlp import MlpModel
-from .numeric import ShapeError, adam, views
+from .numeric import NonFiniteError, ShapeError, adam, views
 from .spline import build_grid
 from .training import TASKS, DivergenceError, evaluate, fit
 from .watermark import (build_detector_dataset, calibrate_amplitude,
@@ -209,10 +211,10 @@ def _check_tau(tau) -> None:
 
 def _constructs(name: str, build):
     """Returns ``build()``; its TypeError or ValueError, other than a
-    ShapeError, becomes a ConfigError."""
+    ShapeError or NonFiniteError, becomes a ConfigError."""
     try:
         return build()
-    except ShapeError:
+    except (ShapeError, NonFiniteError):
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
@@ -660,7 +662,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (ShapeError, CheckpointError) as exc:
+    except (ShapeError, NonFiniteError, CheckpointError) as exc:
         print(f"compatibility error: {exc}", file=sys.stderr)
         return 4
 

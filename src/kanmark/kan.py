@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .numeric import ShapeError, as_matrix, keep_masks, sigmoid, silu_slope, views
-from .spline import SplineGrid, basis_and_slopes, basis_matrix, build_grid
+from .spline import SplineGrid, basis_and_slopes, build_grid
 
 
 class KanLayer:
@@ -66,14 +66,6 @@ class KanLayer:
         w_s = np.ones((out_dim, in_dim))
         return cls(grid, coeffs, w_b, w_s)
 
-    def _inputs(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Checked input, sigmoid(x) and silu(x)."""
-        x = as_matrix(x, "layer input")
-        if x.shape[1] != self.in_dim:
-            raise ShapeError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
-        sig = sigmoid(x)
-        return x, sig, x * sig
-
     def _spline_weights(self) -> np.ndarray:
         """Masked, w_s-scaled coefficients as one (out, in * m) GEMM operand."""
         ms = self.prune_mask * self.w_s
@@ -83,9 +75,12 @@ class KanLayer:
         """The parameter-free part of :meth:`forward`: the checked input x,
         sigmoid(x), silu(x), the basis rows B and the slope function from
         basis_and_slopes. Row r of each array depends on row r of x alone."""
-        x, sig, s = self._inputs(x)
+        x = as_matrix(x, "layer input")
+        if x.shape[1] != self.in_dim:
+            raise ShapeError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
+        sig = sigmoid(x)
         b, slopes = basis_and_slopes(self.grid, x)
-        return {"x": x, "sig": sig, "s": s, "b": b.reshape(x.shape[0], -1),
+        return {"x": x, "sig": sig, "s": x * sig, "b": b.reshape(x.shape[0], -1),
                 "slopes": slopes}
 
     def apply(self, prepared: dict) -> tuple[np.ndarray, dict]:
@@ -132,10 +127,10 @@ class KanLayer:
 
     def per_edge_activations(self, x) -> np.ndarray:
         """All edge outputs for a batch; shape (batch, out_dim, in_dim)."""
-        x, _, s = self._inputs(x)
-        bv = basis_matrix(self.grid, x.ravel()).reshape(x.shape[0], self.in_dim, -1)
+        p = self.prepare(x)
+        bv = p["b"].reshape(p["x"].shape[0], self.in_dim, -1)
         spl = np.einsum("bim,jim->bji", bv, self.coeffs)
-        return self.prune_mask * (self.w_b * s[:, None, :] + self.w_s * spl)
+        return self.prune_mask * (self.w_b * p["s"][:, None, :] + self.w_s * spl)
 
     def copy(self) -> "KanLayer":
         return KanLayer(self.grid, self.coeffs, self.w_b, self.w_s,
@@ -209,30 +204,23 @@ class KanModel:
         return KanModel([layer.copy() for layer in self.layers])
 
 
-def propagate(model: KanModel, x, depth: int) -> np.ndarray:
-    """Activations after the first ``depth`` layers for a batch of model
-    inputs: depth 0 is the input itself, depth k the input of layer k."""
-    if depth == 0:
-        return as_matrix(x, "inputs")
-    for layer in model.layers[:depth]:
-        x, _ = layer.forward(x)  # layer 0 checks the input
-    return x
+def edge_importances(model: KanModel, calibration) -> list[np.ndarray]:
+    """Mean |edge activation| of every layer over a calibration batch of
+    model inputs, one (out_dim, in_dim) array per layer.
 
-
-def edge_importance(model: KanModel, layer_index: int, calibration) -> np.ndarray:
-    """Mean |edge activation| over a calibration batch of model inputs.
-
-    The batch is propagated through preceding layers so importances reflect
-    what the layer actually sees.
+    The batch is checked once and forwarded layer by layer, so each layer
+    is scored on what it actually sees; the last layer's outputs are never
+    computed.
     """
-    calibration = as_matrix(calibration, "calibration")
-    if calibration.shape[0] == 0:
+    h = as_matrix(calibration, "calibration")
+    if h.shape[0] == 0:
         raise ValueError("calibration batch is empty")
-    if not 0 <= layer_index < len(model.layers):
-        raise IndexError(f"layer index {layer_index} out of range")
-    h = propagate(model, calibration, layer_index)
-    acts = model.layers[layer_index].per_edge_activations(h)
-    return np.abs(acts).mean(axis=0)
+    scores = []
+    for k, layer in enumerate(model.layers):
+        if k:
+            h, _ = model.layers[k - 1].forward(h)
+        scores.append(np.abs(layer.per_edge_activations(h)).mean(axis=0))
+    return scores
 
 
 def prune_kan(model: KanModel, ratio: float, calibration) -> KanModel:
@@ -243,8 +231,7 @@ def prune_kan(model: KanModel, ratio: float, calibration) -> KanModel:
     are zeroed (coeffs, w_b, w_s) in addition to masked so a later retrain
     restarts them from 0. Returns a new model; the input is untouched.
     """
-    keeps = keep_masks([edge_importance(model, k, calibration)
-                        for k in range(len(model.layers))], ratio)
+    keeps = keep_masks(edge_importances(model, calibration), ratio)
     pruned = model.copy()
     for layer, keep in zip(pruned.layers, keeps):
         for a in (layer.prune_mask, layer.coeffs, layer.w_b, layer.w_s):

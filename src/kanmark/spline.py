@@ -41,16 +41,23 @@ def build_grid(degree: int = 3, intervals: int = 5,
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     if not -np.inf < t_min < t_max < np.inf:
         raise ValueError(f"need finite t_min < t_max, got [{t_min}, {t_max}]")
+    # The end knots, as Python floats: they overflow quietly, where numpy warns.
     h = (t_max - t_min) / intervals
+    if not -np.inf < t_min - h * degree <= t_min + h * (intervals + degree) < np.inf:
+        raise ValueError(f"[{t_min}, {t_max}] in {intervals} intervals overflows: "
+                         f"spacing {h}, degree {degree}")
     knots = t_min + h * np.arange(-degree, intervals + degree + 1, dtype=np.float64)
+    if not np.all(np.diff(knots) > 0):
+        raise ValueError(f"[{t_min}, {t_max}] is too narrow for {intervals} "
+                         f"intervals: knots coincide at spacing {h}")
     knots.setflags(write=False)
     return SplineGrid(int(degree), int(intervals), float(t_min), float(t_max), knots)
 
 
-def _local_basis(grid: SplineGrid, x: np.ndarray, degree: int):
+def _local_basis(grid: SplineGrid, x: np.ndarray):
     """Knot interval idx of each point clamped to [t_min, t_max], and the
-    B-splines of degrees degree - 1 (empty for degree 0) and degree nonzero
-    on it; values[r] is basis function idx - degree + r of that degree.
+    B-splines of degrees k - 1 (empty for k = 0) and k nonzero on it;
+    values[r] is basis function idx - d + r of that degree d.
 
     Intervals are right-open; a point at the last knot falls into the final
     interval, so the basis stays a partition of unity at t_max without knot
@@ -62,7 +69,7 @@ def _local_basis(grid: SplineGrid, x: np.ndarray, degree: int):
     idx = np.minimum(np.searchsorted(knots, x, side="right") - 1, len(knots) - 2)
     u = (x - knots[idx]) / grid.spacing
     lower, b = [], [np.ones_like(u)]
-    for j in range(1, degree + 1):
+    for j in range(1, grid.degree + 1):
         mid = [(u + (j - r)) * b[r - 1] + (r + 1 - u) * b[r] for r in range(1, j)]
         lower, b = b, [v / j for v in ((1 - u) * b[0], *mid, u * b[j - 1])]
     return idx, lower, b
@@ -80,43 +87,21 @@ def _scatter(idx: np.ndarray, local: list, width: int) -> np.ndarray:
 
 
 def basis_and_slopes(grid: SplineGrid, x):
-    """basis_matrix(grid, x) and a function of no arguments that returns
-    basis_derivative_matrix(grid, x) from the same Cox-de Boor pass: its
-    knot intervals and degree - 1 values, with no second clamp, knot search
-    or recursion."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    idx, lower, b = _local_basis(grid, x, grid.degree)
-    return _scatter(idx, b, grid.basis_count), lambda: _slope_rows(grid, x, idx, lower)
-
-
-def basis_matrix(grid: SplineGrid, x) -> np.ndarray:
-    """Basis values for a 1-D array of points; shape (len(x), basis_count).
-
-    Points are clamped to [t_min, t_max] first.
-    """
-    idx, _, b = _local_basis(grid, np.asarray(x, dtype=np.float64).ravel(), grid.degree)
-    return _scatter(idx, b, grid.basis_count)
-
-
-def _slope_rows(grid: SplineGrid, x: np.ndarray, idx: np.ndarray, lower) -> np.ndarray:
-    """Derivative rows at the unclamped 1-D points x, given their knot
-    intervals and degree - 1 local B-splines from :func:`_local_basis`."""
-    if grid.degree == 0:
-        return np.zeros((x.size, grid.basis_count))
-    scale = ((x >= grid.t_min) & (x <= grid.t_max)) / grid.spacing
-    zero = np.zeros_like(x)
-    return _scatter(idx, [(lo - hi) * scale for lo, hi in zip([zero, *lower], [*lower, zero])],
-                    grid.basis_count)
-
-
-def basis_derivative_matrix(grid: SplineGrid, x) -> np.ndarray:
-    """d/dx of every basis function at each point; shape (len(x), basis_count).
-
-    Uses the degree-lowering formula, which on a uniform grid collapses to
-    (B_{i,k-1} - B_{i+1,k-1}) / h. At a knot the right-limit is returned.
-    Strictly outside [t_min, t_max] the clamped basis is constant, so the
-    derivative is 0 there.
+    """Basis rows of the points of x, flattened and clamped to [t_min, t_max]:
+    shape (x.size, basis_count); and a function of no arguments that returns
+    their d/dx rows from the same Cox-de Boor pass, with no second clamp,
+    knot search or recursion. The slopes follow the degree-lowering formula
+    (B_{i,k-1} - B_{i+1,k-1}) / h on the degree k - 1 values (none at k = 0):
+    the right-limit at a knot, and 0 strictly outside [t_min, t_max], where
+    the clamped basis is constant.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
-    idx, _, lower = _local_basis(grid, x, grid.degree - 1)
-    return _slope_rows(grid, x, idx, lower)
+    idx, lower, b = _local_basis(grid, x)
+
+    def slopes() -> np.ndarray:
+        scale = ((x >= grid.t_min) & (x <= grid.t_max)) / grid.spacing
+        zero = np.zeros_like(x)
+        return _scatter(idx, [(lo - hi) * scale for lo, hi in
+                              zip([zero, *lower], [*lower, zero])], grid.basis_count)
+
+    return _scatter(idx, b, grid.basis_count), slopes

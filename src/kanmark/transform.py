@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numeric import ShapeError
+from .numeric import NonFiniteError, ShapeError
 
 
 @lru_cache(maxsize=None)
@@ -37,7 +37,7 @@ def _signals(x, name: str) -> np.ndarray:
     if x.ndim not in (1, 2) or x.size == 0:
         raise ValueError(f"{name} must be a non-empty vector or 2-D batch of rows")
     if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return x
 
 

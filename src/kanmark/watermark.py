@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kan import KanModel, propagate
+from .kan import KanModel
 from .mlp import MlpModel
 from .numeric import ShapeError, adam, as_matrix, optimizer_step
 from .training import fit, steps
@@ -65,7 +65,7 @@ def gen_signal(key: int, length: int, band, amplitude: float) -> PerturbationSig
 
 def layer_outputs(model: KanModel, x) -> np.ndarray:
     """Outputs of the watermarked (first) layer for a batch of model inputs."""
-    return propagate(model, x, 1)
+    return model.layers[0].forward(x)[0]
 
 
 def calibrate_amplitude(model: KanModel, calibration, band,

@@ -19,7 +19,7 @@ from kanmark.attacks import finetune, prune_sweep, retrain_after_prune
 from kanmark.cli import main as cli_main
 from kanmark.data import Dataset, IdxMagicError, IdxTruncatedError
 from kanmark.numeric import cross_entropy_loss, mse_loss
-from kanmark.spline import basis_matrix, build_grid
+from kanmark.spline import basis_and_slopes, build_grid
 from kanmark.watermark import default_band
 
 from conftest import CLASS_SETUP
@@ -45,7 +45,7 @@ def test_criterion_1_numeric_correctness():
 
     # partition of unity
     grid = build_grid(3, 5, -1.0, 1.0)
-    sums = basis_matrix(grid, rng.uniform(-1, 1, size=2000)).sum(axis=1)
+    sums = basis_and_slopes(grid, rng.uniform(-1, 1, size=2000))[0].sum(axis=1)
     worst_pu = float(np.max(np.abs(sums - 1.0)))
 
     # analytic vs central-difference gradients, KAN and MLP

@@ -5,7 +5,7 @@ from kanmark import (KanModel, MlpModel, adam, evaluate, fit, gen_feynman,
                      prune_kan, prune_mlp)
 from kanmark.attacks import (AttackSpec, finetune, prune_sweep,
                              retrain_after_prune, run_attack)
-from kanmark.kan import edge_importance, lift_prune_masks
+from kanmark.kan import edge_importances, lift_prune_masks
 
 from oracles import prune_ref
 
@@ -215,7 +215,7 @@ class TestPruneOracle:
     @pytest.mark.parametrize("ratio", ORACLE_RATIOS)
     def test_kan_matches_tuple_sort(self, seed, ratio):
         model, calib = tied_kan(seed)
-        scores = [edge_importance(model, k, calib) for k in range(len(model.layers))]
+        scores = edge_importances(model, calib)
         pruned = prune_kan(model, ratio, calib)
         for layer, orig, keep in zip(pruned.layers, model.layers,
                                      prune_ref(scores, ratio)):

@@ -376,6 +376,7 @@ class TestCommands:
         ("train-clean", {"grid": {"intervals": 0}}, []),
         ("train-clean", {"grid": {"degree": -1}}, []),
         ("train-clean", {"grid": {"t_min": 1.0, "t_max": 1.0}}, []),
+        ("train-clean", {"grid": {"t_min": 1e16, "t_max": 1e16 + 2}}, []),
         ("train-clean", {"train": {"epochs": 1, "lr": -1e-3}}, []),
         ("train-clean", {"train": {"epochs": 1, "stages": [[1, -1e-3]]}}, []),
         ("embed", {"watermark": {"epochs": 1, "lr_main": -1e-3}}, []),
@@ -422,9 +423,11 @@ class TestCommands:
         ("prune-sweep", CLASSIFY, ["--step", "0"]),
         ("prune-sweep", CLASSIFY, ["--step", "1.5"]),
         ("prune-sweep", CLASSIFY, ["--step", "nan"]),
+        ("prune-sweep", CLASSIFY, ["--step", "1e-12"]),
         ("train-clean", {"task": "classification", "model": {"hidden": 4}}, []),
         ("prune-sweep", {"task": "classification", "model": {"hidden": 4}}, []),
     ], ids=["grid_intervals_0", "grid_degree_negative", "grid_t_min_eq_t_max",
+            "grid_knots_coincide",
             "negative_train_lr", "negative_stage_lr", "negative_lr_main",
             "negative_lr_wm", "negative_detector_lr", "one_width",
             "negative_n_shuffles", "zero_n_samples", "negative_attack_epochs_flag",
@@ -439,7 +442,7 @@ class TestCommands:
             "scalar_dataset_section", "test_images_without_test_labels",
             "attack_lr_nan_prune", "attack_lr_inf", "attack_lr_negative_prune",
             "attack_ratio_nan_finetune", "prune_sweep_step_0",
-            "prune_sweep_step_above_1", "prune_sweep_step_nan",
+            "prune_sweep_step_above_1", "prune_sweep_step_nan", "prune_sweep_step_1e-12",
             "classification_on_feynman", "prune_sweep_classification_on_feynman"])
     def test_user_error_exits_2_and_writes_nothing(self, tmp_path, monkeypatch,
                                                    command, overrides, flags):
@@ -572,6 +575,49 @@ class TestCommands:
         assert main(["verify", "--config", write_config(tmp_path / "c.json"),
                      "--detector-ckpt", str(detector), "--suspect-ckpt", str(model),
                      "--out", str(out)]) == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "attack", "embed"])
+    def test_overflowing_model_exits_4_and_writes_nothing(self, tmp_path, capsys,
+                                                          command):
+        # finite parameters whose layer-0 activations overflow
+        model = KanModel.create([2, 4, 1], seed=0)
+        model.params *= 1e306
+        suspect = tmp_path / "model.json"
+        save_checkpoint(suspect, model, "watermarked", "hash", 0)
+        detector = tmp_path / "detector.json"
+        save_checkpoint(detector, MlpModel.create([4, 8, 2], seed=0), "detector",
+                        "hash", 0)
+        flags = {"verify": ["--detector-ckpt", str(detector), "--suspect-ckpt",
+                            str(suspect)],
+                 "attack": ["--wm-ckpt", str(suspect), "--kind", "prune"],
+                 "embed": ["--clean-ckpt", str(suspect)]}[command]
+        out = tmp_path / "runs"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([command, "--config", write_config(tmp_path / "c.json"),
+                         "--out", str(out), *flags]) == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_span_that_overflows(self, tmp_path, capsys):
+        span = {"t_min": -1e308, "t_max": 1e308}
+        cfg = write_config(tmp_path / "c.json", grid=span)
+        out = tmp_path / "runs"
+        assert main(["train-clean", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: grid: " in capsys.readouterr().err
+        # the same span in a checkpoint's grid record
+        suspect = tmp_path / "model.json"
+        save_checkpoint(suspect, KanModel.create([2, 4, 1], seed=0), "clean", "hash", 0)
+        payload = json.loads(suspect.read_text())
+        payload["layers"][0]["grid"].update(span)
+        suspect.write_text(json.dumps(payload))
+        detector = tmp_path / "detector.json"
+        save_checkpoint(detector, MlpModel.create([4, 8, 2], seed=0), "detector",
+                        "hash", 0)
+        assert main(["verify", "--config", write_config(tmp_path / "c.json"),
+                     "--detector-ckpt", str(detector), "--suspect-ckpt", str(suspect),
+                     "--out", str(out)]) == 4
+        assert "is malformed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_separate_test_files_split_into_test_and_holdout(self, tmp_path):

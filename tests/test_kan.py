@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from kanmark.kan import (KanLayer, KanModel, edge_importance, lift_prune_masks,
+from kanmark.kan import (KanLayer, KanModel, edge_importances, lift_prune_masks,
                          prune_kan)
 from kanmark.numeric import (NonFiniteError, ShapeError, mse_loss, sigmoid, silu,
                              silu_slope)
-from kanmark.spline import basis_derivative_matrix, build_grid
+from kanmark.spline import basis_and_slopes, build_grid
 
 from oracles import (assert_grads_close, central_diff, edge_activation_ref,
                      kan_forward_ref, layer_forward_ref, silu_ref)
@@ -244,7 +244,7 @@ class TestModelBackward:
         gy = rng.normal(size=out.shape)
         _, gx = layer.backward(cache, gy)
         w = (layer.prune_mask * layer.w_s)[:, :, None] * layer.coeffs
-        db = basis_derivative_matrix(grid, x.ravel())
+        db = basis_and_slopes(grid, x.ravel())[1]()
         ref = silu_slope(x, sigmoid(x)) * (gy @ (layer.prune_mask * layer.w_b)) \
             + ((gy @ w.reshape(2, -1)).reshape(db.shape) * db).sum(axis=-1).reshape(x.shape)
         assert np.array_equal(gx, ref)
@@ -259,40 +259,54 @@ class TestModelBackward:
             model.backward(None, np.zeros((4, 2)))
 
 
+def assert_importances_match(layer, h, imp):
+    """imp[j, i] is the mean |activation| of edge (j, i) over the rows of the
+    layer input h, by the scalar oracle, within 1e-12."""
+    for j in range(layer.out_dim):
+        for i in range(layer.in_dim):
+            ref = np.mean([abs(edge_activation_ref(layer, j, i, row[i])) for row in h])
+            assert imp[j, i] == pytest.approx(ref, abs=1e-12)
+
+
 class TestEdgeImportance:
     def test_zeroed_edge_importance(self):
         model = random_model([2, 2], seed=21)
         model.layers[0].prune_mask[0, 1] = 0.0
-        imp = edge_importance(model, 0, np.random.default_rng(0).normal(size=(8, 2)))
+        imp, = edge_importances(model, np.random.default_rng(0).normal(size=(8, 2)))
         assert imp[0, 1] == 0.0
 
     def test_silu_edge_on_unit_inputs(self):
         model = KanModel.create([1, 1], seed=22)
         model.layers[0].w_b[:] = 1.0
         model.layers[0].w_s[:] = 0.0
-        imp = edge_importance(model, 0, np.ones((4, 1)))
+        imp, = edge_importances(model, np.ones((4, 1)))
         assert imp[0, 0] == pytest.approx(0.7310586, abs=1e-7)
 
     def test_matches_loop_oracle(self):
         model = random_model([3, 2], seed=23)
         calib = np.random.default_rng(1).uniform(-1, 1, size=(6, 3))
-        imp = edge_importance(model, 0, calib)
-        layer = model.layers[0]
-        for j in range(2):
-            for i in range(3):
-                ref = np.mean([abs(edge_activation_ref(layer, j, i, calib[b, i]))
-                               for b in range(6)])
-                assert imp[j, i] == pytest.approx(ref, abs=1e-12)
+        imp, = edge_importances(model, calib)
+        assert_importances_match(model.layers[0], calib, imp)
+
+    def test_deeper_layer_scored_on_its_input(self):
+        model = random_model([3, 4, 2], seed=27)
+        calib = np.random.default_rng(2).uniform(-1.2, 1.2, size=(6, 3))
+        first, second = edge_importances(model, calib)
+        assert first.shape == (4, 3) and second.shape == (2, 4)
+        assert_importances_match(model.layers[0], calib, first)
+        assert_importances_match(model.layers[1],
+                                 layer_forward_ref(model.layers[0], calib), second)
+
+    def test_last_layer_never_forwarded(self, monkeypatch):
+        model = random_model([3, 4, 2], seed=28)
+        last = model.layers[-1]
+        monkeypatch.setattr(last, "forward", lambda x: pytest.fail("forwarded"))
+        edge_importances(model, np.zeros((4, 3)))
 
     def test_empty_batch_rejected(self):
         model = random_model([2, 2], seed=24)
         with pytest.raises(ValueError):
-            edge_importance(model, 0, np.zeros((0, 2)))
-
-    def test_layer_index_out_of_range(self):
-        model = random_model([2, 2], seed=25)
-        with pytest.raises(IndexError):
-            edge_importance(model, 1, np.zeros((4, 2)))
+            edge_importances(model, np.zeros((0, 2)))
 
 
 class TestPruneKan:

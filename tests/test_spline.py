@@ -3,9 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kanmark.spline import basis_derivative_matrix, basis_matrix, build_grid
+from kanmark.spline import basis_and_slopes, build_grid
 
 from oracles import basis_derivative_naive, basis_vector_naive
+
+
+def basis_rows(grid, x):
+    return basis_and_slopes(grid, x)[0]
+
+
+def slope_rows(grid, x):
+    return basis_and_slopes(grid, x)[1]()
 
 
 class TestBuildGrid:
@@ -34,17 +42,32 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(*args)
 
+    @pytest.mark.parametrize("args", [(3, 5, -1e308, 1e308), (0, 5, -1e308, 1e308),
+                                      (3, 1, 0.0, 1.7e308), (2, 4, -1.7e308, 0.0),
+                                      (3, 5, 1e16, 1e16 + 2)],
+                             ids=["spacing_overflows", "spacing_overflows_degree_0",
+                                  "top_knot_overflows", "bottom_knot_overflows",
+                                  "knots_coincide"])
+    def test_span_whose_knots_overflow_or_coincide(self, args):
+        # No RuntimeWarning either: the suite turns one into an error.
+        with pytest.raises(ValueError, match="overflows|coincide"):
+            build_grid(*args)
+
+    def test_wide_finite_span_accepted(self):
+        grid = build_grid(3, 5, -1e307, 1e307)
+        assert np.all(np.isfinite(grid.knots)) and np.all(np.diff(grid.knots) > 0)
+
 
 class TestBasisValues:
     def test_degree_zero_indicator(self):
         grid = build_grid(0, 2, 0.0, 1.0)
-        assert np.allclose(basis_matrix(grid, [0.25])[0], [1.0, 0.0])
-        assert np.allclose(basis_matrix(grid, [0.75])[0], [0.0, 1.0])
+        assert np.allclose(basis_rows(grid, [0.25])[0], [1.0, 0.0])
+        assert np.allclose(basis_rows(grid, [0.75])[0], [0.0, 1.0])
 
     def test_partition_of_unity(self):
         grid = build_grid(3, 5, -1.0, 1.0)
         xs = np.random.default_rng(0).uniform(-1, 1, size=1000)
-        sums = basis_matrix(grid, xs).sum(axis=1)
+        sums = basis_rows(grid, xs).sum(axis=1)
         assert np.all(np.abs(sums - 1.0) < 1e-9)
 
     @given(degree=st.integers(0, 4), intervals=st.integers(1, 9),
@@ -53,44 +76,44 @@ class TestBasisValues:
     def test_partition_of_unity_any_grid(self, degree, intervals, u):
         grid = build_grid(degree, intervals, -2.0, 3.0)
         x = -2.0 + 5.0 * u
-        assert abs(basis_matrix(grid, [x])[0].sum() - 1.0) < 1e-9
+        assert abs(basis_rows(grid, [x])[0].sum() - 1.0) < 1e-9
 
     def test_range_and_locality(self):
         grid = build_grid(3, 5, -1.0, 1.0)
         xs = np.random.default_rng(1).uniform(-1, 1, size=200)
-        vals = basis_matrix(grid, xs)
+        vals = basis_rows(grid, xs)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         assert np.all((vals > 0).sum(axis=1) <= grid.degree + 1)
 
     def test_matches_recursive_oracle(self):
         grid = build_grid(3, 5, -1.0, 1.0)
         for x in np.random.default_rng(2).uniform(-1, 1, size=25):
-            assert np.allclose(basis_matrix(grid, [x])[0],
+            assert np.allclose(basis_rows(grid, [x])[0],
                                basis_vector_naive(grid, x), atol=1e-12)
-        assert np.allclose(basis_matrix(grid, [0.1])[0],
+        assert np.allclose(basis_rows(grid, [0.1])[0],
                            basis_vector_naive(grid, 0.1), atol=1e-12)
 
     def test_clamping_is_exact(self):
         grid = build_grid(3, 5, -1.0, 1.0)
-        assert np.array_equal(basis_matrix(grid, [3.7, -9.0]), basis_matrix(grid, [1.0, -1.0]))
+        assert np.array_equal(basis_rows(grid, [3.7, -9.0]), basis_rows(grid, [1.0, -1.0]))
 
     def test_partition_holds_at_boundaries(self):
         for degree in (0, 1, 3):
             grid = build_grid(degree, 4, -1.0, 1.0)
-            assert basis_matrix(grid, [-1.0])[0].sum() == pytest.approx(1.0, abs=1e-12)
-            assert basis_matrix(grid, [1.0])[0].sum() == pytest.approx(1.0, abs=1e-12)
+            assert basis_rows(grid, [-1.0])[0].sum() == pytest.approx(1.0, abs=1e-12)
+            assert basis_rows(grid, [1.0])[0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBasisDerivatives:
     def test_sum_is_zero(self):
         grid = build_grid(3, 5, -1.0, 1.0)
         xs = np.random.default_rng(3).uniform(-1, 1, size=500)
-        sums = basis_derivative_matrix(grid, xs).sum(axis=1)
+        sums = slope_rows(grid, xs).sum(axis=1)
         assert np.all(np.abs(sums) < 1e-9)
 
     def test_hat_function_slopes(self):
         grid = build_grid(1, 2, 0.0, 1.0)
-        d = basis_derivative_matrix(grid, [0.25])[0]
+        d = slope_rows(grid, [0.25])[0]
         # hat centered at 0: falling at 1/spacing; hat centered at 0.5: rising
         assert d[0] == pytest.approx(-2.0, rel=1e-12)
         assert d[1] == pytest.approx(2.0, rel=1e-12)
@@ -103,19 +126,19 @@ class TestBasisDerivatives:
         for x in rng.uniform(-0.95, 0.95, size=30):
             if np.min(np.abs(grid.knots - x)) < 1e-3:
                 continue
-            fd = (basis_matrix(grid, [x + h])[0] - basis_matrix(grid, [x - h])[0]) / (2 * h)
-            d = basis_derivative_matrix(grid, [x])[0]
+            fd = (basis_rows(grid, [x + h])[0] - basis_rows(grid, [x - h])[0]) / (2 * h)
+            d = slope_rows(grid, [x])[0]
             err = np.abs(d - fd) / np.maximum(np.abs(fd), 1.0)
             assert err.max() < 1e-5
 
     def test_degree_zero_is_flat(self):
         grid = build_grid(0, 3, 0.0, 1.0)
-        assert np.all(basis_derivative_matrix(grid, [0.1, 0.5, 0.9]) == 0.0)
+        assert np.all(slope_rows(grid, [0.1, 0.5, 0.9]) == 0.0)
 
     def test_outside_domain_is_zero(self):
         grid = build_grid(3, 5, -1.0, 1.0)
-        assert np.all(basis_derivative_matrix(grid, [2.5])[0] == 0.0)
-        assert np.all(basis_derivative_matrix(grid, [-1.5])[0] == 0.0)
+        assert np.all(slope_rows(grid, [2.5])[0] == 0.0)
+        assert np.all(slope_rows(grid, [-1.5])[0] == 0.0)
 
 
 @pytest.mark.parametrize("degree", range(5))
@@ -127,7 +150,7 @@ def test_local_basis_matches_oracles_at_knots_and_edges(degree, intervals):
     xs = np.concatenate([grid.knots, [grid.t_min, grid.t_max, grid.t_min - 1e-12,
                                       grid.t_max + 1e-12, grid.t_min + 1e-12,
                                       grid.t_max - 1e-12]])
-    values, derivatives = basis_matrix(grid, xs), basis_derivative_matrix(grid, xs)
+    values, derivatives = basis_rows(grid, xs), slope_rows(grid, xs)
     for x, got, dgot in zip(xs, values, derivatives):
         want = basis_vector_naive(grid, x)
         if degree == 0 and x >= grid.t_max:  # the last knot joins the final interval
