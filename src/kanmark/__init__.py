@@ -6,7 +6,7 @@ from .numeric import (OptimizerState, ShapeError, adam, cross_entropy_loss,
                       mse_loss, optimizer_step, silu, softmax)
 from .spline import SplineGrid, basis_and_slopes, build_grid
 from .transform import dct, idct, perturb
-from .kan import KanLayer, KanModel, edge_importances, lift_prune_masks, prune_kan
+from .kan import KanLayer, KanModel, edge_importances, prune_kan
 from .mlp import MlpModel, prune_mlp
 from .training import evaluate, fit
 from .data import (FEYNMAN, Dataset, DataError, FeynmanFormula, average_pool,

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kan import KanModel, lift_prune_masks, prune_kan
+from .kan import KanModel, edge_importances, prune_kan, zero_edges
 from .mlp import MlpModel, prune_mlp
-from .numeric import adam
+from .numeric import adam, keep_masks
 from .training import evaluate, fit
 
 SMALL_LR = 1e-3
@@ -53,10 +53,9 @@ def retrain_after_prune(model: KanModel, inputs, targets, task: str,
                         ratio: float = 0.6, lr: float = SMALL_LR,
                         epochs: int = 8, *, calibration,
                         seed: int = 0) -> KanModel:
-    """Prune (``calibration`` ranks the edges, see :func:`prune_kan`), lift
-    the masks so zeroed edges are trainable again, then continue main-task
-    training."""
-    attacked = lift_prune_masks(prune_kan(model, ratio, calibration))
+    """Prune (``calibration`` ranks the edges, see :func:`prune_kan`), then
+    continue main-task training."""
+    attacked = prune_kan(model, ratio, calibration)
     fit(attacked, inputs, targets, task, epochs, adam(lr), seed=seed)
     return attacked
 
@@ -71,14 +70,16 @@ def check_step(step: float) -> None:
 def prune_sweep(kan_model: KanModel, mlp_model: MlpModel, test_inputs,
                 test_labels, calibration, step: float = 0.1) -> list[dict]:
     """Evaluate both models at prune ratios 0, step, ..., 1, each pruned
-    fresh from the original trained model."""
+    fresh from the original trained model. The KAN's edges are ranked once,
+    as :func:`prune_kan` ranks them."""
     check_step(step)
     count = int(np.ceil(1.0 / step - 1e-9))  # 1 / (1/3) is 3.0000000000000004
     ratios = np.round(np.arange(count + 1) * step, 10)
+    scores = edge_importances(kan_model, calibration)
     rows = []
     for ratio in ratios:
         r = float(min(ratio, 1.0))
-        kan_eval = evaluate(prune_kan(kan_model, r, calibration),
+        kan_eval = evaluate(zero_edges(kan_model.copy(), keep_masks(scores, r)),
                             test_inputs, test_labels, "classification")
         mlp_eval = evaluate(prune_mlp(mlp_model, r),
                             test_inputs, test_labels, "classification")

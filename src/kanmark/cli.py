@@ -30,7 +30,7 @@ import numpy as np
 
 from .attacks import ATTACK_KINDS, AttackSpec, check_step, prune_sweep, run_attack
 from .data import DataError, average_pool, gen_feynman, load_idx, split_dataset
-from .kan import KanModel, KanLayer
+from .kan import KanModel, KanLayer, zero_edges
 from .mlp import MlpModel
 from .numeric import NonFiniteError, ShapeError, adam, views
 from .spline import build_grid
@@ -39,7 +39,7 @@ from .watermark import (build_detector_dataset, calibrate_amplitude,
                         default_band, embed, gen_signal, train_detector,
                         verify)
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # Byte layout of a checkpoint's params blob: little-endian float64.
 PARAMS_DTYPE = "<f8"
 
@@ -316,9 +316,7 @@ def save_checkpoint(path, model, stage: str, cfg_hash: str, seed: int,
                   .decode("ascii"),
     }
     if isinstance(model, KanModel):
-        payload["layers"] = [{"grid": _grid_to_dict(layer.grid),
-                              "prune_mask": layer.prune_mask.astype(int).tolist()}
-                             for layer in model.layers]
+        payload["layers"] = [{"grid": _grid_to_dict(layer.grid)} for layer in model.layers]
     if extra:
         payload["extra"] = extra
     Path(path).write_text(canonical_json(payload), encoding="utf-8")
@@ -336,9 +334,9 @@ def load_checkpoint(path):
     # (a bad base64 string raises binascii.Error, a ValueError).
     try:
         version = payload.get("format_version")
-        if version != FORMAT_VERSION:
+        if version not in (2, FORMAT_VERSION):
             raise CheckpointError(f"checkpoint {path}: format_version {version}, "
-                                  f"expected {FORMAT_VERSION}")
+                                  f"expected 2 or {FORMAT_VERSION}")
         kind = payload.get("kind")
         if kind not in ("kan", "mlp"):
             raise CheckpointError(f"checkpoint {path}: unknown kind {kind!r}")
@@ -362,8 +360,14 @@ def load_checkpoint(path):
         if kind == "mlp":
             model = MlpModel(arrays[0::2], arrays[1::2])
         else:
-            model = KanModel([KanLayer(grid, *arrays[3 * k:3 * k + 3], rec["prune_mask"])
-                              for k, (grid, rec) in enumerate(zip(grids, layers))])
+            model = KanModel([KanLayer(grid, *arrays[3 * k:3 * k + 3])
+                              for k, grid in enumerate(grids)])
+            if version == 2:  # format 2 also held a 0/1 prune_mask per layer
+                masks = [np.asarray(rec["prune_mask"], dtype=np.float64) for rec in layers]
+                if any(m.shape != e or np.any((m != 0) & (m != 1))
+                       for m, e in zip(masks, edges)):
+                    raise ValueError("prune_mask must be a 0/1 (out, in) array")
+                zero_edges(model, [m == 1 for m in masks])
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} is malformed: "
                               f"{type(exc).__name__}: {exc}") from exc
@@ -415,11 +419,7 @@ def _main_metric(metrics: dict, task: str) -> tuple[float, str]:
 # commands
 
 def _setup(args):
-    """(config, seed bundle, (train, test, holdout)) of a command; raises
-    ConfigError first if ``--out`` cannot be a directory."""
-    out = Path(args.out)
-    if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
-        raise ConfigError(f"--out {out} is not a directory and cannot become one")
+    """(config, seed bundle, (train, test, holdout)) of a command."""
     cfg = load_config(args.config, args.seed)
     bundle = SeedBundle(cfg["seed"])
     return cfg, bundle, resolve_dataset(cfg, bundle)
@@ -560,7 +560,7 @@ def cmd_prune_sweep(args) -> int:
     (out / "prune_sweep.json").write_text(canonical_json(rows), encoding="utf-8")
     print(f"{'ratio':>6} {'mlp loss':>9} {'mlp acc':>8} {'kan loss':>9} {'kan acc':>8}")
     for row in rows:
-        print(f"{row['ratio']:6.1f} {row['mlp_loss']:9.4f} "
+        print(f"{row['ratio']:>6} {row['mlp_loss']:9.4f} "
               f"{100 * row['mlp_accuracy']:7.2f}% {row['kan_loss']:9.4f} "
               f"{100 * row['kan_accuracy']:7.2f}%")
     return 0
@@ -652,6 +652,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out = Path(args.out)  # every command's --out, checked before anything runs
+        if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
+            raise ConfigError(f"--out {out} is not a directory and cannot become one")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

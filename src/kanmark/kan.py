@@ -16,12 +16,13 @@ class KanLayer:
 
     Edge (j, i) computes
         phi(x) = w_b[j,i] * silu(x) + w_s[j,i] * sum_m coeffs[j,i,m] * B_m(x)
-    and node j outputs the sum of its incoming edges. ``prune_mask`` zeroes
-    edges individually: a masked edge contributes exactly 0 to the forward
-    pass and receives zero gradient.
+    and node j outputs the sum of its incoming edges. A pruned edge has zero
+    coeffs[j,i,:], w_b[j,i] and w_s[j,i] (:func:`zero_edges`), as a pruned
+    MLP weight is zero. Training may regrow its w_b; its coeffs and w_s stay
+    0, because each one's gradient is a multiple of the other.
     """
 
-    def __init__(self, grid: SplineGrid, coeffs, w_b, w_s, prune_mask=None):
+    def __init__(self, grid: SplineGrid, coeffs, w_b, w_s):
         coeffs = np.asarray(coeffs, dtype=np.float64)
         if coeffs.ndim != 3:
             raise ShapeError(f"coeffs must be 3-D, got shape {coeffs.shape}")
@@ -32,18 +33,10 @@ class KanLayer:
         w_s = np.asarray(w_s, dtype=np.float64)
         if w_b.shape != (out_dim, in_dim) or w_s.shape != (out_dim, in_dim):
             raise ShapeError("w_b / w_s must be (out_dim, in_dim)")
-        if prune_mask is None:
-            prune_mask = np.ones((out_dim, in_dim))
-        prune_mask = np.asarray(prune_mask, dtype=np.float64)
-        if prune_mask.shape != (out_dim, in_dim):
-            raise ShapeError("prune_mask must be (out_dim, in_dim)")
-        if not np.all((prune_mask == 0.0) | (prune_mask == 1.0)):
-            raise ValueError("prune_mask entries must be 0 or 1")
         for name, a in (("coeffs", coeffs), ("w_b", w_b), ("w_s", w_s)):
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} contains non-finite entries")
         self.grid = grid
-        self.prune_mask = prune_mask
         self.in_dim = in_dim
         self.out_dim = out_dim
         self._bind(np.concatenate([coeffs.ravel(), w_b.ravel(), w_s.ravel()]))
@@ -67,9 +60,8 @@ class KanLayer:
         return cls(grid, coeffs, w_b, w_s)
 
     def _spline_weights(self) -> np.ndarray:
-        """Masked, w_s-scaled coefficients as one (out, in * m) GEMM operand."""
-        ms = self.prune_mask * self.w_s
-        return (ms[:, :, None] * self.coeffs).reshape(self.out_dim, -1)
+        """w_s-scaled coefficients as one (out, in * m) GEMM operand."""
+        return (self.w_s[:, :, None] * self.coeffs).reshape(self.out_dim, -1)
 
     def prepare(self, x) -> dict:
         """The parameter-free part of :meth:`forward`: the checked input x,
@@ -88,7 +80,7 @@ class KanLayer:
         returns (outputs, cache-for-backward). Without its "slopes" entry
         the cache serves only ``backward(need_input_grad=False)``."""
         w = self._spline_weights()
-        y = prepared["s"] @ (self.prune_mask * self.w_b).T + prepared["b"] @ w.T
+        y = prepared["s"] @ self.w_b.T + prepared["b"] @ w.T
         return y, {**prepared, "w": w}
 
     def forward(self, x) -> tuple[np.ndarray, dict]:
@@ -102,8 +94,8 @@ class KanLayer:
 
         Returns (d_params laid out like ``params``, d_inputs). ``d_inputs``
         is None when ``need_input_grad`` is False (first layer of a model).
-        The cache holds values of the parameters and masks that forward saw,
-        so change neither between the two calls.
+        The cache holds values of the parameters that forward saw, so do not
+        change them between the two calls.
         """
         if cache is None or "x" not in cache:
             raise ValueError("missing forward cache")
@@ -112,17 +104,16 @@ class KanLayer:
         if gy.shape != (x.shape[0], self.out_dim):
             raise ShapeError(f"upstream grad shape {gy.shape} does not match "
                              f"cached batch ({x.shape[0]}, {self.out_dim})")
-        mask = self.prune_mask
         g = (gy.T @ b).reshape(self.coeffs.shape)
-        g_coeffs = (mask * self.w_s)[:, :, None] * g
-        g_ws = mask * (g * self.coeffs).sum(axis=-1)
+        g_coeffs = self.w_s[:, :, None] * g
+        g_ws = (g * self.coeffs).sum(axis=-1)
         gx = None
         if need_input_grad:
             db = cache["slopes"]()
             gb = (gy @ cache["w"]).reshape(db.shape)
-            gx = silu_slope(x, sig) * (gy @ (mask * self.w_b)) \
+            gx = silu_slope(x, sig) * (gy @ self.w_b) \
                 + (gb * db).sum(axis=-1).reshape(x.shape)
-        grads = [g_coeffs, mask * (gy.T @ s), g_ws]
+        grads = [g_coeffs, gy.T @ s, g_ws]
         return np.concatenate([a.ravel() for a in grads]), gx
 
     def per_edge_activations(self, x) -> np.ndarray:
@@ -130,11 +121,10 @@ class KanLayer:
         p = self.prepare(x)
         bv = p["b"].reshape(p["x"].shape[0], self.in_dim, -1)
         spl = np.einsum("bim,jim->bji", bv, self.coeffs)
-        return self.prune_mask * (self.w_b * p["s"][:, None, :] + self.w_s * spl)
+        return self.w_b * p["s"][:, None, :] + self.w_s * spl
 
     def copy(self) -> "KanLayer":
-        return KanLayer(self.grid, self.coeffs, self.w_b, self.w_s,
-                        self.prune_mask.copy())
+        return KanLayer(self.grid, self.coeffs, self.w_b, self.w_s)
 
 
 class KanModel:
@@ -223,24 +213,19 @@ def edge_importances(model: KanModel, calibration) -> list[np.ndarray]:
     return scores
 
 
-def prune_kan(model: KanModel, ratio: float, calibration) -> KanModel:
-    """Mask the globally least-important floor(ratio * edge_count) edges.
-
-    Edges are ranked ascending by mean |activation| across all layers, ties
-    broken by (layer, output, input) order (:func:`keep_masks`). Pruned edges
-    are zeroed (coeffs, w_b, w_s) in addition to masked so a later retrain
-    restarts them from 0. Returns a new model; the input is untouched.
-    """
-    keeps = keep_masks(edge_importances(model, calibration), ratio)
-    pruned = model.copy()
-    for layer, keep in zip(pruned.layers, keeps):
-        for a in (layer.prune_mask, layer.coeffs, layer.w_b, layer.w_s):
+def zero_edges(model: KanModel, keeps) -> KanModel:
+    """Prune ``model`` in place: zero coeffs, w_b and w_s of each edge that
+    ``keeps`` (one boolean (out_dim, in_dim) array per layer) marks False."""
+    for layer, keep in zip(model.layers, keeps):
+        for a in (layer.coeffs, layer.w_b, layer.w_s):
             a[~keep] = 0.0
-    return pruned
-
-
-def lift_prune_masks(model: KanModel) -> KanModel:
-    """Re-enable every masked edge in place (zeroed parameters stay zero)."""
-    for layer in model.layers:
-        layer.prune_mask[:] = 1.0
     return model
+
+
+def prune_kan(model: KanModel, ratio: float, calibration) -> KanModel:
+    """Zero the globally least-important floor(ratio * edge_count) edges,
+    ranked ascending by mean |activation| across all layers with ties broken
+    by (layer, output, input) order (:func:`keep_masks`). Returns a new
+    model; the input is untouched."""
+    keeps = keep_masks(edge_importances(model, calibration), ratio)
+    return zero_edges(model.copy(), keeps)

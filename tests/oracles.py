@@ -81,8 +81,7 @@ def silu_ref(x):
 def edge_activation_ref(layer, j, i, x):
     bv = basis_vector_naive(layer.grid, x)
     spline = sum(layer.coeffs[j, i, m] * bv[m] for m in range(layer.grid.basis_count))
-    return layer.prune_mask[j, i] * (layer.w_b[j, i] * silu_ref(x)
-                                     + layer.w_s[j, i] * spline)
+    return layer.w_b[j, i] * silu_ref(x) + layer.w_s[j, i] * spline
 
 
 def layer_forward_ref(layer, x):

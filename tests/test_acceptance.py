@@ -366,8 +366,8 @@ def test_criterion_8_format_fidelity(tmp_path):
     # checkpoint byte-stability
     from kanmark.cli import load_checkpoint, save_checkpoint
     model = KanModel.create([3, 4, 2], seed=80)
-    model.layers[0].prune_mask[0, 1] = 0.0
-    model.layers[0].coeffs[0, 1] = 0.0
+    for a in (model.layers[0].coeffs, model.layers[0].w_b, model.layers[0].w_s):
+        a[0, 1] = 0.0  # a pruned edge
     p1, p2 = tmp_path / "c1.json", tmp_path / "c2.json"
     save_checkpoint(p1, model, "clean", "hash", 9)
     loaded_model, meta = load_checkpoint(p1)

@@ -5,7 +5,8 @@ from kanmark import (KanModel, MlpModel, adam, evaluate, fit, gen_feynman,
                      prune_kan, prune_mlp)
 from kanmark.attacks import (AttackSpec, finetune, prune_sweep,
                              retrain_after_prune, run_attack)
-from kanmark.kan import edge_importances, lift_prune_masks
+from kanmark import attacks
+from kanmark.kan import edge_importances
 
 from oracles import prune_ref
 
@@ -86,20 +87,22 @@ class TestRetrainAfterPrune:
         model = KanModel.create([2, 4, 1], seed=10)
         out = retrain_after_prune(model, x, y, "regression", ratio=0.5,
                                   epochs=0, calibration=x[:32])
-        ref = lift_prune_masks(prune_kan(model, 0.5, x[:32]))
+        ref = prune_kan(model, 0.5, x[:32])
         assert np.array_equal(out.params, ref.params)
-        assert all(np.all(layer.prune_mask == 1.0) for layer in out.layers)
 
     def test_pruned_edges_become_trainable_again(self):
         x, y = small_task(seed=7)
         model = KanModel.create([2, 4, 1], seed=11)
         pruned = prune_kan(model, 0.5, x[:32])
-        zero_edges = int((pruned.layers[0].prune_mask == 0).sum())
-        assert zero_edges > 0
+        zeroed = pruned.layers[0].w_b == 0.0
+        assert zeroed.sum() > 0
         out = retrain_after_prune(model, x, y, "regression", ratio=0.5,
                                   lr=1e-2, epochs=3, calibration=x[:32], seed=12)
-        moved = np.abs(out.layers[0].w_b[pruned.layers[0].prune_mask == 0])
-        assert np.any(moved > 0.0)
+        # w_b regrows; coeffs and w_s stay 0, as each one's gradient is a
+        # multiple of the other
+        assert np.any(np.abs(out.layers[0].w_b[zeroed]) > 0.0)
+        assert np.all(out.layers[0].coeffs[zeroed] == 0.0)
+        assert np.all(out.layers[0].w_s[zeroed] == 0.0)
 
     def test_architecture_preserved(self):
         x, y = small_task(seed=8)
@@ -151,6 +154,28 @@ class TestPruneSweep:
         assert ratios[0] == 0.0 and ratios[-1] == 1.0
         assert ratios == sorted(set(ratios))
 
+    def test_edges_ranked_once_per_sweep(self, trained_pair, monkeypatch):
+        kan, mlp, x, y = trained_pair
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return edge_importances(*args)
+
+        monkeypatch.setattr(attacks, "edge_importances", counted)
+        rows = prune_sweep(kan, mlp, x[200:], y[200:], calibration=x[:64])
+        assert len(rows) == 11 and len(calls) == 1
+        for row in rows:
+            kan_eval = evaluate(prune_kan(kan, row["ratio"], x[:64]),
+                                x[200:], y[200:], "classification")
+            mlp_eval = evaluate(prune_mlp(mlp, row["ratio"]),
+                                x[200:], y[200:], "classification")
+            assert row == {"ratio": row["ratio"],
+                           "kan_loss": kan_eval["loss"],
+                           "kan_accuracy": kan_eval["accuracy"],
+                           "mlp_loss": mlp_eval["loss"],
+                           "mlp_accuracy": mlp_eval["accuracy"]}
+
     def test_bad_step(self, trained_pair):
         kan, mlp, x, y = trained_pair
         with pytest.raises(ValueError):
@@ -186,7 +211,7 @@ def same_bits(a, b):
 
 def tied_kan(seed):
     """[3, 4, 3, 2] KAN whose middle layer is zeroed (all of its importances
-    tie at 0) and whose first layer has pre-masked edges (importance 0)."""
+    tie at 0) and whose first layer has pre-pruned edges (importance 0)."""
     rng = np.random.default_rng(seed)
     model = KanModel.create([3, 4, 3, 2], seed=seed)
     for layer in model.layers:
@@ -195,7 +220,10 @@ def tied_kan(seed):
     zeroed = model.layers[1]
     for a in (zeroed.coeffs, zeroed.w_b, zeroed.w_s):
         a[:] = 0.0
-    model.layers[0].prune_mask[rng.random(model.layers[0].prune_mask.shape) < 0.3] = 0.0
+    first = model.layers[0]
+    pruned = rng.random(first.w_b.shape) < 0.3
+    for a in (first.coeffs, first.w_b, first.w_s):
+        a[pruned] = 0.0
     return model, rng.uniform(-1, 1, size=(16, 3))
 
 
@@ -219,7 +247,6 @@ class TestPruneOracle:
         pruned = prune_kan(model, ratio, calib)
         for layer, orig, keep in zip(pruned.layers, model.layers,
                                      prune_ref(scores, ratio)):
-            assert same_bits(layer.prune_mask, np.where(keep, orig.prune_mask, 0.0))
             assert same_bits(layer.coeffs, np.where(keep[..., None], orig.coeffs, 0.0))
             assert same_bits(layer.w_b, np.where(keep, orig.w_b, 0.0))
             assert same_bits(layer.w_s, np.where(keep, orig.w_s, 0.0))

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kanmark import Dataset, KanLayer, KanModel, MlpModel, build_grid, write_idx
+from kanmark import (Dataset, KanLayer, KanModel, MlpModel, build_grid, prune_kan,
+                     write_idx)
 from kanmark.cli import (SCHEMA, CheckpointError, ConfigError, SeedBundle,
                          _fits, canonical_json, config_hash, derive_seed,
                          load_checkpoint, load_config, main, resolve_dataset,
@@ -150,13 +151,42 @@ class TestCheckpointRoundTrip:
                         meta["seed"])
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_format_3_records_only_grids(self, tmp_path):
+        x = np.random.default_rng(4).uniform(-1, 1, size=(8, 3))
+        path = tmp_path / "m.json"
+        save_checkpoint(path, prune_kan(KanModel.create([3, 4, 2], seed=3), 0.5, x),
+                        "attacked", "hash", 1)
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == 3
+        assert [set(rec) for rec in payload["layers"]] == [{"grid"}, {"grid"}]
+        assert "prune_mask" not in path.read_text()
+
     def test_prune_mask_survives(self, tmp_path):
+        # a format-2 file's 0/1 mask, here 0 on an edge with nonzero
+        # parameters, loads as that edge zeroed
         model = KanModel.create([3, 4, 2], seed=3)
-        model.layers[0].prune_mask[1, 2] = 0.0
+        masks = [np.ones((4, 3), dtype=int), np.ones((2, 4), dtype=int)]
+        masks[0][1, 2] = 0
         path = tmp_path / "m.json"
         save_checkpoint(path, model, "attacked", "hash", 1)
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 2
+        for rec, mask in zip(payload["layers"], masks):
+            rec["prune_mask"] = mask.tolist()
+        path.write_text(canonical_json(payload))
         loaded, _ = load_checkpoint(path)
-        assert loaded.layers[0].prune_mask[1, 2] == 0.0
+        expected = model.copy()
+        for a in (expected.layers[0].coeffs, expected.layers[0].w_b, expected.layers[0].w_s):
+            a[1, 2] = 0.0
+        assert np.array_equal(loaded.params, expected.params)
+        # and predicts as format 2's masked GEMMs did
+        x = np.random.default_rng(5).uniform(-1.2, 1.2, size=(6, 3))
+        h = x
+        for layer, mask in zip(model.layers, masks):
+            p = layer.prepare(h)
+            w = ((mask * layer.w_s)[:, :, None] * layer.coeffs).reshape(layer.out_dim, -1)
+            h = p["s"] @ (mask * layer.w_b).T + p["b"] @ w.T
+        assert np.array_equal(loaded.predict(x), h)
 
     def test_grid_per_layer_survives(self, tmp_path):
         model = KanModel.create([2, 3, 2], seed=5)
@@ -193,10 +223,11 @@ class TestCheckpointRoundTrip:
             path.write_text(canonical_json(payload))
             for command, ckpt in commands.items():
                 assert main([command, "--config", cfg, "--out", str(out), *ckpt]) == 4
-                assert f"format_version {version}, expected 2" in capsys.readouterr().err
+                assert f"format_version {version}, expected 2 or 3" in capsys.readouterr().err
                 assert not out.exists()
 
     @pytest.mark.parametrize("defect", ["no_grid", "list_root", "mask_entry_2",
+                                        "mask_wrong_shape",
                                         "params_8_bytes_short", "params_not_base64",
                                         "nan_in_params", "widths_disagree_with_params",
                                         "fractional_degree", "boolean_degree"])
@@ -208,10 +239,15 @@ class TestCheckpointRoundTrip:
                         "hash", 1)
         payload = json.loads(path.read_text())
         blob = base64.b64decode(payload["params"])
+        if defect.startswith("mask_"):  # format 2 also held a 0/1 mask per layer
+            payload["format_version"] = 2
+            payload["layers"][0]["prune_mask"] = [[1, 1], [1, 1]]
         if defect == "no_grid":
             del payload["layers"][0]["grid"]
         elif defect == "mask_entry_2":
             payload["layers"][0]["prune_mask"][0][0] = 2
+        elif defect == "mask_wrong_shape":
+            payload["layers"][0]["prune_mask"] = [[1, 1]]
         elif defect == "params_8_bytes_short":
             payload["params"] = base64.b64encode(blob[:-8]).decode()
         elif defect == "params_not_base64":
@@ -493,12 +529,13 @@ class TestCommands:
         save_checkpoint(model, KanModel.create([2, 4, 1], seed=0), "clean", "hash", 0)
         cfg = write_config(tmp_path / "c.json")
         before = sorted(tmp_path.iterdir())
-        for command, ckpt in (("train-clean", []), ("embed", ["--clean-ckpt", str(model)]),
-                              ("attack", ["--wm-ckpt", str(model)]),
-                              ("verify", ["--detector-ckpt", str(model),
-                                          "--suspect-ckpt", str(model)])):
-            assert main([command, "--config", cfg, "--out", str(tmp_path / out),
-                         *ckpt]) == 2
+        for argv in (["train-clean", "--config", cfg],
+                     ["embed", "--config", cfg, "--clean-ckpt", str(model)],
+                     ["attack", "--config", cfg, "--wm-ckpt", str(model)],
+                     ["verify", "--config", cfg, "--detector-ckpt", str(model),
+                      "--suspect-ckpt", str(model)],
+                     ["report"]):
+            assert main([*argv, "--out", str(tmp_path / out)]) == 2
         assert sorted(tmp_path.iterdir()) == before
         assert (tmp_path / "afile").read_text() == "keep"
 
@@ -673,3 +710,13 @@ class TestCommands:
                      "--out", out]) == 0
         table = json.loads((Path(out) / "prune_sweep.json").read_text())
         assert [row["ratio"] for row in table] == [0.0, 0.5, 1.0]
+
+    def test_sweep_table_prints_each_json_ratio(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_classify_idx()
+        Path("c.json").write_text(json.dumps({**CLASSIFY, "train": {"epochs": 1}}))
+        assert main(["prune-sweep", "--config", "c.json", "--step", "0.05"]) == 0
+        printed = [float(line.split()[0]) for line in capsys.readouterr().out.splitlines()[1:]]
+        table = json.loads(Path("runs/prune_sweep.json").read_text())
+        assert printed == [row["ratio"] for row in table]
+        assert len(set(printed)) == 21

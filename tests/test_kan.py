@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from kanmark.kan import (KanLayer, KanModel, edge_importances, lift_prune_masks,
-                         prune_kan)
-from kanmark.numeric import (NonFiniteError, ShapeError, mse_loss, sigmoid, silu,
-                             silu_slope)
+from kanmark.kan import KanLayer, KanModel, edge_importances, prune_kan
+from kanmark.numeric import (NonFiniteError, ShapeError, keep_masks, mse_loss,
+                             sigmoid, silu, silu_slope)
 from kanmark.spline import basis_and_slopes, build_grid
 
 from oracles import (assert_grads_close, central_diff, edge_activation_ref,
@@ -27,6 +26,20 @@ def layer_grads(layer, flat):
     return (flat[:n_c].reshape(layer.coeffs.shape),
             flat[n_c:n_c + n].reshape(layer.w_b.shape),
             flat[n_c + n:].reshape(layer.w_s.shape))
+
+
+def prune_edges(layer, rows, cols):
+    """Prune edges (rows[k], cols[k]) as prune_kan does: zero their coeffs,
+    w_b and w_s."""
+    for a in (layer.coeffs, layer.w_b, layer.w_s):
+        a[rows, cols] = 0.0
+
+
+def pruned_edges(layer):
+    """Boolean (out_dim, in_dim) array: True where every parameter of the
+    edge is zero."""
+    return ((layer.w_b == 0.0) & (layer.w_s == 0.0)
+            & np.all(layer.coeffs == 0.0, axis=-1))
 
 
 def random_model(widths, seed=0):
@@ -98,7 +111,7 @@ class TestLayerForward:
 
     def test_per_edge_sum_matches_gemm_forward(self):
         layer = random_layer(4, 3, seed=21)
-        layer.prune_mask[[0, 2, 2], [1, 0, 3]] = 0.0
+        prune_edges(layer, [0, 2, 2], [1, 0, 3])
         x = np.random.default_rng(13).uniform(-1.5, 1.5, size=(6, 4))
         edges = layer.per_edge_activations(x)
         assert np.max(np.abs(edges.sum(axis=-1) - layer.forward(x)[0])) < 1e-12
@@ -218,24 +231,13 @@ class TestModelBackward:
         numeric = central_diff(loss, [model.params], h=1e-5)
         assert_grads_close([analytic], numeric, rel_tol=1e-4)
 
-    def test_masked_edges_get_zero_grad(self):
-        model = random_model([3, 3], seed=19)
-        model.layers[0].prune_mask[1, 2] = 0.0
-        x = np.random.default_rng(11).uniform(-1, 1, size=(4, 3))
-        out, caches = model.forward_with_cache(x)
-        g_coeffs, g_wb, g_ws = layer_grads(model.layers[0],
-                                           model.backward(caches, np.ones_like(out)))
-        assert np.all(g_coeffs[1, 2, :] == 0.0)
-        assert g_wb[1, 2] == 0.0
-        assert g_ws[1, 2] == 0.0
-
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
     def test_input_grad_matches_uncached_reference(self, degree):
         # backward reads sigmoid and the degree k-1 local B-splines from the
         # forward cache; the result must equal recomputing them from x.
         grid = build_grid(degree, 4, -1.0, 1.0)
         layer = random_layer(3, 2, seed=23, grid=grid)
-        layer.prune_mask[1, 0] = 0.0
+        prune_edges(layer, 1, 0)
         rng = np.random.default_rng(15)
         points = np.concatenate([grid.knots, [-1.0, 1.0, -3.0, 2.5, -1.0 - 1e-12],
                                  rng.uniform(-1.5, 1.5, size=7)])
@@ -243,9 +245,9 @@ class TestModelBackward:
         out, cache = layer.forward(x)
         gy = rng.normal(size=out.shape)
         _, gx = layer.backward(cache, gy)
-        w = (layer.prune_mask * layer.w_s)[:, :, None] * layer.coeffs
+        w = layer.w_s[:, :, None] * layer.coeffs
         db = basis_and_slopes(grid, x.ravel())[1]()
-        ref = silu_slope(x, sigmoid(x)) * (gy @ (layer.prune_mask * layer.w_b)) \
+        ref = silu_slope(x, sigmoid(x)) * (gy @ layer.w_b) \
             + ((gy @ w.reshape(2, -1)).reshape(db.shape) * db).sum(axis=-1).reshape(x.shape)
         assert np.array_equal(gx, ref)
 
@@ -271,7 +273,7 @@ def assert_importances_match(layer, h, imp):
 class TestEdgeImportance:
     def test_zeroed_edge_importance(self):
         model = random_model([2, 2], seed=21)
-        model.layers[0].prune_mask[0, 1] = 0.0
+        prune_edges(model.layers[0], 0, 1)
         imp, = edge_importances(model, np.random.default_rng(0).normal(size=(8, 2)))
         assert imp[0, 1] == 0.0
 
@@ -314,15 +316,13 @@ class TestPruneKan:
         model = random_model([3, 2], seed=26)
         calib = np.random.default_rng(2).uniform(-1, 1, size=(8, 3))
         pruned = prune_kan(model, 0.0, calib)
-        assert np.array_equal(pruned.layers[0].coeffs, model.layers[0].coeffs)
-        assert np.all(pruned.layers[0].prune_mask == 1.0)
+        assert np.array_equal(pruned.params, model.params)
 
     def test_ratio_one_masks_everything(self):
         model = random_model([3, 4, 2], seed=27)
         calib = np.random.default_rng(3).uniform(-1, 1, size=(8, 3))
         pruned = prune_kan(model, 1.0, calib)
-        for layer in pruned.layers:
-            assert np.all(layer.prune_mask == 0.0)
+        assert np.all(pruned.params == 0.0)
         out, _ = pruned.forward(calib)
         assert np.all(out == 0.0)
 
@@ -335,18 +335,16 @@ class TestPruneKan:
         layer.w_b[:] = np.array([[0.1, 4.0], [2.0, 3.0]])
         calib = np.ones((4, 2))
         pruned = prune_kan(model, 0.5, calib)
-        assert pruned.layers[0].prune_mask[0, 0] == 0.0  # weakest
-        assert pruned.layers[0].prune_mask[1, 0] == 0.0  # second weakest
-        assert pruned.layers[0].prune_mask[0, 1] == 1.0
-        assert pruned.layers[0].prune_mask[1, 1] == 1.0
+        # the weakest (0, 0) and second weakest (1, 0) edges are zeroed
+        assert np.array_equal(pruned_edges(pruned.layers[0]),
+                              [[True, False], [True, False]])
 
     def test_masked_count_is_floor(self):
         model = random_model([3, 3, 2], seed=29)  # 9 + 6 = 15 edges
         calib = np.random.default_rng(4).uniform(-1, 1, size=(8, 3))
         for ratio, expected in ((0.1, 1), (0.3, 4), (0.5, 7), (0.6, 9)):
             pruned = prune_kan(model, ratio, calib)
-            masked = sum(int((layer.prune_mask == 0).sum())
-                         for layer in pruned.layers)
+            masked = sum(int(pruned_edges(layer).sum()) for layer in pruned.layers)
             assert masked == expected, f"ratio {ratio}"
 
     def test_original_untouched_and_params_zeroed(self):
@@ -355,24 +353,11 @@ class TestPruneKan:
         calib = np.random.default_rng(5).uniform(-1, 1, size=(8, 3))
         pruned = prune_kan(model, 0.5, calib)
         assert np.array_equal(model.layers[0].coeffs, snap)
-        masked = pruned.layers[0].prune_mask == 0.0
-        assert np.all(pruned.layers[0].coeffs[masked] == 0.0)
-        assert np.all(pruned.layers[0].w_b[masked] == 0.0)
-        assert np.all(pruned.layers[0].w_s[masked] == 0.0)
-
-    def test_masked_edge_values_cannot_leak(self):
-        model = random_model([3, 3], seed=31)
-        calib = np.random.default_rng(6).uniform(-1, 1, size=(8, 3))
-        pruned = prune_kan(model, 0.4, calib)
-        x = np.random.default_rng(7).uniform(-1, 1, size=(5, 3))
-        before, _ = pruned.forward(x)
-        mask = pruned.layers[0].prune_mask
-        j, i = np.argwhere(mask == 0.0)[0]
-        pruned.layers[0].coeffs[j, i, :] = 123.0
-        pruned.layers[0].w_b[j, i] = -55.0
-        pruned.layers[0].w_s[j, i] = 7.0
-        after, _ = pruned.forward(x)
-        assert np.array_equal(before, after)
+        keep, = keep_masks(edge_importances(model, calib), 0.5)
+        assert np.array_equal(pruned_edges(pruned.layers[0]), ~keep)
+        for name in ("coeffs", "w_b", "w_s"):
+            kept = getattr(pruned.layers[0], name)[keep]
+            assert np.array_equal(kept, getattr(model.layers[0], name)[keep])
 
     def test_invalid_ratio(self):
         model = random_model([2, 2], seed=32)
@@ -380,12 +365,3 @@ class TestPruneKan:
             prune_kan(model, 1.5, np.zeros((4, 2)))
         with pytest.raises(ValueError):
             prune_kan(model, -0.1, np.zeros((4, 2)))
-
-    def test_lift_masks(self):
-        model = random_model([3, 2], seed=33)
-        calib = np.random.default_rng(8).uniform(-1, 1, size=(8, 3))
-        pruned = prune_kan(model, 0.5, calib)
-        lift_prune_masks(pruned)
-        assert all(np.all(layer.prune_mask == 1.0) for layer in pruned.layers)
-        masked_params = pruned.layers[0].coeffs[pruned.layers[0].w_b == 0.0]
-        assert np.all(masked_params == 0.0)

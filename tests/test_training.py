@@ -130,21 +130,14 @@ class TestReferenceLoop:
     pieces (``oracles.train_ref``). Batches of 24 leave a short last batch."""
 
     @pytest.mark.parametrize("kind", ["mlp_detector", "kan_regressor",
-                                      "kan_classifier_masked_layer0",
                                       "kan_regressor_over_budget"])
     def test_fit_matches_reference(self, kind, monkeypatch):
-        # A masked layer-0 edge applies at the GEMM, after the run-level
-        # preparation; with a zero budget every batch is prepared on its own.
+        # With a zero budget every batch is prepared on its own.
         rng = np.random.default_rng(11)
         if kind == "mlp_detector":
             model = MlpModel.create([6, 16, 8, 2], seed=12)
             x = rng.normal(size=(100, 6))
             y, task = rng.integers(0, 2, size=100), "classification"
-        elif kind == "kan_classifier_masked_layer0":
-            model = KanModel.create([3, 4, 3], seed=12)
-            model.layers[0].prune_mask[[0, 2, 3], [1, 0, 2]] = 0.0
-            x = rng.uniform(-1.2, 1.2, size=(100, 3))
-            y, task = rng.integers(0, 3, size=100), "classification"
         else:
             model = KanModel.create([3, 4, 1], seed=12)
             x = rng.uniform(-1, 1, size=(100, 3))
