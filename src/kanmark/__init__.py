@@ -5,7 +5,7 @@ verification) and watermark-removal attack harnesses."""
 from .numeric import (OptimizerState, ShapeError, adam, cross_entropy_loss,
                       mse_loss, optimizer_step, silu, softmax)
 from .spline import SplineGrid, basis_and_slopes, build_grid
-from .transform import dct, idct, perturb
+from .transform import dct, idct
 from .kan import KanLayer, KanModel, edge_importances, prune_kan
 from .mlp import MlpModel, prune_mlp
 from .training import evaluate, fit

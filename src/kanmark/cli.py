@@ -1,5 +1,5 @@
-"""Experiment runner: train clean models, embed watermarks, run removal
-attacks, verify ownership, and reproduce the pruning sweep.
+"""Experiment runner, the I/O around :mod:`kanmark.pipeline`: train clean
+models, embed watermarks, run attacks, verify ownership, sweep pruning rates.
 
 Subcommands: train-clean, embed, attack, verify, prune-sweep, report.
 Configs, checkpoints, and reports are JSON (checkpoints carry parameters as
@@ -32,12 +32,11 @@ from .attacks import ATTACK_KINDS, AttackSpec, check_step, prune_sweep, run_atta
 from .data import DataError, average_pool, gen_feynman, load_idx, split_dataset
 from .kan import KanModel, KanLayer, zero_edges
 from .mlp import MlpModel
-from .numeric import NonFiniteError, ShapeError, adam, views
+from .numeric import NonFiniteError, ShapeError, views
+from .pipeline import build_detector, embed_watermark, train_clean
 from .spline import build_grid
-from .training import TASKS, DivergenceError, evaluate, fit
-from .watermark import (build_detector_dataset, calibrate_amplitude,
-                        default_band, embed, gen_signal, train_detector,
-                        verify)
+from .training import TASKS, DivergenceError, evaluate
+from .watermark import verify
 
 FORMAT_VERSION = 3
 # Byte layout of a checkpoint's params blob: little-endian float64.
@@ -170,16 +169,16 @@ def load_config(path, seed_override: int | None = None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    cfg = _merge(raw, SCHEMA)
+    cfg = check_config(raw)
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
-    _validate_config(cfg)
     return cfg
 
 
-def _validate_config(cfg: dict) -> None:
-    """The rules that span fields or need a constructor; :data:`SCHEMA`
-    has already checked each key's type and least value."""
+def check_config(raw) -> dict:
+    """``raw`` with each missing key set to its :data:`SCHEMA` default, checked
+    key by key and by the rules that span keys; raises ConfigError."""
+    cfg = _merge(raw, SCHEMA)
     ds = cfg["dataset"]
     if ds["kind"] == "idx" and not (ds["images"] and ds["labels"]):
         raise ConfigError("idx dataset needs images and labels paths")
@@ -200,6 +199,7 @@ def _validate_config(cfg: dict) -> None:
     if band is not None and band[0] > band[1]:
         raise ConfigError(f"watermark.band must be [lo, hi] with lo <= hi, got {band!r}")
     _constructs("grid", lambda: build_grid(**cfg["grid"]))  # t_min < t_max
+    return cfg
 
 
 def _check_tau(tau) -> None:
@@ -211,10 +211,10 @@ def _check_tau(tau) -> None:
 
 def _constructs(name: str, build):
     """Returns ``build()``; its TypeError or ValueError, other than a
-    ShapeError or NonFiniteError, becomes a ConfigError."""
+    ShapeError, NonFiniteError or DivergenceError, becomes a ConfigError."""
     try:
         return build()
-    except (ShapeError, NonFiniteError):
+    except (ShapeError, NonFiniteError, DivergenceError):
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
@@ -259,33 +259,12 @@ def resolve_dataset(cfg: dict, bundle: SeedBundle):
     return splits
 
 
-def resolve_widths(cfg: dict, input_dim: int) -> list[int]:
-    if cfg["model"]["widths"]:
-        widths = list(cfg["model"]["widths"])
-        if widths[0] != input_dim:
-            raise ShapeError(f"config widths start at {widths[0]}, "
-                             f"data has {input_dim} columns")
-        return widths
-    if cfg["task"] == "classification":
-        return [input_dim, cfg["model"]["hidden"] or 32, 10]
-    return [input_dim, cfg["model"]["hidden"] or 5, 1]
-
-
-def _fit_stages(model, train, task, cfg, bundle):
-    """``train.epochs`` at ``train.lr``, then each ``train.stages`` pair."""
-    tr = cfg["train"]
-    for si, (epochs, lr) in enumerate([(tr["epochs"], tr["lr"]), *(tr["stages"] or [])]):
-        fit(model, train.inputs, train.targets, task, epochs, adam(lr),
-            batch_size=tr["batch_size"],
-            seed=derive_seed(bundle.data, f"fit-stage-{si}"))
-
-
-def _new_model(kind: str, cfg: dict, bundle: SeedBundle, input_dim: int):
-    """Freshly initialised ``kan`` or ``mlp`` model of the configured widths."""
-    widths = resolve_widths(cfg, input_dim)
-    if kind == "mlp":
-        return MlpModel.create(widths, seed=derive_seed(bundle.init, "mlp"))
-    return KanModel.create(widths, grid=build_grid(**cfg["grid"]), seed=bundle.init)
+def _train_clean(kind: str, cfg: dict, bundle: SeedBundle, train):
+    """:func:`train_clean` on the CLI's sub-seeds."""
+    init = bundle.init if kind == "kan" else derive_seed(bundle.init, "mlp")
+    stages = range(1 + len(cfg["train"]["stages"] or []))
+    return train_clean(kind, cfg, train, init,
+                       [derive_seed(bundle.data, f"fit-stage-{si}") for si in stages])
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +325,10 @@ def load_checkpoint(path):
             shapes = [shape for edge in edges for shape in (edge, edge[:1])]
         elif len(layers) != len(edges):
             raise ValueError(f"{len(layers)} layer records for widths {widths}")
-        else:
-            grids = [build_grid(**rec["grid"]) for rec in layers]
-            shapes = [shape for edge, grid in zip(edges, grids)
-                      for shape in ((*edge, grid.basis_count), edge, edge)]
+        else:  # basis counts from the records, checked before build_grid allocates
+            counts = [rec["grid"]["intervals"] + rec["grid"]["degree"] for rec in layers]
+            shapes = [shape for edge, count in zip(edges, counts)
+                      for shape in ((*edge, count), edge, edge)]
         params = np.frombuffer(base64.b64decode(payload["params"], validate=True),
                                dtype=PARAMS_DTYPE)
         need = sum(math.prod(shape) for shape in shapes)
@@ -360,8 +339,8 @@ def load_checkpoint(path):
         if kind == "mlp":
             model = MlpModel(arrays[0::2], arrays[1::2])
         else:
-            model = KanModel([KanLayer(grid, *arrays[3 * k:3 * k + 3])
-                              for k, grid in enumerate(grids)])
+            model = KanModel([KanLayer(build_grid(**rec["grid"]), *arrays[3 * k:3 * k + 3])
+                              for k, rec in enumerate(layers)])
             if version == 2:  # format 2 also held a 0/1 prune_mask per layer
                 masks = [np.asarray(rec["prune_mask"], dtype=np.float64) for rec in layers]
                 if any(m.shape != e or np.any((m != 0) & (m != 1))
@@ -374,27 +353,19 @@ def load_checkpoint(path):
     return model, payload
 
 
-def _load_kan(path) -> tuple[KanModel, dict]:
+def _load(path, kind: str):
+    """The model of a checkpoint that must hold a ``kind`` model."""
     model, meta = load_checkpoint(path)
-    if not isinstance(model, KanModel):
-        raise CheckpointError(f"{path}: expected a kan checkpoint, "
-                              f"got {meta.get('kind')!r}")
-    return model, meta
+    if meta["kind"] != kind:
+        raise CheckpointError(f"{path}: expected kind {kind!r}, got {meta['kind']!r}")
+    return model
 
 
 # ---------------------------------------------------------------------------
 # report
 
-def append_report_row(out_dir, row: dict) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(row, sort_keys=True, allow_nan=False)
-    with open(out / "report.jsonl", "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
-
-
-def _report_row(stage, cfg, bundle, main_metric, metric_kind,
-                wm_rate=None, decision=None, **extra):
+def append_report_row(out_dir, stage, cfg, bundle, main_metric, metric_kind,
+                      wm_rate=None, decision=None, **extra) -> None:
     row = {
         "stage": stage,
         "metric_kind": metric_kind,
@@ -404,15 +375,26 @@ def _report_row(stage, cfg, bundle, main_metric, metric_kind,
         "config_hash": config_hash(cfg),
         "seed": bundle.master,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        **extra,
     }
-    row.update(extra)
-    return row
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    with open(Path(out_dir) / "report.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(row, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _main_metric(metrics: dict, task: str) -> tuple[float, str]:
-    if task == "classification":
-        return 100.0 * metrics["accuracy"], "accuracy_pct"
-    return metrics["rmse"], "rmse"
+def _conclude(args, cfg, bundle, test, saves, stage, **row):
+    """Evaluates the first model of ``saves`` ((file name, model, checkpoint
+    stage, extra) each) on the test split, then creates --out and writes each
+    checkpoint and one report row; returns the printed metric and first path."""
+    metrics = evaluate(saves[0][1], test.inputs, test.targets, cfg["task"])
+    value, kind = ((100.0 * metrics["accuracy"], "accuracy_pct")
+                   if cfg["task"] == "classification" else (metrics["rmse"], "rmse"))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, model, ckpt_stage, extra in saves:
+        save_checkpoint(out / name, model, ckpt_stage, config_hash(cfg), bundle.master, extra)
+    append_report_row(out, stage, cfg, bundle, value, kind, **row)
+    return f"{kind} {value:.4f}", out / saves[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -427,100 +409,53 @@ def _setup(args):
 
 def cmd_train_clean(args) -> int:
     cfg, bundle, (train, test, hold) = _setup(args)
-    task = cfg["task"]
-    model = _new_model(args.model, cfg, bundle, train.inputs.shape[1])
-    _fit_stages(model, train, task, cfg, bundle)
-    metrics = evaluate(model, test.inputs, test.targets, task)
-    value, kind = _main_metric(metrics, task)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt = out / f"clean-{args.model}.json"
-    save_checkpoint(ckpt, model, "clean", config_hash(cfg), bundle.master)
-    append_report_row(out, _report_row("clean", cfg, bundle, value, kind,
-                                       model=args.model))
-    print(f"clean {args.model}: {kind} {value:.4f} -> {ckpt}")
+    model = _train_clean(args.model, cfg, bundle, train)
+    metric, ckpt = _conclude(args, cfg, bundle, test,
+                             [(f"clean-{args.model}.json", model, "clean", None)],
+                             "clean", model=args.model)
+    print(f"clean {args.model}: {metric} -> {ckpt}")
     return 0
 
 
 def cmd_embed(args) -> int:
     cfg, bundle, (train, test, hold) = _setup(args)
-    task = cfg["task"]
-    clean, _ = _load_kan(args.clean_ckpt)
-    wm_cfg = cfg["watermark"]
-    n_sig = clean.layers[0].out_dim
-    band = wm_cfg["band"] or list(default_band(n_sig))
-    alpha = wm_cfg["alpha"]
-    if alpha is None:
-        alpha = _constructs("watermark.band", lambda: calibrate_amplitude(
-            clean, train.inputs[:256], band, scale=wm_cfg["amplitude_scale"]))
-    key = wm_cfg["key"] if wm_cfg["key"] is not None else bundle.signal
-    signal = _constructs("watermark.band",
-                         lambda: gen_signal(key, n_sig, band, alpha))
-    lr_main = wm_cfg["lr_main"] if wm_cfg["lr_main"] is not None else cfg["train"]["lr"]
-    wm = embed(clean, signal, train.inputs, train.targets, task,
-               epochs=wm_cfg["epochs"], lr_main=lr_main, lr_wm=wm_cfg["lr_wm"],
-               batch_size=cfg["train"]["batch_size"],
-               seed=derive_seed(bundle.data, "embed"))
-
-    det_cfg = cfg["detector"]
-    det_rows = train.inputs[:det_cfg["n_samples"]]
-    det_data = build_detector_dataset(wm, clean, det_rows,
-                                      n_shuffles=det_cfg["n_shuffles"],
-                                      seed=bundle.detector)
-    detector = train_detector(det_data, hidden=det_cfg["hidden"],
-                              epochs=det_cfg["epochs"], lr=det_cfg["lr"],
-                              batch_size=det_cfg["batch_size"],
-                              seed=derive_seed(bundle.detector, "train"))
-
-    metrics = evaluate(wm, test.inputs, test.targets, task)
-    value, kind = _main_metric(metrics, task)
+    clean = _load(args.clean_ckpt, "kan")
+    key = cfg["watermark"]["key"]
+    wm, extra = _constructs("watermark", lambda: embed_watermark(
+        clean, cfg, train, bundle.signal if key is None else key,
+        derive_seed(bundle.data, "embed")))
+    detector = build_detector(wm, clean, cfg, train, bundle.detector,
+                              derive_seed(bundle.detector, "train"))
     result = verify(wm, detector, hold.inputs, tau=cfg["tau"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    chash = config_hash(cfg)
-    wm_path = out / "watermarked-kan.json"
-    det_path = out / "detector-mlp.json"
-    sig_extra = {"band": [int(band[0]), int(band[1])],
-                 "alpha": float(alpha), "key": int(key)}
-    save_checkpoint(wm_path, wm, "watermarked", chash, bundle.master,
-                    extra=sig_extra)
-    save_checkpoint(det_path, detector, "detector", chash, bundle.master,
-                    extra=sig_extra)
-    append_report_row(out, _report_row("watermarked", cfg, bundle, value, kind,
-                                       wm_rate=result.detection_rate,
-                                       decision=result.decision))
-    print(f"watermarked: {kind} {value:.4f}, detection rate "
+    metric, wm_path = _conclude(args, cfg, bundle, test, [
+        ("watermarked-kan.json", wm, "watermarked", extra),
+        ("detector-mlp.json", detector, "detector", extra)],
+        "watermarked", wm_rate=result.detection_rate, decision=result.decision)
+    print(f"watermarked: {metric}, detection rate "
           f"{100 * result.detection_rate:.2f}% -> {wm_path}")
     return 0
 
 
 def cmd_attack(args) -> int:
     cfg, bundle, (train, test, hold) = _setup(args)
-    task = cfg["task"]
     flags = {"kind": {"retrain": "retrain_after_prune"}.get(args.kind, args.kind),
              "lr": args.lr, "epochs": args.epochs, "ratio": args.ratio}
     atk = _merge({**cfg["attack"], **{k: v for k, v in flags.items() if v is not None}},
                  SCHEMA["attack"], "attack.")
-    wm, _ = _load_kan(args.wm_ckpt)
+    wm = _load(args.wm_ckpt, "kan")
     # float(): the checkpoint and report row record lr and ratio as floats
     spec = _constructs("attack", lambda: AttackSpec(
         kind=atk["kind"], lr=float(atk["lr"]), epochs=atk["epochs"],
         prune_ratio=None if atk["kind"] == "finetune" else float(atk["ratio"]),
         seed=bundle.attack))
-    attacked = run_attack(wm, spec, train.inputs, train.targets, task,
+    attacked = run_attack(wm, spec, train.inputs, train.targets, cfg["task"],
                           calibration=train.inputs[:256])
-    metrics = evaluate(attacked, test.inputs, test.targets, task)
-    value, kind = _main_metric(metrics, task)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     provenance = {"kind": spec.kind, "lr": spec.lr, "epochs": spec.epochs,
                   "ratio": spec.prune_ratio}
-    ckpt = out / f"attacked-{spec.kind}.json"
-    save_checkpoint(ckpt, attacked, "attacked", config_hash(cfg),
-                    bundle.master, extra=provenance)
-    append_report_row(out, _report_row(f"attacked:{spec.kind}", cfg, bundle,
-                                       value, kind, **provenance))
-    print(f"attacked ({spec.kind}): {kind} {value:.4f} -> {ckpt}")
+    metric, ckpt = _conclude(args, cfg, bundle, test, [
+        (f"attacked-{spec.kind}.json", attacked, "attacked", provenance)],
+        f"attacked:{spec.kind}", **provenance)
+    print(f"attacked ({spec.kind}): {metric} -> {ckpt}")
     return 0
 
 
@@ -528,16 +463,12 @@ def cmd_verify(args) -> int:
     cfg, bundle, (train, test, hold) = _setup(args)
     tau = args.tau if args.tau is not None else cfg["tau"]
     _check_tau(tau)
-    detector, _ = load_checkpoint(args.detector_ckpt)
-    if not isinstance(detector, MlpModel):
-        raise CheckpointError(f"{args.detector_ckpt}: expected an mlp detector")
-    suspect, _ = _load_kan(args.suspect_ckpt)
+    detector = _load(args.detector_ckpt, "mlp")
+    suspect = _load(args.suspect_ckpt, "kan")
     result = verify(suspect, detector, hold.inputs, tau=tau)
-    out = Path(args.out)
-    append_report_row(out, _report_row("verify", cfg, bundle, 0.0, "none",
-                                       wm_rate=result.detection_rate,
-                                       decision=result.decision,
-                                       suspect=Path(args.suspect_ckpt).name))
+    append_report_row(args.out, "verify", cfg, bundle, 0.0, "none",
+                      wm_rate=result.detection_rate, decision=result.decision,
+                      suspect=Path(args.suspect_ckpt).name)
     print(f"detection rate {100 * result.detection_rate:.2f}% "
           f"(tau {100 * tau:.0f}%) -> decision "
           f"{'WATERMARKED' if result.decision else 'clean'}")
@@ -549,10 +480,7 @@ def cmd_prune_sweep(args) -> int:
     cfg, bundle, (train, test, hold) = _setup(args)
     if cfg["task"] != "classification":
         raise ConfigError("prune-sweep is a classification experiment")
-    kan = _new_model("kan", cfg, bundle, train.inputs.shape[1])
-    mlp = _new_model("mlp", cfg, bundle, train.inputs.shape[1])
-    _fit_stages(kan, train, "classification", cfg, bundle)
-    _fit_stages(mlp, train, "classification", cfg, bundle)
+    kan, mlp = (_train_clean(kind, cfg, bundle, train) for kind in ("kan", "mlp"))
     rows = prune_sweep(kan, mlp, test.inputs, test.targets,
                        calibration=train.inputs[:256], step=args.step)
     out = Path(args.out)
@@ -575,7 +503,9 @@ def cmd_report(args) -> int:
         data = path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    table = [f"{'stage':<24} {'metric':>12} {'value':>10} {'wm rate %':>10} {'decision':>9}"]
+    width = max(len(f"attacked:{kind}") for kind in ATTACK_KINDS)  # the longest stage
+    table = [f"{'stage':<{width}} {'metric':>12} {'value':>10} {'wm rate %':>10} "
+             f"{'decision':>9}"]
     for number, line in enumerate(data.splitlines(), 1):
         if not line:
             continue
@@ -584,7 +514,7 @@ def cmd_report(args) -> int:
             row = json.loads(line)
             rate = row.get("wm_detection_rate")
             decision = row.get("decision")
-            table.append(f"{row['stage']:<24} {row['metric_kind']:>12} "
+            table.append(f"{row['stage']:<{width}} {row['metric_kind']:>12} "
                          f"{row['main_metric']:>10.4f} "
                          f"{rate if rate is not None else '-':>10} "
                          f"{str(decision) if decision is not None else '-':>9}")

@@ -1,11 +1,10 @@
-"""Orthonormal 1-D DCT-II / DCT-III pair and the frequency-domain
-perturbation operator.
+"""Orthonormal 1-D DCT-II / DCT-III pair.
 
 Forward:  X_k = s_k * sum_n x_n * cos(pi/N * (n + 1/2) * k)
 Inverse:  x_n = sum_k s_k * X_k * cos(pi/N * (n + 1/2) * k)
 with s_0 = sqrt(1/N) and s_k = sqrt(2/N) for k > 0. The orthonormal scaling
-makes the pair exactly mutually inverse and norm-preserving, so the
-perturbed signal satisfies ||perturb(y, p) - y||_2 = ||p||_2.
+makes the pair exactly mutually inverse and norm-preserving, so adding p to
+a spectrum moves its signal by idct(p), of norm ||p||_2.
 
 Evaluation is direct O(N^2) through a cached cosine matrix; N here is a
 layer width (tens), so no fast transform is needed.
@@ -17,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numeric import NonFiniteError, ShapeError
+from .numeric import NonFiniteError
 
 
 @lru_cache(maxsize=None)
@@ -51,13 +50,3 @@ def idct(spectrum) -> np.ndarray:
     """Exact inverse of :func:`dct` (orthonormal DCT-III)."""
     spectrum = _signals(spectrum, "spectrum")
     return spectrum @ _dct_matrix(spectrum.shape[-1])
-
-
-def perturb(y, p) -> np.ndarray:
-    """idct(dct(y) + p): add a frequency-domain perturbation vector to a
-    signal, or to each row of a 2-D batch."""
-    y = _signals(y, "y")
-    p = _signals(p, "p")
-    if p.shape != y.shape[-1:]:
-        raise ShapeError(f"perturb: signal shape {y.shape} vs perturbation {p.shape}")
-    return idct(dct(y) + p)

@@ -5,10 +5,9 @@ across watermark, attack, and acceptance tests."""
 import numpy as np
 import pytest
 
-from kanmark import (Dataset, KanModel, adam, build_detector_dataset,
-                     calibrate_amplitude, embed, fit, gen_signal, load_idx,
-                     split_dataset, train_detector, write_idx)
-from kanmark.watermark import default_band
+from kanmark import Dataset, load_idx, split_dataset, write_idx
+from kanmark.cli import check_config
+from kanmark.pipeline import build_detector, embed_watermark, train_clean
 
 # Desk-scale classification run shared by the pipeline tests (criteria 4-6).
 CLASS_SETUP = {
@@ -47,26 +46,30 @@ def digits_splits(digits_idx):
     return split_dataset(ds, (0.7, 0.15, 0.15), seed=11)
 
 
+def class_config(images, labels):
+    """The merged, checked config of the desk run: CLASS_SETUP on the IDX
+    pair of ``images`` and ``labels``."""
+    s = CLASS_SETUP
+    return check_config({
+        "dataset": {"images": images, "labels": labels},
+        "model": {"hidden": s["hidden"]},
+        "train": {"epochs": s["clean_epochs"], "lr": s["lr"], "batch_size": s["batch"]},
+        "watermark": {"epochs": s["wm_epochs"], "lr_main": s["wm_lr_main"],
+                      "lr_wm": s["wm_lr_wm"], "amplitude_scale": s["amplitude_scale"]},
+        "detector": {"hidden": list(s["det_hidden"]), "epochs": s["det_epochs"],
+                     "lr": s["det_lr"], "n_shuffles": s["n_shuffles"],
+                     "n_samples": s["det_samples"]},
+    })
+
+
 @pytest.fixture(scope="session")
-def class_pipeline(digits_splits):
+def class_pipeline(digits_idx, digits_splits):
     """Clean model, watermarked model, and detector at the desk config."""
     train, test, hold = digits_splits
-    d = train.inputs.shape[1]
-    s = CLASS_SETUP
-    clean = KanModel.create([d, s["hidden"], 10], seed=101)
-    fit(clean, train.inputs, train.targets, "classification",
-        s["clean_epochs"], adam(s["lr"]), s["batch"], seed=102)
-    band = default_band(s["hidden"])
-    calibration = train.inputs[:256]
-    alpha = calibrate_amplitude(clean, calibration, band, s["amplitude_scale"])
-    signal = gen_signal(key=777, length=s["hidden"], band=band, amplitude=alpha)
-    wm = embed(clean, signal, train.inputs, train.targets, "classification",
-               epochs=s["wm_epochs"], lr_main=s["wm_lr_main"],
-               lr_wm=s["wm_lr_wm"], seed=103)
-    det_data = build_detector_dataset(wm, clean, train.inputs[:s["det_samples"]],
-                                      n_shuffles=s["n_shuffles"], seed=104)
-    detector = train_detector(det_data, hidden=s["det_hidden"],
-                              epochs=s["det_epochs"], lr=s["det_lr"], seed=105)
+    cfg = class_config(*digits_idx)
+    clean = train_clean("kan", cfg, train, init_seed=101, fit_seeds=[102])
+    wm, signal = embed_watermark(clean, cfg, train, key=777, seed=103)
+    detector = build_detector(wm, clean, cfg, train, data_seed=104, train_seed=105)
     return {"train": train, "test": test, "hold": hold, "clean": clean,
             "wm": wm, "signal": signal, "detector": detector,
-            "calibration": calibration}
+            "calibration": train.inputs[:256]}

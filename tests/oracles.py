@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive (recursion, scalar loops, O(N^2)
 summation) and shares no code with the package, except the training
-reference, which composes the package's checked public pieces.
+reference, which composes the package's checked public pieces, and the
+ShapeError that :func:`perturb` raises.
 """
 
 import math
@@ -70,6 +71,20 @@ def idct_direct(spec):
             acc += s * spec[k] * math.cos(math.pi / n * (i + 0.5) * k)
         out[i] = acc
     return out
+
+
+def perturb(y, p):
+    """idct(dct(y) + p) through the direct transforms, for one signal or
+    each row of a 2-D batch: the moving target the watermark's signal step
+    pulls layer 0's outputs toward."""
+    from kanmark.numeric import ShapeError
+
+    y, p = np.asarray(y, dtype=np.float64), np.asarray(p, dtype=np.float64)
+    if p.shape != y.shape[-1:]:
+        raise ShapeError(f"perturb: signal shape {y.shape} vs perturbation {p.shape}")
+    if y.ndim == 2:
+        return np.array([perturb(row, p) for row in y])
+    return idct_direct(dct_direct(y) + p)
 
 
 # --- scalar activations ------------------------------------------------------

@@ -12,15 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kanmark import (KanModel, MlpModel, adam, calibrate_amplitude, dct,
-                     embed, evaluate, fit, gen_feynman, gen_signal, idct,
-                     load_idx, split_dataset, verify, write_idx)
+from kanmark import (KanModel, MlpModel, adam, dct, evaluate, fit, gen_feynman,
+                     idct, load_idx, split_dataset, verify, write_idx)
 from kanmark.attacks import finetune, prune_sweep, retrain_after_prune
-from kanmark.cli import main as cli_main
+from kanmark.cli import check_config, main as cli_main
 from kanmark.data import Dataset, IdxMagicError, IdxTruncatedError
 from kanmark.numeric import cross_entropy_loss, mse_loss
+from kanmark.pipeline import embed_watermark, train_clean
 from kanmark.spline import basis_and_slopes, build_grid
-from kanmark.watermark import default_band
 
 from conftest import CLASS_SETUP
 from oracles import (assert_grads_close, central_diff, dct_direct, idct_direct,
@@ -167,17 +166,19 @@ def run_regression_pair(fid):
     """Clean (staged to its plateau) and watermarked RMSE on a test split."""
     ds = gen_feynman(fid, 3000, seed=6)
     train, test, hold = split_dataset(ds, (0.8, 0.1, 0.1), seed=6)
-    arity = train.inputs.shape[1]
-    clean = KanModel.create([arity, 5, 1], seed=1)
-    fit(clean, train.inputs, train.targets, "regression", 200, adam(1e-3), 64, seed=2)
-    fit(clean, train.inputs, train.targets, "regression", 100, adam(1e-4), 64, seed=12)
-    fit(clean, train.inputs, train.targets, "regression", 100, adam(1e-5), 64, seed=13)
+    cfg = check_config({
+        "task": "regression",
+        "dataset": {"kind": "feynman", "formula": fid, "n": 3000,
+                    "fractions": [0.8, 0.1, 0.1]},
+        "model": {"hidden": 5},
+        "train": {"epochs": 200, "lr": 1e-3, "batch_size": 64,
+                  "stages": [[100, 1e-4], [100, 1e-5]]},
+        "watermark": {"epochs": 8, "lr_main": 1e-5, "lr_wm": 3e-6,
+                      "amplitude_scale": 0.3},
+    })
+    clean = train_clean("kan", cfg, train, init_seed=1, fit_seeds=[2, 12, 13])
     rc = evaluate(clean, test.inputs, test.targets, "regression")["rmse"]
-    band = default_band(5)
-    alpha = calibrate_amplitude(clean, train.inputs[:256], band, 0.3)
-    signal = gen_signal(key=77, length=5, band=band, amplitude=alpha)
-    wm = embed(clean, signal, train.inputs, train.targets, "regression",
-               epochs=8, lr_main=1e-5, lr_wm=3e-6, seed=3)
+    wm, _ = embed_watermark(clean, cfg, train, key=77, seed=3)
     rw = evaluate(wm, test.inputs, test.targets, "regression")["rmse"]
     return rc, rw
 

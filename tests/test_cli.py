@@ -230,7 +230,8 @@ class TestCheckpointRoundTrip:
                                         "mask_wrong_shape",
                                         "params_8_bytes_short", "params_not_base64",
                                         "nan_in_params", "widths_disagree_with_params",
-                                        "fractional_degree", "boolean_degree"])
+                                        "fractional_degree", "boolean_degree",
+                                        "intervals_2_pow_50", "degree_2_pow_50"])
     def test_malformed_checkpoint_exit_code(self, tmp_path, defect):
         path = tmp_path / "m.json"
         # a degree-1 grid, so params fit int(1.5) and int(True) basis functions
@@ -262,6 +263,8 @@ class TestCheckpointRoundTrip:
             payload["layers"][0]["grid"]["degree"] = 1.5
         elif defect == "boolean_degree":
             payload["layers"][0]["grid"]["degree"] = True
+        elif defect.endswith("_2_pow_50"):  # its knot vector could never be allocated
+            payload["layers"][0]["grid"][defect.split("_")[0]] = 2**50
         else:
             payload = [payload]
         path.write_text(json.dumps(payload))
@@ -270,6 +273,7 @@ class TestCheckpointRoundTrip:
         assert main(["verify", "--config", write_config(tmp_path / "c.json"),
                      "--detector-ckpt", str(path), "--suspect-ckpt", str(path),
                      "--out", str(tmp_path)]) == 4
+        assert not (tmp_path / "report.jsonl").exists()
 
 
 class TestCommands:
@@ -559,6 +563,18 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert (f"cannot read {report}" if line is None else f"{report} line 2") in captured.err
+
+    def test_report_columns_align_after_the_longest_stage(self, tmp_path, capsys):
+        rows = [("clean", "rmse"), ("watermarked", "accuracy_pct"),
+                ("attacked:retrain_after_prune", "rmse"), ("verify", "none")]
+        (tmp_path / "report.jsonl").write_text("".join(
+            json.dumps({"stage": stage, "metric_kind": kind, "main_metric": 0.5}) + "\n"
+            for stage, kind in rows))
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        # the metric column is right-aligned, so its text ends at one offset
+        ends = {line.index(kind) + len(kind) for line, (_, kind) in zip(lines, rows)}
+        assert ends == {header.index("metric") + len("metric")}
 
     def test_data_error_exit_code(self, tmp_path):
         cfg = write_config(

@@ -4,9 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kanmark.numeric import ShapeError
-from kanmark.transform import dct, idct, perturb
+from kanmark.transform import dct, idct
 
-from oracles import dct_direct, idct_direct
+from oracles import dct_direct, idct_direct, perturb
 
 finite_vec = st.lists(st.floats(-100, 100), min_size=1, max_size=64)
 
@@ -78,6 +78,9 @@ class TestIdct:
 
 
 class TestPerturb:
+    """The ``perturb`` reference of oracles.py, which the signal-step tests
+    compare against."""
+
     def test_zero_perturbation(self):
         rng = np.random.default_rng(4)
         y = rng.normal(size=12)

@@ -6,11 +6,11 @@ from kanmark import (KanModel, adam, build_detector_dataset, embed, fit,
 from kanmark import watermark
 from kanmark.mlp import MlpModel
 from kanmark.numeric import ShapeError, mse_loss
-from kanmark.transform import dct, perturb
+from kanmark.transform import dct
 from kanmark.watermark import (DetectorDataset, calibrate_amplitude,
                                default_band, layer_outputs, signal_step)
 
-from oracles import detector_dataset_ref
+from oracles import detector_dataset_ref, perturb
 
 
 def small_task(seed=0, n=96):
