@@ -7,11 +7,11 @@ one base64 string of float64 bytes and are byte-stable across
 save/load/save). Reports are JSON lines appended to <out>/report.jsonl.
 
 Exit codes: 0 success, 2 config error (a prune-sweep --step outside
-[0.001, 1] among them), unusable --out or diverged training (nothing is
-written), 3 data error or an unreadable or damaged report.jsonl (a bad line
-named by number), 4 dimension or checkpoint-compatibility error, among them
-targets that do not fit the model's output width and a loaded model whose
-activations overflow.
+[0.001, 1] among them), unusable --out, diverged training or an array too
+large to allocate (nothing is written), 3 data error or an unreadable or
+damaged report.jsonl (a bad line named by number), 4 dimension or
+checkpoint-compatibility error, among them targets that do not fit the
+model's output width and a loaded model whose activations overflow.
 """
 
 from __future__ import annotations
@@ -589,7 +589,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DivergenceError as exc:
+    except (DivergenceError, MemoryError) as exc:
         print(f"error: {exc}; nothing saved", file=sys.stderr)
         return 2
     except DataError as exc:

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numeric import ShapeError, as_matrix, keep_masks, sigmoid, silu_slope, views
+from .numeric import (ShapeError, as_matrix, keep_masks, row_chunks, sigmoid,
+                      silu_slope, views)
 from .spline import SplineGrid, basis_and_slopes, build_grid
 
 
@@ -75,10 +76,26 @@ class KanLayer:
         return {"x": x, "sig": sig, "s": x * sig, "b": b.reshape(x.shape[0], -1),
                 "slopes": slopes}
 
+    def prepare_rows(self, x) -> dict:
+        """:meth:`prepare` of many rows without the slopes, filled
+        :data:`~kanmark.numeric.ROW_CHUNK` rows at a time into preallocated
+        arrays, so its temporaries are one chunk's. Byte-identical to
+        :meth:`prepare`'s arrays, because row r depends on row r of x alone."""
+        x = as_matrix(x, "layer input")
+        n = x.shape[0]
+        prepared = {"x": x, "sig": np.empty(x.shape), "s": np.empty(x.shape),
+                    "b": np.empty((n, x.shape[1] * self.grid.basis_count))}
+        for rows in row_chunks(n):
+            chunk = self.prepare(x[rows])
+            for key in ("sig", "s", "b"):
+                prepared[key][rows] = chunk[key]
+        return prepared
+
     def apply(self, prepared: dict) -> tuple[np.ndarray, dict]:
-        """The two GEMMs of :meth:`forward` on a :meth:`prepare` result;
-        returns (outputs, cache-for-backward). Without its "slopes" entry
-        the cache serves only ``backward(need_input_grad=False)``."""
+        """The two GEMMs of :meth:`forward` on a :meth:`prepare` or
+        :meth:`prepare_rows` result; returns (outputs, cache-for-backward).
+        Without a "slopes" entry the cache serves only
+        ``backward(need_input_grad=False)``."""
         w = self._spline_weights()
         y = prepared["s"] @ self.w_b.T + prepared["b"] @ w.T
         return y, {**prepared, "w": w}
@@ -200,7 +217,9 @@ def edge_importances(model: KanModel, calibration) -> list[np.ndarray]:
 
     The batch is checked once and forwarded layer by layer, so each layer
     is scored on what it actually sees; the last layer's outputs are never
-    computed.
+    computed. The per-edge tensor is built ROW_CHUNK rows at a time, and
+    its rows are added in order into one sum, as the mean over axis 0 of
+    the whole tensor adds them, so the scores are the same bits.
     """
     h = as_matrix(calibration, "calibration")
     if h.shape[0] == 0:
@@ -208,8 +227,13 @@ def edge_importances(model: KanModel, calibration) -> list[np.ndarray]:
     scores = []
     for k, layer in enumerate(model.layers):
         if k:
-            h, _ = model.layers[k - 1].forward(h)
-        scores.append(np.abs(layer.per_edge_activations(h)).mean(axis=0))
+            prev = model.layers[k - 1]
+            h = prev.apply(prev.prepare_rows(h))[0]
+        total = np.zeros((layer.out_dim, layer.in_dim))
+        for rows in row_chunks(h.shape[0]):
+            for edges in np.abs(layer.per_edge_activations(h[rows])):
+                total += edges
+        scores.append(total / h.shape[0])
     return scores
 
 

@@ -16,6 +16,9 @@ import numpy as np
 LOG_FLOOR = 1e-300
 # Adam's published constants (Kingma & Ba, arXiv 1412.6980).
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+# Rows per chunk of the passes that prepare layer 0, rank edges or build the
+# detector dataset over many rows: their temporaries are one chunk's, not n rows'.
+ROW_CHUNK = 64
 
 
 class ShapeError(ValueError):
@@ -48,6 +51,11 @@ def keep_masks(scores, ratio: float) -> list[np.ndarray]:
     keep = np.ones(flat.size, dtype=bool)
     keep[np.argsort(flat, kind="stable")[:n_drop]] = False
     return views(keep, [np.shape(s) for s in scores])
+
+
+def row_chunks(n: int) -> list[slice]:
+    """Consecutive slices of ROW_CHUNK rows (the last may be shorter) covering n rows."""
+    return [slice(start, start + ROW_CHUNK) for start in range(0, n, ROW_CHUNK)]
 
 
 def views(flat: np.ndarray, shapes) -> list[np.ndarray]:

@@ -9,7 +9,7 @@ G + 2k + 1 knots and G + k basis functions. Inputs are clamped to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -21,7 +21,8 @@ class SplineGrid:
     intervals: int
     t_min: float
     t_max: float
-    knots: np.ndarray
+    # Grids compare by the four numbers that build_grid derives the knots from.
+    knots: np.ndarray = field(compare=False)
 
     @property
     def basis_count(self) -> int:
@@ -76,14 +77,20 @@ def _local_basis(grid: SplineGrid, x: np.ndarray):
 
 
 def _scatter(idx: np.ndarray, local: list, width: int) -> np.ndarray:
-    # Dense (n, width) rows from the local columns of _local_basis. At
-    # x = t_max (degree >= 1) idx is the extension interval, whose last
-    # column (value 0) lands one past the width: scatter wide, then drop it.
-    out = np.zeros((idx.size, width + 1))
-    first = np.arange(0, out.size, width + 1) + idx - (len(local) - 1)
-    for r, column in enumerate(local):
-        out.ravel()[first + r] = column
-    return out[:, :width]
+    # Contiguous dense (n, width) rows from the local columns of _local_basis.
+    # At x = t_max (degree >= 1) idx is the extension interval, whose last
+    # column would land one past the width, on the next row's first entry.
+    # That column is written first, clipped to the row's last entry, which
+    # the column before it then overwrites. Its value is 0 for the basis but
+    # not for the slopes at degree 1, so it must not spill.
+    out = np.zeros((idx.size, width))
+    flat = out.ravel()
+    rows = np.arange(0, flat.size, width)
+    flat[rows + np.minimum(idx, width - 1)] = local[-1]
+    first = rows + idx - (len(local) - 1)
+    for r, column in enumerate(local[:-1]):
+        flat[first + r] = column
+    return out
 
 
 def basis_and_slopes(grid: SplineGrid, x):

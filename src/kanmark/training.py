@@ -98,14 +98,14 @@ def batch_inputs(model, inputs: np.ndarray):
     """Function from a batch's row indices to its model input: the rows of
     ``inputs`` for an MlpModel, layer 0's :meth:`KanLayer.prepare` cache of
     them for a KanModel. Up to PREPARED_BYTES_MAX that cache is prepared
-    once for all rows, without the slopes layer 0's backward never needs."""
+    once for all rows (:meth:`KanLayer.prepare_rows`), without the slopes
+    layer 0's backward never needs."""
     if not isinstance(model, KanModel):
         return lambda idx: inputs.take(idx, axis=0)
     layer = model.layers[0]
     if inputs.size * (layer.grid.basis_count + 2) * 8 > PREPARED_BYTES_MAX:
         return lambda idx: layer.prepare(inputs.take(idx, axis=0))
-    prepared = layer.prepare(inputs)
-    del prepared["slopes"]
+    prepared = layer.prepare_rows(inputs)
     return lambda idx: {key: a.take(idx, axis=0) for key, a in prepared.items()}
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .kan import KanModel
 from .mlp import MlpModel
-from .numeric import ShapeError, adam, as_matrix, optimizer_step
+from .numeric import ShapeError, adam, as_matrix, optimizer_step, row_chunks
 from .training import fit, steps
 from .transform import dct, idct
 
@@ -153,10 +153,12 @@ def build_detector_dataset(model_wm: KanModel, model_clean: KanModel, inputs,
 
     Rows come in per-sample blocks [wm, clean, n_shuffles x wm shuffled,
     n_shuffles x clean shuffled], and the permutations are drawn in that
-    order.
+    order, ROW_CHUNK samples at a time. Layer 0's input preparation is
+    shared by both models when their grids and input widths agree.
     """
-    wm_dim = model_wm.layers[0].out_dim
-    if wm_dim != model_clean.layers[0].out_dim:
+    wm_layer, clean_layer = model_wm.layers[0], model_clean.layers[0]
+    width = wm_layer.out_dim
+    if width != clean_layer.out_dim:
         raise ShapeError("models disagree on watermarked layer width")
     if n_shuffles < 0:
         raise ValueError(f"n_shuffles must be >= 0, got {n_shuffles}")
@@ -164,16 +166,28 @@ def build_detector_dataset(model_wm: KanModel, model_clean: KanModel, inputs,
     n = inputs.shape[0]
     if n == 0:
         raise ValueError("empty detector source data")
-    outs = np.stack([layer_outputs(model_wm, inputs),
-                     layer_outputs(model_clean, inputs)], axis=1)
+    if n * (2 + 2 * n_shuffles) * width * 8 > np.iinfo(np.intp).max:  # numpy's size limit
+        raise MemoryError(f"{n} x {2 + 2 * n_shuffles} detector rows of {width} "
+                          "floats exceed the address space")
+    prepared = wm_layer.prepare_rows(inputs)
+    outs = [wm_layer.apply(prepared)[0]]
+    if (clean_layer.grid, clean_layer.in_dim) != (wm_layer.grid, wm_layer.in_dim):
+        prepared = clean_layer.prepare_rows(inputs)
+    outs.append(clean_layer.apply(prepared)[0])
+    del prepared
+    rows = np.empty((n, 2 + 2 * n_shuffles, width))
+    rows[:, 0], rows[:, 1] = outs
+    # rng.permuted draws the same permutations for any integer dtype.
+    order = np.arange(width, dtype=np.min_scalar_type(width))
+    source = np.repeat([0, 1], n_shuffles)  # the unshuffled row of each shuffle
     rng = np.random.default_rng(seed)
-    perms = rng.permuted(np.tile(np.arange(wm_dim), (n * 2 * n_shuffles, 1)),
-                         axis=1).reshape(n, 2 * n_shuffles, wm_dim)
-    identity = np.broadcast_to(np.arange(wm_dim), (n, 2, wm_dim))
-    columns = np.concatenate([identity, perms], axis=1)
+    for chunk in row_chunks(n):
+        block = rows[chunk]  # a view: writing to it fills rows
+        perms = rng.permuted(np.tile(order, (len(block) * 2 * n_shuffles, 1)), axis=1)
+        block[:, 2:] = np.take_along_axis(
+            block[:, source], perms.reshape(len(block), 2 * n_shuffles, width), axis=2)
     clean = np.repeat([0, 1, 0, 1], [1, 1, n_shuffles, n_shuffles])
-    rows = outs[np.arange(n)[:, None, None], clean[None, :, None], columns]
-    return DetectorDataset(rows.reshape(-1, wm_dim),
+    return DetectorDataset(rows.reshape(-1, width),
                            np.tile(1 - clean, n).astype(np.int64))
 
 

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive (recursion, scalar loops, O(N^2)
 summation) and shares no code with the package, except the training
-reference, which composes the package's checked public pieces, and the
-ShapeError that :func:`perturb` raises.
+reference and the full-tensor constructions, which compose the package's
+checked public pieces, and the ShapeError that :func:`perturb` raises.
 """
 
 import math
@@ -149,7 +149,33 @@ def detector_dataset_ref(o_wm, o_clean, n_shuffles, seed):
     return np.array(rows), np.array(labels)
 
 
+def detector_dataset_tensor_ref(o_wm, o_clean, n_shuffles, seed):
+    """The detector dataset built whole: int64 permutations of all rows from
+    one rng.permuted call, then one fancy-indexed gather; (rows, labels)."""
+    n, width = o_wm.shape
+    outs = np.stack([o_wm, o_clean], axis=1)
+    rng = np.random.default_rng(seed)
+    perms = rng.permuted(np.tile(np.arange(width), (n * 2 * n_shuffles, 1)),
+                         axis=1).reshape(n, 2 * n_shuffles, width)
+    identity = np.broadcast_to(np.arange(width), (n, 2, width))
+    columns = np.concatenate([identity, perms], axis=1)
+    clean = np.repeat([0, 1, 0, 1], [1, 1, n_shuffles, n_shuffles])
+    rows = outs[np.arange(n)[:, None, None], clean[None, :, None], columns]
+    return rows.reshape(-1, width), np.tile(1 - clean, n).astype(np.int64)
+
+
 # --- pruning -------------------------------------------------------------------
+
+def edge_importances_tensor_ref(model, calibration):
+    """Mean |edge activation| per layer from each layer's whole
+    (batch, out, in) per-edge tensor, the input forwarded layer by layer."""
+    h, scores = np.asarray(calibration, dtype=np.float64), []
+    for k, layer in enumerate(model.layers):
+        if k:
+            h, _ = model.layers[k - 1].forward(h)
+        scores.append(np.abs(layer.per_edge_activations(h)).mean(axis=0))
+    return scores
+
 
 def prune_ref(scores, ratio):
     """Keep-masks from a Python sort over (score, layer, row, col): the

@@ -503,6 +503,27 @@ class TestCommands:
         assert main([command, "--config", cfg, "--out", str(out), *ckpt, *flags]) == 2
         assert not out.exists()
 
+    # Sizes of at least 2**50 elements: their allocation fails at once.
+    @pytest.mark.parametrize("command, overrides", [
+        ("train-clean", {"grid": {"intervals": 2**50}}),
+        ("train-clean", {"dataset": {"kind": "feynman", "formula": "I.12.11",
+                                     "n": 2**50}}),
+        ("train-clean", {"model": {"widths": [2, 2**50, 1]}}),
+        ("embed", {"detector": {"n_shuffles": 2**50, "n_samples": 20}}),
+        ("embed", {"detector": {"n_shuffles": 2**60}}),
+    ], ids=["grid_intervals", "dataset_n", "hidden_width", "detector_n_shuffles",
+            "detector_rows_past_numpy_size_limit"])
+    def test_unallocatable_size_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                          command, overrides):
+        model = tmp_path / "model.json"
+        save_checkpoint(model, KanModel.create([2, 4, 1], seed=0), "clean", "hash", 0)
+        ckpt = ["--clean-ckpt", str(model)] if command == "embed" else []
+        out = tmp_path / "runs"
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        assert main([command, "--config", cfg, "--out", str(out), *ckpt]) == 2
+        assert "nothing saved" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, overrides, flags", [
         ("train-clean", {"model": {"widths": [2, 5, 3]}}, []),
         ("embed", {}, ["--clean-ckpt", "wide.json"]),

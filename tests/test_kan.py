@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from kanmark.kan import KanLayer, KanModel, edge_importances, prune_kan
-from kanmark.numeric import (NonFiniteError, ShapeError, keep_masks, mse_loss,
-                             sigmoid, silu, silu_slope)
+from kanmark.numeric import (ROW_CHUNK, NonFiniteError, ShapeError, keep_masks,
+                             mse_loss, sigmoid, silu, silu_slope)
 from kanmark.spline import basis_and_slopes, build_grid
 
 from oracles import (assert_grads_close, central_diff, edge_activation_ref,
-                     kan_forward_ref, layer_forward_ref, silu_ref)
+                     edge_importances_tensor_ref, kan_forward_ref, layer_forward_ref,
+                     silu_ref)
 
 
 def random_layer(in_dim, out_dim, seed=0, grid=None):
@@ -120,6 +121,33 @@ class TestLayerForward:
         layer = random_layer(4, 3, seed=22)
         _, cache = layer.forward(np.random.default_rng(14).normal(size=(5, 4)))
         assert all(np.ndim(v) <= 2 for v in cache.values())
+
+
+class TestPrepareRows:
+    @pytest.mark.parametrize("degree", range(5))
+    def test_matches_prepare_byte_for_byte(self, degree):
+        # Two chunks and a short third, with points at every knot, at both
+        # domain ends and outside them.
+        grid = build_grid(degree, 4, -2.0, 3.0)
+        layer = random_layer(3, 2, seed=31, grid=grid)
+        x = np.random.default_rng(degree).uniform(-2.5, 3.5, size=(2 * ROW_CHUNK + 5, 3))
+        x[::7, 0] = grid.t_max
+        x[3::11, 1] = grid.t_min
+        x[:grid.knots.size, 2] = grid.knots
+        whole, rows = layer.prepare(x), layer.prepare_rows(x)
+        assert set(rows) == {"x", "sig", "s", "b"}
+        for key, a in rows.items():
+            assert a.shape == whole[key].shape and a.tobytes() == whole[key].tobytes()
+
+    @pytest.mark.parametrize("degree", range(5))
+    def test_basis_rows_contiguous_and_prepare_views_them(self, degree):
+        grid = build_grid(degree, 4)
+        x = np.linspace(-1.2, 1.2, 30).reshape(10, 3)
+        x[0, 0] = grid.t_max
+        b, slopes = basis_and_slopes(grid, x)
+        assert b.flags.c_contiguous and slopes().flags.c_contiguous
+        prepared_b = random_layer(3, 2, grid=grid).prepare(x)["b"]
+        assert prepared_b.flags.c_contiguous and prepared_b.base is not None
 
 
 class TestModelForward:
@@ -302,8 +330,17 @@ class TestEdgeImportance:
     def test_last_layer_never_forwarded(self, monkeypatch):
         model = random_model([3, 4, 2], seed=28)
         last = model.layers[-1]
-        monkeypatch.setattr(last, "forward", lambda x: pytest.fail("forwarded"))
+        for name in ("forward", "apply"):
+            monkeypatch.setattr(last, name, lambda x: pytest.fail("forwarded"))
         edge_importances(model, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("rows", [1, ROW_CHUNK, 3 * ROW_CHUNK + 7])
+    def test_matches_whole_tensor_bit_for_bit(self, rows):
+        model = random_model([64, 32, 10], seed=29)
+        calib = np.random.default_rng(rows).uniform(-1.1, 1.1, size=(rows, 64))
+        got = edge_importances(model, calib)
+        want = edge_importances_tensor_ref(model, calib)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
     def test_empty_batch_rejected(self):
         model = random_model([2, 2], seed=24)

@@ -1,0 +1,56 @@
+"""Peak traced memory of the passes that run layer 0 over many rows, on the
+glyph fixture's shapes: 1257 training rows of 64 inputs, a 64-32-10 KAN on
+the default grid, a 256-row calibration batch and 10 shuffles per sample.
+
+Each bound was fixed before the first run: the arrays the pass keeps plus an
+allowance for one chunk's temporaries. Passes that build their arrays for all
+rows at once peak at several times these bounds."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from kanmark import KanModel, build_detector_dataset, edge_importances
+from kanmark.training import batch_inputs
+
+ROWS, WIDTHS, CALIBRATION, SHUFFLES = 1257, [64, 32, 10], 256, 10
+MiB = 2**20
+
+
+def traced_peak(run):
+    """(run(), the peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    return np.random.default_rng(41).uniform(-1.0, 1.0, size=(ROWS, WIDTHS[0]))
+
+
+def test_batch_inputs_peak_is_prepared_arrays_plus_a_chunk(inputs):
+    model = KanModel.create(WIDTHS, seed=42)
+    gather, peak = traced_peak(lambda: batch_inputs(model, inputs))
+    kept = inputs.size * (model.layers[0].grid.basis_count + 2) * 8
+    assert peak <= kept + 2 * MiB
+    assert gather(np.arange(3))["b"].shape == (3, WIDTHS[0] * 8)
+
+
+def test_edge_importances_peak_is_bounded(inputs):
+    model = KanModel.create(WIDTHS, seed=43)
+    scores, peak = traced_peak(lambda: edge_importances(model, inputs[:CALIBRATION]))
+    assert peak <= 6 * MiB
+    assert [s.shape for s in scores] == [(32, 64), (10, 32)]
+
+
+def test_build_detector_dataset_peak_is_dataset_plus_a_chunk(inputs):
+    wm, clean = KanModel.create(WIDTHS, seed=44), KanModel.create(WIDTHS, seed=45)
+    data, peak = traced_peak(lambda: build_detector_dataset(
+        wm, clean, inputs, n_shuffles=SHUFFLES, seed=46))
+    assert len(data) == ROWS * (2 + 2 * SHUFFLES)
+    assert peak <= data.inputs.nbytes + data.labels.nbytes + 3 * MiB

@@ -171,24 +171,27 @@ class TestReferenceLoop:
 
 class TestLayerZeroPreparedOncePerRun:
     """Layer 0's basis rows depend on the inputs alone, so a run evaluates
-    them once, on all rows; the hidden layer's follow each batch, plus once
-    for the forward check after the last step. Embed's signal steps add no
-    evaluation. 100 rows in batches of 24 make 5 batches per epoch."""
+    them once per training row, before the first step; the hidden layer's
+    follow each batch, plus once for the forward check after the last step.
+    Embed's signal steps add no evaluation. 100 rows in batches of 24 make 5
+    batches per epoch."""
 
     EPOCHS, BATCHES = 3, 5
 
     def run(self, how, monkeypatch):
-        shapes = []
+        shapes, self.points = [], []
         basis_and_slopes = kan.basis_and_slopes
 
         def counted(grid, x):
             shapes.append(np.shape(x))
+            self.points.append(np.array(x))
             return basis_and_slopes(grid, x)
 
         monkeypatch.setattr(kan, "basis_and_slopes", counted)
         rng = np.random.default_rng(21)
         x = rng.uniform(-1, 1, size=(100, 3))
         y = x[:, 0] * x[:, 1]
+        self.x = x
         model = KanModel.create([3, 4, 1], seed=22)
         if how == "fit":
             fit(model, x, y, "regression", self.EPOCHS, adam(1e-3), 24, seed=23)
@@ -201,8 +204,10 @@ class TestLayerZeroPreparedOncePerRun:
     def test_layer_zero_basis_once_per_run(self, how, monkeypatch):
         shapes = self.run(how, monkeypatch)
         steps = self.EPOCHS * self.BATCHES
-        assert shapes[0] == (100, 3)
-        assert [s[1] for s in shapes[1:]] == [4] * (steps + 1)
+        layer_zero = [s[1] for s in shapes].count(3)
+        # each training row once, in row order, whatever the chunking
+        assert np.array_equal(np.concatenate(self.points[:layer_zero]), self.x)
+        assert [s[1] for s in shapes[layer_zero:]] == [4] * (steps + 1)
         assert shapes[-1] == (100 % 24, 4)
 
     @pytest.mark.parametrize("how", ["fit", "embed"])

@@ -5,12 +5,13 @@ from kanmark import (KanModel, adam, build_detector_dataset, embed, fit,
                      gen_feynman, gen_signal, train_detector, verify)
 from kanmark import watermark
 from kanmark.mlp import MlpModel
-from kanmark.numeric import ShapeError, mse_loss
+from kanmark.numeric import ROW_CHUNK, ShapeError, mse_loss
+from kanmark.spline import build_grid
 from kanmark.transform import dct
 from kanmark.watermark import (DetectorDataset, calibrate_amplitude,
                                default_band, layer_outputs, signal_step)
 
-from oracles import detector_dataset_ref, perturb
+from oracles import detector_dataset_ref, detector_dataset_tensor_ref, perturb
 
 
 def small_task(seed=0, n=96):
@@ -168,6 +169,22 @@ class TestDetectorDataset:
         rows, labels = detector_dataset_ref(layer_outputs(wm, x[:12]),
                                             layer_outputs(clean, x[:12]),
                                             n_shuffles, seed=5)
+        assert np.array_equal(ds.inputs, rows)
+        assert np.array_equal(ds.labels, labels)
+
+    # uint8 and uint16 permutations, several chunks, one grid for both
+    # models or one each
+    @pytest.mark.parametrize("n, width, n_shuffles, clean_grid", [
+        (2 * ROW_CHUNK + 9, 32, 10, None), (ROW_CHUNK + 1, 300, 3, None),
+        (5, 4, 0, None), (ROW_CHUNK + 3, 6, 2, (2, 7))])
+    def test_matches_whole_tensor_construction(self, n, width, n_shuffles, clean_grid):
+        x = np.random.default_rng(n).uniform(-1.1, 1.1, size=(n, 3))
+        wm = KanModel.create([3, width, 1], seed=14)
+        clean = KanModel.create([3, width, 1], seed=15,
+                                grid=clean_grid and build_grid(*clean_grid))
+        ds = build_detector_dataset(wm, clean, x, n_shuffles=n_shuffles, seed=19)
+        rows, labels = detector_dataset_tensor_ref(
+            wm.layers[0].forward(x)[0], clean.layers[0].forward(x)[0], n_shuffles, 19)
         assert np.array_equal(ds.inputs, rows)
         assert np.array_equal(ds.labels, labels)
 
