@@ -7,8 +7,6 @@ input untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kan import KanModel, edge_importances, prune_kan, zero_edges
@@ -20,30 +18,11 @@ SMALL_LR = 1e-3
 ATTACK_KINDS = ("finetune", "prune", "retrain_after_prune")
 
 
-@dataclass(frozen=True)
-class AttackSpec:
-    kind: str
-    lr: float = SMALL_LR
-    epochs: int = 8
-    prune_ratio: float | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
-            raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.kind != "finetune" and self.prune_ratio is None:
-            raise ValueError(f"{self.kind} requires a prune_ratio")
-        if self.prune_ratio is not None and not 0.0 <= self.prune_ratio <= 1.0:
-            raise ValueError(f"prune ratio must be in [0, 1], got {self.prune_ratio}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.kind != "prune" and self.lr <= 0:
-            raise ValueError("training attacks need lr > 0")
-
-
 def finetune(model: KanModel, inputs, targets, task: str, epochs: int = 8,
              lr: float = SMALL_LR, seed: int = 0) -> KanModel:
     """Continue main-task training (no watermark phase) on a copy."""
+    if lr <= 0:
+        raise ValueError(f"training attacks need lr > 0, got {lr}")
     attacked = model.copy()
     fit(attacked, inputs, targets, task, epochs, adam(lr), seed=seed)
     return attacked
@@ -55,6 +34,8 @@ def retrain_after_prune(model: KanModel, inputs, targets, task: str,
                         seed: int = 0) -> KanModel:
     """Prune (``calibration`` ranks the edges, see :func:`prune_kan`), then
     continue main-task training."""
+    if lr <= 0:
+        raise ValueError(f"training attacks need lr > 0, got {lr}")
     attacked = prune_kan(model, ratio, calibration)
     fit(attacked, inputs, targets, task, epochs, adam(lr), seed=seed)
     return attacked
@@ -91,16 +72,19 @@ def prune_sweep(kan_model: KanModel, mlp_model: MlpModel, test_inputs,
     return rows
 
 
-def run_attack(model: KanModel, spec: AttackSpec, inputs, targets, task: str,
-               calibration) -> KanModel:
-    """Dispatch an AttackSpec against a model; ``calibration`` ranks the
-    edges of the pruning attacks."""
-    if spec.kind == "finetune":
-        return finetune(model, inputs, targets, task, epochs=spec.epochs,
-                        lr=spec.lr, seed=spec.seed)
-    if spec.kind == "prune":
-        return prune_kan(model, spec.prune_ratio, calibration)
-    return retrain_after_prune(model, inputs, targets, task,
-                               ratio=spec.prune_ratio, lr=spec.lr,
-                               epochs=spec.epochs, calibration=calibration,
-                               seed=spec.seed)
+def run_attack(model: KanModel, kind: str, inputs, targets, task: str, *,
+               lr: float, epochs: int, ratio: float, calibration,
+               seed: int) -> KanModel:
+    """Run the attack named ``kind`` (one of ATTACK_KINDS) against a model;
+    ``calibration`` ranks the edges of the pruning attacks, and ``finetune``
+    ignores ``ratio``."""
+    if kind == "finetune":
+        return finetune(model, inputs, targets, task, epochs=epochs, lr=lr,
+                        seed=seed)
+    if kind == "prune":
+        return prune_kan(model, ratio, calibration)
+    if kind == "retrain_after_prune":
+        return retrain_after_prune(model, inputs, targets, task, ratio=ratio,
+                                   lr=lr, epochs=epochs, calibration=calibration,
+                                   seed=seed)
+    raise ValueError(f"unknown attack kind {kind!r}")

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import ATTACK_KINDS, AttackSpec, check_step, prune_sweep, run_attack
+from .attacks import ATTACK_KINDS, check_step, prune_sweep, run_attack
 from .data import DataError, average_pool, gen_feynman, load_idx, split_dataset
 from .kan import KanModel, KanLayer, zero_edges
 from .mlp import MlpModel
@@ -443,19 +443,17 @@ def cmd_attack(args) -> int:
     atk = _merge({**cfg["attack"], **{k: v for k, v in flags.items() if v is not None}},
                  SCHEMA["attack"], "attack.")
     wm = _load(args.wm_ckpt, "kan")
+    kind = atk["kind"]
     # float(): the checkpoint and report row record lr and ratio as floats
-    spec = _constructs("attack", lambda: AttackSpec(
-        kind=atk["kind"], lr=float(atk["lr"]), epochs=atk["epochs"],
-        prune_ratio=None if atk["kind"] == "finetune" else float(atk["ratio"]),
-        seed=bundle.attack))
-    attacked = run_attack(wm, spec, train.inputs, train.targets, cfg["task"],
-                          calibration=train.inputs[:256])
-    provenance = {"kind": spec.kind, "lr": spec.lr, "epochs": spec.epochs,
-                  "ratio": spec.prune_ratio}
+    provenance = {"kind": kind, "lr": float(atk["lr"]), "epochs": atk["epochs"],
+                  "ratio": None if kind == "finetune" else float(atk["ratio"])}
+    attacked = _constructs("attack", lambda: run_attack(
+        wm, inputs=train.inputs, targets=train.targets, task=cfg["task"],
+        calibration=train.inputs[:256], seed=bundle.attack, **provenance))
     metric, ckpt = _conclude(args, cfg, bundle, test, [
-        (f"attacked-{spec.kind}.json", attacked, "attacked", provenance)],
-        f"attacked:{spec.kind}", **provenance)
-    print(f"attacked ({spec.kind}): {metric} -> {ckpt}")
+        (f"attacked-{kind}.json", attacked, "attacked", provenance)],
+        f"attacked:{kind}", **provenance)
+    print(f"attacked ({kind}): {metric} -> {ckpt}")
     return 0
 
 

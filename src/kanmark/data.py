@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .numeric import check_floats
+
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 MIN_DENOMINATOR = 1e-6
@@ -238,6 +240,7 @@ def gen_feynman(formula: str | FeynmanFormula, n: int, seed: int = 0) -> Dataset
         formula = FEYNMAN[formula]
     if n < 1:
         raise DataError(f"need n >= 1 samples, got {n}")
+    check_floats(n * formula.arity, f"{n} samples of {formula.arity} inputs")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(n, formula.arity))
     while True:

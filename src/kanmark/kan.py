@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numeric import (ShapeError, as_matrix, keep_masks, row_chunks, sigmoid,
-                      silu_slope, views)
+from .numeric import (ShapeError, as_matrix, check_floats, keep_masks, row_chunks,
+                      sigmoid, silu_slope, views)
 from .spline import SplineGrid, basis_and_slopes, build_grid
 
 
@@ -55,6 +55,8 @@ class KanLayer:
                rng: np.random.Generator) -> "KanLayer":
         """Fresh layer: spline coefficients ~ N(0, 0.1^2), unit mixing
         weights, so every edge starts close to a plain SiLU."""
+        check_floats(out_dim * in_dim * grid.basis_count,
+                     f"{out_dim} x {in_dim} edges of {grid.basis_count} coefficients")
         coeffs = rng.normal(0.0, 0.1, size=(out_dim, in_dim, grid.basis_count))
         w_b = np.ones((out_dim, in_dim))
         w_s = np.ones((out_dim, in_dim))
@@ -137,8 +139,10 @@ class KanLayer:
         """All edge outputs for a batch; shape (batch, out_dim, in_dim)."""
         p = self.prepare(x)
         bv = p["b"].reshape(p["x"].shape[0], self.in_dim, -1)
-        spl = np.einsum("bim,jim->bji", bv, self.coeffs)
-        return self.w_b * p["s"][:, None, :] + self.w_s * spl
+        edges = np.einsum("bim,jim->bji", bv, self.coeffs)
+        edges *= self.w_s
+        edges += self.w_b * p["s"][:, None, :]
+        return edges
 
     def copy(self) -> "KanLayer":
         return KanLayer(self.grid, self.coeffs, self.w_b, self.w_s)
@@ -231,8 +235,9 @@ def edge_importances(model: KanModel, calibration) -> list[np.ndarray]:
             h = prev.apply(prev.prepare_rows(h))[0]
         total = np.zeros((layer.out_dim, layer.in_dim))
         for rows in row_chunks(h.shape[0]):
-            for edges in np.abs(layer.per_edge_activations(h[rows])):
-                total += edges
+            edges = layer.per_edge_activations(h[rows])
+            for row in np.abs(edges, out=edges):
+                total += row
         scores.append(total / h.shape[0])
     return scores
 

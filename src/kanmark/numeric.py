@@ -16,8 +16,8 @@ import numpy as np
 LOG_FLOOR = 1e-300
 # Adam's published constants (Kingma & Ba, arXiv 1412.6980).
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
-# Rows per chunk of the passes that prepare layer 0, rank edges or build the
-# detector dataset over many rows: their temporaries are one chunk's, not n rows'.
+# Rows per chunk of the passes that prepare layer 0 or rank edges over many
+# rows: their temporaries are one chunk's, not n rows'.
 ROW_CHUNK = 64
 
 
@@ -27,6 +27,13 @@ class ShapeError(ValueError):
 
 class NonFiniteError(ValueError):
     """An array that must be finite holds an inf or a nan."""
+
+
+def check_floats(count: int, what: str) -> None:
+    """MemoryError if ``count`` float64 values pass numpy's size limit, where
+    numpy itself raises ValueError."""
+    if count * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"{what} exceed the address space")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

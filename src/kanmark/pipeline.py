@@ -66,7 +66,7 @@ def build_detector(wm: KanModel, clean: KanModel, cfg: dict, train,
     """The detector of ``wm`` against ``clean`` on the first ``n_samples``
     training rows, shuffled with ``data_seed``, trained with ``train_seed``."""
     det = cfg["detector"]
-    data = build_detector_dataset(wm, clean, train.inputs[:det["n_samples"]],
-                                  n_shuffles=det["n_shuffles"], seed=data_seed)
-    return train_detector(data, hidden=det["hidden"], epochs=det["epochs"],
+    rows, labels = build_detector_dataset(wm, clean, train.inputs[:det["n_samples"]],
+                                          n_shuffles=det["n_shuffles"], seed=data_seed)
+    return train_detector(rows, labels, hidden=det["hidden"], epochs=det["epochs"],
                           lr=det["lr"], batch_size=det["batch_size"], seed=train_seed)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .kan import KanModel
 from .mlp import MlpModel
-from .numeric import ShapeError, adam, as_matrix, optimizer_step, row_chunks
+from .numeric import ShapeError, adam, as_matrix, check_floats, optimizer_step
 from .training import fit, steps
 from .transform import dct, idct
 
@@ -133,28 +133,17 @@ def embed(model: KanModel, signal: PerturbationSignal, inputs, targets,
     return wm
 
 
-@dataclass
-class DetectorDataset:
-    """Labeled activation rows: watermarked (1) vs clean (0), each original
-    row accompanied by shuffled variants with the same label."""
-
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
-
-
 def build_detector_dataset(model_wm: KanModel, model_clean: KanModel, inputs,
-                           n_shuffles: int = 10, seed: int = 0) -> DetectorDataset:
+                           n_shuffles: int = 10,
+                           seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Per sample: the watermarked and clean layer outputs, plus
     ``n_shuffles`` independent random permutations of each, labeled like
-    their originals.
+    their originals (1 watermarked, 0 clean); returns (rows, labels).
 
     Rows come in per-sample blocks [wm, clean, n_shuffles x wm shuffled,
     n_shuffles x clean shuffled], and the permutations are drawn in that
-    order, ROW_CHUNK samples at a time. Layer 0's input preparation is
-    shared by both models when their grids and input widths agree.
+    order. Layer 0's input preparation is shared by both models when their
+    grids and input widths agree.
     """
     wm_layer, clean_layer = model_wm.layers[0], model_clean.layers[0]
     width = wm_layer.out_dim
@@ -166,9 +155,8 @@ def build_detector_dataset(model_wm: KanModel, model_clean: KanModel, inputs,
     n = inputs.shape[0]
     if n == 0:
         raise ValueError("empty detector source data")
-    if n * (2 + 2 * n_shuffles) * width * 8 > np.iinfo(np.intp).max:  # numpy's size limit
-        raise MemoryError(f"{n} x {2 + 2 * n_shuffles} detector rows of {width} "
-                          "floats exceed the address space")
+    check_floats(n * (2 + 2 * n_shuffles) * width,
+                 f"{n} x {2 + 2 * n_shuffles} detector rows of {width} floats")
     prepared = wm_layer.prepare_rows(inputs)
     outs = [wm_layer.apply(prepared)[0]]
     if (clean_layer.grid, clean_layer.in_dim) != (wm_layer.grid, wm_layer.in_dim):
@@ -177,30 +165,25 @@ def build_detector_dataset(model_wm: KanModel, model_clean: KanModel, inputs,
     del prepared
     rows = np.empty((n, 2 + 2 * n_shuffles, width))
     rows[:, 0], rows[:, 1] = outs
-    # rng.permuted draws the same permutations for any integer dtype.
-    order = np.arange(width, dtype=np.min_scalar_type(width))
-    source = np.repeat([0, 1], n_shuffles)  # the unshuffled row of each shuffle
-    rng = np.random.default_rng(seed)
-    for chunk in row_chunks(n):
-        block = rows[chunk]  # a view: writing to it fills rows
-        perms = rng.permuted(np.tile(order, (len(block) * 2 * n_shuffles, 1)), axis=1)
-        block[:, 2:] = np.take_along_axis(
-            block[:, source], perms.reshape(len(block), 2 * n_shuffles, width), axis=2)
+    # Copied from outs, not rows[:, :2]: numpy would buffer an overlapping source whole.
+    rows[:, 2:2 + n_shuffles] = outs[0][:, None]
+    rows[:, 2 + n_shuffles:] = outs[1][:, None]
+    shuffled = rows[:, 2:]
+    np.random.default_rng(seed).permuted(shuffled, axis=2, out=shuffled)
     clean = np.repeat([0, 1, 0, 1], [1, 1, n_shuffles, n_shuffles])
-    return DetectorDataset(rows.reshape(-1, width),
-                           np.tile(1 - clean, n).astype(np.int64))
+    return rows.reshape(-1, width), np.tile(1 - clean, n).astype(np.int64)
 
 
-def train_detector(dataset: DetectorDataset, hidden=(64, 32), epochs: int = 50,
+def train_detector(inputs, labels, hidden=(64, 32), epochs: int = 50,
                    lr: float = 1e-3, batch_size: int = 128,
                    seed: int = 0) -> MlpModel:
-    """Train the MLP detector with cross-entropy on the labeled rows."""
-    if len(np.unique(dataset.labels)) < 2:
+    """Train the MLP detector with cross-entropy on labeled rows."""
+    if len(np.unique(labels)) < 2:
         raise ValueError("detector dataset must contain both classes")
-    widths = [dataset.inputs.shape[1], *hidden, 2]
+    widths = [np.shape(inputs)[1], *hidden, 2]
     detector = MlpModel.create(widths, seed=seed)
-    fit(detector, dataset.inputs, dataset.labels, "classification", epochs,
-        adam(lr), batch_size=batch_size, seed=seed)
+    fit(detector, inputs, labels, "classification", epochs, adam(lr),
+        batch_size=batch_size, seed=seed)
     return detector
 
 

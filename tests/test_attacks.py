@@ -3,8 +3,7 @@ import pytest
 
 from kanmark import (KanModel, MlpModel, adam, evaluate, fit, gen_feynman,
                      prune_kan, prune_mlp)
-from kanmark.attacks import (AttackSpec, finetune, prune_sweep,
-                             retrain_after_prune, run_attack)
+from kanmark.attacks import finetune, prune_sweep, retrain_after_prune, run_attack
 from kanmark import attacks
 from kanmark.kan import edge_importances
 
@@ -16,21 +15,56 @@ def small_task(seed=0, n=160):
     return ds.inputs, ds.targets
 
 
-class TestAttackSpec:
+class TestAttackChecks:
     def test_prune_requires_ratio(self):
-        with pytest.raises(ValueError):
-            AttackSpec(kind="prune")
-        with pytest.raises(ValueError):
-            AttackSpec(kind="retrain_after_prune")
-        AttackSpec(kind="prune", prune_ratio=0.6)
+        x, y = small_task(seed=0)
+        model = KanModel.create([2, 4, 1], seed=0)
+        for kind in ("prune", "retrain_after_prune"):
+            with pytest.raises(TypeError):
+                run_attack(model, kind, x, y, "regression", lr=1e-3, epochs=1,
+                           calibration=x[:32], seed=0)
+            with pytest.raises(TypeError):
+                run_attack(model, kind, x, y, "regression", lr=1e-3, epochs=1,
+                           ratio=None, calibration=x[:32], seed=0)
+        run_attack(model, "prune", x, y, "regression", lr=1e-3, epochs=1,
+                   ratio=0.6, calibration=x[:32], seed=0)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            AttackSpec(kind="distill")
+        x, y = small_task(seed=0)
+        model = KanModel.create([2, 4, 1], seed=0)
+        with pytest.raises(ValueError, match="unknown attack kind"):
+            run_attack(model, "distill", x, y, "regression", lr=1e-3, epochs=1,
+                       ratio=0.6, calibration=x[:32], seed=0)
 
     def test_training_attacks_need_positive_lr(self):
-        with pytest.raises(ValueError):
-            AttackSpec(kind="finetune", lr=0.0)
+        x, y = small_task(seed=0)
+        model = KanModel.create([2, 4, 1], seed=0)
+        for lr in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="lr > 0"):
+                finetune(model, x, y, "regression", lr=lr)
+            with pytest.raises(ValueError, match="lr > 0"):
+                retrain_after_prune(model, x, y, "regression", lr=lr,
+                                    calibration=x[:32])
+            # pruning alone trains nothing, so it takes any lr
+            run_attack(model, "prune", x, y, "regression", lr=lr, epochs=1,
+                       ratio=0.6, calibration=x[:32], seed=0)
+
+    @pytest.mark.parametrize("ratio", [-0.1, 1.5])
+    def test_ratio_outside_unit_interval(self, ratio):
+        x, y = small_task(seed=0)
+        model = KanModel.create([2, 4, 1], seed=0)
+        for kind in ("prune", "retrain_after_prune"):
+            with pytest.raises(ValueError, match=r"prune ratio must be in \[0, 1\]"):
+                run_attack(model, kind, x, y, "regression", lr=1e-3, epochs=1,
+                           ratio=ratio, calibration=x[:32], seed=0)
+
+    def test_negative_epochs(self):
+        x, y = small_task(seed=0)
+        model = KanModel.create([2, 4, 1], seed=0)
+        for kind in ("finetune", "retrain_after_prune"):
+            with pytest.raises(ValueError, match="epochs must be >= 0"):
+                run_attack(model, kind, x, y, "regression", lr=1e-3, epochs=-1,
+                           ratio=0.6, calibration=x[:32], seed=0)
 
 
 class TestFinetune:
@@ -75,8 +109,8 @@ class TestPruneAttack:
     def test_delegates_to_prune_kan(self):
         x, _ = small_task(seed=5)
         model = KanModel.create([2, 4, 1], seed=9)
-        a = run_attack(model, AttackSpec(kind="prune", prune_ratio=0.5),
-                       x, None, "regression", x[:32])
+        a = run_attack(model, "prune", x, None, "regression", lr=1e-3, epochs=8,
+                       ratio=0.5, calibration=x[:32], seed=0)
         b = prune_kan(model, 0.5, x[:32])
         assert np.array_equal(a.params, b.params)
 
@@ -186,18 +220,16 @@ class TestRunAttack:
     def test_dispatch(self):
         x, y = small_task(seed=9)
         model = KanModel.create([2, 4, 1], seed=15)
-        for spec, ref in [
-            (AttackSpec(kind="finetune", lr=1e-3, epochs=1, seed=1),
-             finetune(model, x, y, "regression", epochs=1, lr=1e-3, seed=1)),
-            (AttackSpec(kind="prune", prune_ratio=0.5, seed=1),
-             prune_kan(model, 0.5, x[:256])),
-            (AttackSpec(kind="retrain_after_prune", prune_ratio=0.5, lr=1e-3,
-                        epochs=1, seed=1),
+        for kind, ref in [
+            ("finetune", finetune(model, x, y, "regression", epochs=1, lr=1e-3,
+                                  seed=1)),
+            ("prune", prune_kan(model, 0.5, x[:256])),
+            ("retrain_after_prune",
              retrain_after_prune(model, x, y, "regression", ratio=0.5, lr=1e-3,
                                  epochs=1, calibration=x[:256], seed=1)),
         ]:
-            out = run_attack(model, spec, x, y, "regression",
-                             calibration=x[:256])
+            out = run_attack(model, kind, x, y, "regression", lr=1e-3, epochs=1,
+                             ratio=0.5, calibration=x[:256], seed=1)
             assert np.array_equal(out.params, ref.params)
 
 

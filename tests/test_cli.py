@@ -460,6 +460,10 @@ class TestCommands:
         ("attack", {}, ["--lr", "inf"]),
         ("attack", {}, ["--kind", "prune", "--lr", "-0.1"]),
         ("attack", {}, ["--ratio", "nan"]),
+        ("attack", {}, ["--lr", "0"]),
+        ("attack", {}, ["--kind", "retrain", "--lr", "0"]),
+        ("attack", {}, ["--kind", "prune", "--ratio", "1.5"]),
+        ("attack", {"attack": {"kind": "retrain_after_prune", "ratio": 1.5}}, []),
         ("prune-sweep", CLASSIFY, ["--step", "0"]),
         ("prune-sweep", CLASSIFY, ["--step", "1.5"]),
         ("prune-sweep", CLASSIFY, ["--step", "nan"]),
@@ -481,7 +485,9 @@ class TestCommands:
             "scalar_watermark_section", "scalar_detector_section",
             "scalar_dataset_section", "test_images_without_test_labels",
             "attack_lr_nan_prune", "attack_lr_inf", "attack_lr_negative_prune",
-            "attack_ratio_nan_finetune", "prune_sweep_step_0",
+            "attack_ratio_nan_finetune", "attack_lr_zero_finetune",
+            "attack_lr_zero_retrain", "attack_ratio_above_one_prune",
+            "attack_ratio_above_one_retrain_config", "prune_sweep_step_0",
             "prune_sweep_step_above_1", "prune_sweep_step_nan", "prune_sweep_step_1e-12",
             "classification_on_feynman", "prune_sweep_classification_on_feynman"])
     def test_user_error_exits_2_and_writes_nothing(self, tmp_path, monkeypatch,
@@ -503,7 +509,8 @@ class TestCommands:
         assert main([command, "--config", cfg, "--out", str(out), *ckpt, *flags]) == 2
         assert not out.exists()
 
-    # Sizes of at least 2**50 elements: their allocation fails at once.
+    # Sizes of at least 2**50 elements: their allocation fails at once, and
+    # past numpy's size limit (2**63 bytes) none is attempted.
     @pytest.mark.parametrize("command, overrides", [
         ("train-clean", {"grid": {"intervals": 2**50}}),
         ("train-clean", {"dataset": {"kind": "feynman", "formula": "I.12.11",
@@ -511,8 +518,12 @@ class TestCommands:
         ("train-clean", {"model": {"widths": [2, 2**50, 1]}}),
         ("embed", {"detector": {"n_shuffles": 2**50, "n_samples": 20}}),
         ("embed", {"detector": {"n_shuffles": 2**60}}),
+        ("train-clean", {"dataset": {"kind": "feynman", "formula": "I.12.11",
+                                     "n": 2**62}}),
+        ("train-clean", {"model": {"widths": [2, 2**62, 1]}}),
     ], ids=["grid_intervals", "dataset_n", "hidden_width", "detector_n_shuffles",
-            "detector_rows_past_numpy_size_limit"])
+            "detector_rows_past_numpy_size_limit", "dataset_n_past_numpy_size_limit",
+            "hidden_width_past_numpy_size_limit"])
     def test_unallocatable_size_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                           command, overrides):
         model = tmp_path / "model.json"

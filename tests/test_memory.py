@@ -48,9 +48,21 @@ def test_edge_importances_peak_is_bounded(inputs):
     assert [s.shape for s in scores] == [(32, 64), (10, 32)]
 
 
-def test_build_detector_dataset_peak_is_dataset_plus_a_chunk(inputs):
+def detector_dataset_and_peak(inputs):
     wm, clean = KanModel.create(WIDTHS, seed=44), KanModel.create(WIDTHS, seed=45)
-    data, peak = traced_peak(lambda: build_detector_dataset(
+    (rows, labels), peak = traced_peak(lambda: build_detector_dataset(
         wm, clean, inputs, n_shuffles=SHUFFLES, seed=46))
-    assert len(data) == ROWS * (2 + 2 * SHUFFLES)
-    assert peak <= data.inputs.nbytes + data.labels.nbytes + 3 * MiB
+    assert len(rows) == len(labels) == ROWS * (2 + 2 * SHUFFLES)
+    return rows.nbytes + labels.nbytes, peak
+
+
+def test_build_detector_dataset_peak_is_dataset_plus_a_chunk(inputs):
+    kept, peak = detector_dataset_and_peak(inputs)
+    assert peak <= kept + 3 * MiB
+
+
+def test_build_detector_dataset_shuffles_in_place(inputs):
+    # Beside the dataset, only the two layer outputs (0.6 MiB) and the labels'
+    # temporaries fit: no index tensor and no copy of the rows to gather from.
+    kept, peak = detector_dataset_and_peak(inputs)
+    assert peak <= kept + 1 * MiB

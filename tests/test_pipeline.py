@@ -64,9 +64,10 @@ def test_embed_and_detector_stages_are_the_public_sequence(train, watermark):
     wm = embed(clean, signal, train.inputs, train.targets, "regression", epochs=2,
                lr_main=watermark.get("lr_main", 0.01), lr_wm=0.002, batch_size=32,
                seed=42)
-    data = build_detector_dataset(wm, clean, train.inputs[:50], n_shuffles=3, seed=43)
-    detector = train_detector(data, hidden=[8], epochs=2, lr=1e-3, batch_size=32,
-                              seed=44)
+    rows, labels = build_detector_dataset(wm, clean, train.inputs[:50], n_shuffles=3,
+                                          seed=43)
+    detector = train_detector(rows, labels, hidden=[8], epochs=2, lr=1e-3,
+                              batch_size=32, seed=44)
 
     got_wm, record = embed_watermark(clean, cfg, train, key=41, seed=42)
     got_detector = build_detector(got_wm, clean, cfg, train, data_seed=43, train_seed=44)

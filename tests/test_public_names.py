@@ -1,0 +1,27 @@
+"""The names ``kanmark`` exports. Adding or removing one is an API change, so
+it shows up here as an explicit edit."""
+
+import types
+
+import kanmark
+
+PUBLIC_NAMES = [
+    "DataError", "Dataset", "FEYNMAN", "FeynmanFormula", "KanLayer", "KanModel",
+    "MlpModel", "OptimizerState", "PerturbationSignal", "ShapeError", "SplineGrid",
+    "VerificationResult", "adam", "average_pool", "basis_and_slopes",
+    "build_detector_dataset", "build_grid", "calibrate_amplitude",
+    "cross_entropy_loss", "dct", "edge_importances", "embed", "evaluate",
+    "finetune", "fit", "gen_feynman", "gen_signal", "idct", "load_idx", "mse_loss",
+    "optimizer_step", "prune_kan", "prune_mlp", "prune_sweep",
+    "retrain_after_prune", "signal_step", "silu", "softmax", "split_dataset",
+    "train_detector", "verify", "write_idx",
+]
+
+
+def test_public_names_are_pinned():
+    # Submodules are left out: which of them are attributes depends on what
+    # has been imported so far.
+    names = sorted(name for name, value in vars(kanmark).items()
+                   if not name.startswith("_")
+                   and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES

@@ -8,8 +8,8 @@ from kanmark.mlp import MlpModel
 from kanmark.numeric import ROW_CHUNK, ShapeError, mse_loss
 from kanmark.spline import build_grid
 from kanmark.transform import dct
-from kanmark.watermark import (DetectorDataset, calibrate_amplitude,
-                               default_band, layer_outputs, signal_step)
+from kanmark.watermark import (calibrate_amplitude, default_band, layer_outputs,
+                               signal_step)
 
 from oracles import detector_dataset_ref, detector_dataset_tensor_ref, perturb
 
@@ -164,16 +164,15 @@ class TestDetectorDataset:
     def test_matches_row_loop_oracle(self, n_shuffles):
         x, _ = small_task(seed=6, n=20)
         wm, clean = self.models()
-        ds = build_detector_dataset(wm, clean, x[:12], n_shuffles=n_shuffles,
-                                    seed=5)
-        rows, labels = detector_dataset_ref(layer_outputs(wm, x[:12]),
-                                            layer_outputs(clean, x[:12]),
-                                            n_shuffles, seed=5)
-        assert np.array_equal(ds.inputs, rows)
-        assert np.array_equal(ds.labels, labels)
+        rows, labels = build_detector_dataset(wm, clean, x[:12],
+                                              n_shuffles=n_shuffles, seed=5)
+        ref_rows, ref_labels = detector_dataset_ref(layer_outputs(wm, x[:12]),
+                                                    layer_outputs(clean, x[:12]),
+                                                    n_shuffles, seed=5)
+        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(labels, ref_labels)
 
-    # uint8 and uint16 permutations, several chunks, one grid for both
-    # models or one each
+    # one grid for both models (layer 0 prepared once) or one each
     @pytest.mark.parametrize("n, width, n_shuffles, clean_grid", [
         (2 * ROW_CHUNK + 9, 32, 10, None), (ROW_CHUNK + 1, 300, 3, None),
         (5, 4, 0, None), (ROW_CHUNK + 3, 6, 2, (2, 7))])
@@ -182,39 +181,39 @@ class TestDetectorDataset:
         wm = KanModel.create([3, width, 1], seed=14)
         clean = KanModel.create([3, width, 1], seed=15,
                                 grid=clean_grid and build_grid(*clean_grid))
-        ds = build_detector_dataset(wm, clean, x, n_shuffles=n_shuffles, seed=19)
-        rows, labels = detector_dataset_tensor_ref(
+        rows, labels = build_detector_dataset(wm, clean, x, n_shuffles=n_shuffles,
+                                              seed=19)
+        ref_rows, ref_labels = detector_dataset_tensor_ref(
             wm.layers[0].forward(x)[0], clean.layers[0].forward(x)[0], n_shuffles, 19)
-        assert np.array_equal(ds.inputs, rows)
-        assert np.array_equal(ds.labels, labels)
+        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(labels, ref_labels)
 
     def test_row_count_and_balance(self):
-        ds = self.build(n=15)
-        assert len(ds) == 2 * 15 * 11
-        assert int(ds.labels.sum()) * 2 == len(ds)
+        rows, labels = self.build(n=15)
+        assert len(rows) == len(labels) == 2 * 15 * 11
+        assert int(labels.sum()) * 2 == len(labels)
 
     def test_shuffled_rows_are_permutations(self):
-        ds = self.build(n=8)
+        rows, _ = self.build(n=8)
         # per-sample block: wm, clean, 10x wm', 10x clean'
         block = 2 + 2 * 10
         for d in range(8):
-            base_wm = np.sort(ds.inputs[d * block])
-            base_clean = np.sort(ds.inputs[d * block + 1])
+            base_wm = np.sort(rows[d * block])
+            base_clean = np.sort(rows[d * block + 1])
             for s in range(10):
-                assert np.array_equal(np.sort(ds.inputs[d * block + 2 + s]), base_wm)
-                assert np.array_equal(
-                    np.sort(ds.inputs[d * block + 12 + s]), base_clean)
+                assert np.array_equal(np.sort(rows[d * block + 2 + s]), base_wm)
+                assert np.array_equal(np.sort(rows[d * block + 12 + s]), base_clean)
 
     def test_labels_follow_provenance(self):
         # per-sample block: wm, clean, 10x wm', 10x clean'
-        ds = self.build(n=5)
-        assert ds.labels.tolist() == ([1, 0] + [1] * 10 + [0] * 10) * 5
+        _, labels = self.build(n=5)
+        assert labels.tolist() == ([1, 0] + [1] * 10 + [0] * 10) * 5
 
     def test_seeded_rerun_is_identical(self):
         a = self.build(n=10, seed=42)
         b = self.build(n=10, seed=42)
-        assert np.array_equal(a.inputs, b.inputs)
-        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_dim_mismatch(self):
         x, _ = small_task(seed=7)
@@ -231,25 +230,25 @@ class TestTrainDetector:
         clean_rows = rng.normal(size=(n, 6)) - 4.0
         inputs = np.vstack([wm_rows, clean_rows])
         labels = np.array([1] * n + [0] * n)
-        return DetectorDataset(inputs, labels)
+        return inputs, labels
 
     def test_separable_classes_reach_high_accuracy(self):
-        ds = self.separable_dataset()
-        det = train_detector(ds, hidden=(16, 8), epochs=50, lr=1e-3, seed=1)
-        pred = np.argmax(det.predict(ds.inputs), axis=1)
-        assert np.mean(pred == ds.labels) >= 0.99
+        inputs, labels = self.separable_dataset()
+        det = train_detector(inputs, labels, hidden=(16, 8), epochs=50, lr=1e-3,
+                             seed=1)
+        pred = np.argmax(det.predict(inputs), axis=1)
+        assert np.mean(pred == labels) >= 0.99
 
     def test_lr_zero_returns_initialization(self):
-        ds = self.separable_dataset(n=20)
-        det = train_detector(ds, hidden=(8,), epochs=5, lr=0.0, seed=9)
+        det = train_detector(*self.separable_dataset(n=20), hidden=(8,), epochs=5,
+                             lr=0.0, seed=9)
         init = MlpModel.create([6, 8, 2], seed=9)
         assert np.array_equal(det.params, init.params)
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(4)
-        ds = DetectorDataset(rng.normal(size=(10, 4)), np.ones(10, dtype=np.int64))
         with pytest.raises(ValueError):
-            train_detector(ds)
+            train_detector(rng.normal(size=(10, 4)), np.ones(10, dtype=np.int64))
 
 
 class TestVerify:
@@ -288,8 +287,8 @@ class TestPipelineDeterminism:
             sig = gen_signal(33, 4, band, alpha)
             wm = embed(clean, sig, x, y, "regression", epochs=3,
                        lr_main=1e-3, seed=22)
-            data = build_detector_dataset(wm, clean, x[:60], 5, seed=23)
-            det = train_detector(data, (16, 8), epochs=10, lr=1e-3, seed=24)
+            rows, labels = build_detector_dataset(wm, clean, x[:60], 5, seed=23)
+            det = train_detector(rows, labels, (16, 8), epochs=10, lr=1e-3, seed=24)
             return verify(wm, det, x[100:160]).detection_rate
 
         assert run() == run()
