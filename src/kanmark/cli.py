@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import base64
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -458,9 +459,10 @@ def cmd_attack(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.tau is not None:  # checked before any data is loaded
+        _check_tau(args.tau)
     cfg, bundle, (train, test, hold) = _setup(args)
     tau = args.tau if args.tau is not None else cfg["tau"]
-    _check_tau(tau)
     detector = _load(args.detector_ckpt, "mlp")
     suspect = _load(args.suspect_ckpt, "kan")
     result = verify(suspect, detector, hold.inputs, tau=tau)
@@ -526,6 +528,7 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache  # built once per process; parse_args returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kanmark",

@@ -168,10 +168,11 @@ def build_detector_dataset(model_wm: KanModel, model_clean: KanModel, inputs,
     # Copied from outs, not rows[:, :2]: numpy would buffer an overlapping source whole.
     rows[:, 2:2 + n_shuffles] = outs[0][:, None]
     rows[:, 2 + n_shuffles:] = outs[1][:, None]
+    del outs
     shuffled = rows[:, 2:]
     np.random.default_rng(seed).permuted(shuffled, axis=2, out=shuffled)
-    clean = np.repeat([0, 1, 0, 1], [1, 1, n_shuffles, n_shuffles])
-    return rows.reshape(-1, width), np.tile(1 - clean, n).astype(np.int64)
+    labels = np.repeat(np.array([1, 0, 1, 0], np.int64), [1, 1, n_shuffles, n_shuffles])
+    return rows.reshape(-1, width), np.tile(labels, n)
 
 
 def train_detector(inputs, labels, hidden=(64, 32), epochs: int = 50,

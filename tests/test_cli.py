@@ -1,3 +1,4 @@
+import argparse
 import base64
 import json
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from kanmark import (Dataset, KanLayer, KanModel, MlpModel, build_grid, prune_kan,
                      write_idx)
 from kanmark.cli import (SCHEMA, CheckpointError, ConfigError, SeedBundle,
-                         _fits, canonical_json, config_hash, derive_seed,
+                         _fits, build_parser, canonical_json, config_hash, derive_seed,
                          load_checkpoint, load_config, main, resolve_dataset,
                          save_checkpoint)
 
@@ -617,6 +618,21 @@ class TestCommands:
         assert main(["train-clean", "--config", cfg,
                      "--out", str(tmp_path)]) == 3
 
+    def test_bad_verify_tau_exits_2_before_loading_data(self, tmp_path):
+        # The IDX pair does not exist: loading it would exit 3.
+        cfg = write_config(
+            tmp_path / "c.json", task="classification",
+            dataset={"kind": "idx", "images": str(tmp_path / "no.idx"),
+                     "labels": str(tmp_path / "no2.idx")},
+            model={"widths": None})
+        model = tmp_path / "model.json"
+        save_checkpoint(model, KanModel.create([2, 4, 1], seed=0), "clean", "hash", 0)
+        out = tmp_path / "runs"
+        assert main(["verify", "--config", cfg, "--detector-ckpt", str(model),
+                     "--suspect-ckpt", str(model), "--tau", "1.5",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_corrupt_idx_exit_code(self, tmp_path):
         img = tmp_path / "img.idx"
         lab = tmp_path / "lab.idx"
@@ -768,3 +784,57 @@ class TestCommands:
         table = json.loads(Path("runs/prune_sweep.json").read_text())
         assert printed == [row["ratio"] for row in table]
         assert len(set(printed)) == 21
+
+
+class TestParser:
+    """main builds its parser once per process, on its first call."""
+
+    def attack(self, tmp_path, *flags):
+        model = tmp_path / "wm.json"
+        if not model.exists():
+            save_checkpoint(model, KanModel.create([2, 4, 1], seed=0), "watermarked",
+                            "hash", 0)
+        return main(["attack", "--config", write_config(tmp_path / "c.json"),
+                     "--wm-ckpt", str(model), "--out", str(tmp_path / "runs"), *flags])
+
+    def test_parser_is_built_on_the_first_call_only(self, tmp_path, monkeypatch):
+        build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        counts = []
+        for _ in range(3):
+            assert main(["report", "--out", str(tmp_path)]) == 0
+            counts.append(len(built))
+        assert counts[0] > 0 and counts == counts[:1] * 3
+
+    def test_no_flag_value_leaks_into_the_next_call(self, tmp_path):
+        assert self.attack(tmp_path, "--kind", "prune", "--ratio", "0.3") == 0
+        assert self.attack(tmp_path, "--kind", "prune") == 0
+        rows = [json.loads(line) for line in
+                (tmp_path / "runs" / "report.jsonl").read_text().splitlines()]
+        assert [row["ratio"] for row in rows] == [0.3, 0.6]  # then the config's ratio
+
+    def test_argparse_error_between_calls(self, tmp_path, capsys):
+        assert self.attack(tmp_path, "--kind", "prune") == 0
+        with pytest.raises(SystemExit) as exc:
+            self.attack(tmp_path, "--kind", "bogus")
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert self.attack(tmp_path, "--kind", "prune") == 0
+        assert len((tmp_path / "runs" / "report.jsonl").read_text().splitlines()) == 2
+
+    def test_help_is_the_same_on_every_call(self, capsys):
+        build_parser.cache_clear()
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert "--suspect-ckpt" in texts[0] and texts[0] == texts[1]

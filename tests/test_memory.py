@@ -66,3 +66,11 @@ def test_build_detector_dataset_shuffles_in_place(inputs):
     # temporaries fit: no index tensor and no copy of the rows to gather from.
     kept, peak = detector_dataset_and_peak(inputs)
     assert peak <= kept + 1 * MiB
+
+
+def test_build_detector_dataset_frees_layer_outputs_before_labels(inputs):
+    # The two layer outputs (0.3 MiB each) are freed before the int64 labels
+    # (0.2 MiB) are built, with no cast copy: the peak comes while the outputs
+    # fill the rows, and lies about 0.4 MiB above the dataset.
+    kept, peak = detector_dataset_and_peak(inputs)
+    assert peak <= kept + 0.5 * MiB
