@@ -11,9 +11,9 @@ from .mlp import MlpModel, prune_mlp
 from .training import evaluate, fit
 from .data import (FEYNMAN, Dataset, DataError, FeynmanFormula, average_pool,
                    gen_feynman, load_idx, split_dataset, write_idx)
-from .watermark import (PerturbationSignal, VerificationResult,
-                        build_detector_dataset, calibrate_amplitude, embed,
-                        gen_signal, signal_step, train_detector, verify)
+from .watermark import (VerificationResult, build_detector_dataset,
+                        calibrate_amplitude, embed, gen_signal, signal_step,
+                        train_detector, verify)
 from .attacks import finetune, prune_sweep, retrain_after_prune
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ Pixels are mapped p -> 2*(p/255) - 1, so inputs land in [-1, 1].
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -72,39 +73,35 @@ def _read_file(path) -> bytes:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+def _idx_payload(path, magic: int, dims: int) -> tuple[bytes, tuple[int, ...]]:
+    """The bytes of the IDX file at ``path`` and the ``dims`` sizes of its
+    header, checked: header length, ``magic``, then payload length."""
+    raw = _read_file(path)
+    header = 4 + 4 * dims
+    if len(raw) < header:
+        raise IdxTruncatedError(f"{path}: header needs {header} bytes, "
+                                f"file has {len(raw)}")
+    found, *sizes = struct.unpack(f">{1 + dims}I", raw[:header])
+    if found != magic:
+        raise IdxMagicError(f"{path}: magic {found:#010x}, expected {magic:#010x}")
+    payload = math.prod(sizes)
+    if len(raw) < header + payload:
+        raise IdxTruncatedError(f"{path}: payload needs {payload} bytes, "
+                                f"file has {len(raw) - header}")
+    return raw, tuple(sizes)
+
+
 def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
     """Parse an IDX image/label pair into a normalized Dataset.
 
     ``limit`` keeps only the first N records (desk-scale subsets).
     """
-    img_raw = _read_file(images_path)
-    if len(img_raw) < 16:
-        raise IdxTruncatedError(f"{images_path}: header needs 16 bytes, "
-                                f"file has {len(img_raw)}")
-    magic, count, rows, cols = struct.unpack(">IIII", img_raw[:16])
-    if magic != IMAGE_MAGIC:
-        raise IdxMagicError(f"{images_path}: magic {magic:#010x}, "
-                            f"expected {IMAGE_MAGIC:#010x}")
-    payload = count * rows * cols
-    if len(img_raw) < 16 + payload:
-        raise IdxTruncatedError(f"{images_path}: payload needs {payload} bytes, "
-                                f"file has {len(img_raw) - 16}")
-
-    lab_raw = _read_file(labels_path)
-    if len(lab_raw) < 8:
-        raise IdxTruncatedError(f"{labels_path}: header needs 8 bytes, "
-                                f"file has {len(lab_raw)}")
-    lab_magic, lab_count = struct.unpack(">II", lab_raw[:8])
-    if lab_magic != LABEL_MAGIC:
-        raise IdxMagicError(f"{labels_path}: magic {lab_magic:#010x}, "
-                            f"expected {LABEL_MAGIC:#010x}")
-    if len(lab_raw) < 8 + lab_count:
-        raise IdxTruncatedError(f"{labels_path}: payload needs {lab_count} bytes, "
-                                f"file has {len(lab_raw) - 8}")
+    img_raw, (count, rows, cols) = _idx_payload(images_path, IMAGE_MAGIC, 3)
+    lab_raw, (lab_count,) = _idx_payload(labels_path, LABEL_MAGIC, 1)
     if lab_count != count:
         raise IdxCountMismatchError(f"{count} images vs {lab_count} labels")
 
-    pixels = np.frombuffer(img_raw, dtype=np.uint8, count=payload, offset=16)
+    pixels = np.frombuffer(img_raw, dtype=np.uint8, count=count * rows * cols, offset=16)
     inputs = 2.0 * (pixels.reshape(count, rows * cols).astype(np.float64) / 255.0) - 1.0
     labels = np.frombuffer(lab_raw, dtype=np.uint8, count=count, offset=8).astype(np.int64)
     if labels.size and labels.max() > 9:
@@ -231,13 +228,12 @@ def _formulas() -> dict[str, FeynmanFormula]:
 FEYNMAN: dict[str, FeynmanFormula] = _formulas()
 
 
-def gen_feynman(formula: str | FeynmanFormula, n: int, seed: int = 0) -> Dataset:
-    """Sample a formula uniformly on (-1, 1)^arity with rejection of
-    near-singular rows (|denominator| < 1e-6)."""
-    if isinstance(formula, str):
-        if formula not in FEYNMAN:
-            raise DataError(f"unknown formula id {formula!r}")
-        formula = FEYNMAN[formula]
+def gen_feynman(formula: str, n: int, seed: int = 0) -> Dataset:
+    """Sample the :data:`FEYNMAN` formula of that id uniformly on
+    (-1, 1)^arity with rejection of near-singular rows (|denominator| < 1e-6)."""
+    if not isinstance(formula, str) or formula not in FEYNMAN:
+        raise DataError(f"unknown formula id {formula!r}")
+    formula = FEYNMAN[formula]
     if n < 1:
         raise DataError(f"need n >= 1 samples, got {n}")
     check_floats(n * formula.arity, f"{n} samples of {formula.arity} inputs")

@@ -53,12 +53,11 @@ def embed_watermark(clean: KanModel, cfg: dict, train, key: int, seed: int):
     if alpha is None:
         alpha = calibrate_amplitude(clean, train.inputs[:256], band,
                                     scale=wm_cfg["amplitude_scale"])
-    signal = gen_signal(key, n_sig, band, alpha)
     lr_main = wm_cfg["lr_main"] if wm_cfg["lr_main"] is not None else cfg["train"]["lr"]
-    wm = embed(clean, signal, train.inputs, train.targets, cfg["task"],
-               epochs=wm_cfg["epochs"], lr_main=lr_main, lr_wm=wm_cfg["lr_wm"],
-               batch_size=cfg["train"]["batch_size"], seed=seed)
-    return wm, {"band": list(signal.band), "alpha": signal.amplitude, "key": signal.key}
+    wm = embed(clean, gen_signal(key, n_sig, band, alpha), train.inputs, train.targets,
+               cfg["task"], epochs=wm_cfg["epochs"], lr_main=lr_main,
+               lr_wm=wm_cfg["lr_wm"], batch_size=cfg["train"]["batch_size"], seed=seed)
+    return wm, {"band": list(band), "alpha": float(alpha), "key": int(key)}
 
 
 def build_detector(wm: KanModel, clean: KanModel, cfg: dict, train,

@@ -23,21 +23,6 @@ from .training import fit, steps
 from .transform import dct, idct
 
 
-@dataclass(frozen=True)
-class PerturbationSignal:
-    """Keyed sparse frequency-domain watermark vector.
-
-    ``values[k] = amplitude * u_k`` with u_k in {-1, +1} drawn from the
-    keyed generator for k inside [band_lo, band_hi], zero elsewhere.
-    """
-
-    key: int
-    length: int
-    band: tuple[int, int]
-    amplitude: float
-    values: np.ndarray
-
-
 def _band(band, length: int) -> tuple[int, int]:
     """The band's (lo, hi) as ints, checked 0 <= lo <= hi < length."""
     k_lo, k_hi = int(band[0]), int(band[1])
@@ -46,11 +31,11 @@ def _band(band, length: int) -> tuple[int, int]:
     return k_lo, k_hi
 
 
-def gen_signal(key: int, length: int, band, amplitude: float) -> PerturbationSignal:
-    """Deterministic signed-constant perturbation on a frequency band.
-
-    amplitude = 0 yields the all-zero signal (used to disable phase 2).
-    """
+def gen_signal(key: int, length: int, band, amplitude: float) -> np.ndarray:
+    """The keyed perturbation P, a read-only float64 ``(length,)`` vector:
+    ``amplitude * u_k`` with u_k in {-1, +1} drawn from the ``key``-seeded
+    generator for k inside the band, zero elsewhere. amplitude = 0 yields the
+    all-zero P, with which :func:`embed` is plain training, bit for bit."""
     k_lo, k_hi = _band(band, length)
     if not (np.isfinite(amplitude) and amplitude >= 0):
         raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
@@ -59,8 +44,7 @@ def gen_signal(key: int, length: int, band, amplitude: float) -> PerturbationSig
     values = np.zeros(length)
     values[k_lo:k_hi + 1] = amplitude * signs
     values.setflags(write=False)
-    return PerturbationSignal(int(key), int(length), (k_lo, k_hi),
-                              float(amplitude), values)
+    return values
 
 
 def layer_outputs(model: KanModel, x) -> np.ndarray:
@@ -85,8 +69,7 @@ def default_band(length: int) -> tuple[int, int]:
     return length // 4, min(length // 2, length - 1)
 
 
-def signal_step(model: KanModel, prepared: dict, signal: PerturbationSignal,
-                opt) -> None:
+def signal_step(model: KanModel, prepared: dict, signal: np.ndarray, opt) -> None:
     """One gradient step of the first layer's outputs O toward perturb(O),
     given the first layer's prepared cache of the batch
     (:meth:`KanLayer.prepare`, or the batch that :func:`steps` yields).
@@ -99,37 +82,37 @@ def signal_step(model: KanModel, prepared: dict, signal: PerturbationSignal,
     """
     layer = model.layers[0]
     shape = (prepared["x"].shape[0], layer.out_dim)
-    g_out = np.broadcast_to(-2.0 * idct(signal.values) / np.prod(shape), shape)
+    g_out = np.broadcast_to(-2.0 * idct(signal) / np.prod(shape), shape)
     grads, _ = layer.backward(prepared, g_out, need_input_grad=False)
     optimizer_step(layer.params, grads, opt)
 
 
-def embed(model: KanModel, signal: PerturbationSignal, inputs, targets,
+def embed(model: KanModel, signal: np.ndarray, inputs, targets,
           task: str, epochs: int, lr_main: float = 1e-3,
           lr_wm: float | None = None, batch_size: int = 64,
           seed: int = 0) -> KanModel:
-    """Two-phase watermark embedding; returns a new, watermarked model.
+    """Two-phase watermark embedding of the signal P (:func:`gen_signal`);
+    returns a new, watermarked model.
 
     Per batch: (1) a main-task step on all parameters; (2) a closed-form
-    signal step (:func:`signal_step`) on the first layer only. A zero
-    signal skips phase 2 entirely, which makes the run bit-identical to
-    plain training under the same seed. A diverging main-task loss, or a
-    forward pass that turns non-finite after any update, the last signal
-    step's included, raises DivergenceError (:func:`steps`).
+    signal step (:func:`signal_step`) on the first layer only. For a zero
+    P every signal gradient is +-0.0, Adam's moments and update stay +0.0,
+    and subtracting +0.0 keeps every parameter bit, -0.0 included: the run
+    is bit-identical to plain training under the same seed. A diverging
+    main-task loss, or a forward pass that turns non-finite after any
+    update, the last signal step's included, raises DivergenceError
+    (:func:`steps`).
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if signal.length != model.layers[0].out_dim:
-        raise ShapeError(f"signal length {signal.length} vs layer width "
-                         f"{model.layers[0].out_dim}")
+    width = model.layers[0].out_dim
+    if np.shape(signal) != (width,):
+        raise ShapeError(f"signal shape {np.shape(signal)} vs layer width {width}")
     wm = model.copy()
-    opt_main = adam(lr_main)
     opt_wm = adam(lr_main if lr_wm is None else lr_wm)
-    active = bool(np.any(signal.values))
-    for _, batch, _ in steps(wm, inputs, targets, task, epochs, opt_main,
+    for _, batch, _ in steps(wm, inputs, targets, task, epochs, adam(lr_main),
                              batch_size, seed):
-        if active:
-            signal_step(wm, batch, signal, opt_wm)
+        signal_step(wm, batch, signal, opt_wm)
     return wm
 
 

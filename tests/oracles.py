@@ -271,7 +271,7 @@ def train_ref(model, inputs, targets, task, epochs, lr, batch_size, seed,
             adam_ref(model.params, grads, main, lr)
             if signal is not None:
                 out, cache = layer.forward(x)
-                g = np.broadcast_to(-2.0 * idct(signal.values) / out.size, out.shape)
+                g = np.broadcast_to(-2.0 * idct(signal) / out.size, out.shape)
                 grads, _ = layer.backward(cache, g, need_input_grad=False)
                 adam_ref(layer.params, grads, wm, lr_wm)
     return main

@@ -161,6 +161,10 @@ class TestFeynman:
         with pytest.raises(DataError):
             gen_feynman("IV.0.0", 10, seed=0)
 
+    def test_formula_object_is_not_an_id(self):
+        with pytest.raises(DataError, match="unknown formula id"):
+            gen_feynman(FEYNMAN["I.12.11"], 10)
+
     def test_bad_n(self):
         with pytest.raises(DataError):
             gen_feynman("I.12.11", 0, seed=0)

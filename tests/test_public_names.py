@@ -7,7 +7,7 @@ import kanmark
 
 PUBLIC_NAMES = [
     "DataError", "Dataset", "FEYNMAN", "FeynmanFormula", "KanLayer", "KanModel",
-    "MlpModel", "OptimizerState", "PerturbationSignal", "ShapeError", "SplineGrid",
+    "MlpModel", "OptimizerState", "ShapeError", "SplineGrid",
     "VerificationResult", "adam", "average_pool", "basis_and_slopes",
     "build_detector_dataset", "build_grid", "calibrate_amplitude",
     "cross_entropy_loss", "dct", "edge_importances", "embed", "evaluate",

@@ -23,14 +23,14 @@ class TestGenSignal:
     def test_same_key_same_signal(self):
         a = gen_signal(42, 16, (2, 5), 0.3)
         b = gen_signal(42, 16, (2, 5), 0.3)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_band_support_and_magnitude(self):
         sig = gen_signal(7, 16, (2, 5), 0.25)
-        nonzero = np.nonzero(sig.values)[0]
+        nonzero = np.nonzero(sig)[0]
         assert nonzero.tolist() == [2, 3, 4, 5]
-        assert np.all(np.abs(sig.values[2:6]) == 0.25)
-        assert np.all(sig.values[:2] == 0.0) and np.all(sig.values[6:] == 0.0)
+        assert np.all(np.abs(sig[2:6]) == 0.25)
+        assert np.all(sig[:2] == 0.0) and np.all(sig[6:] == 0.0)
 
     def test_distinct_keys_differ(self):
         # wide band so a sign-pattern collision has probability ~2^-59
@@ -41,7 +41,7 @@ class TestGenSignal:
                 continue
             a = gen_signal(int(k1), 64, (2, 60), 0.3)
             b = gen_signal(int(k2), 64, (2, 60), 0.3)
-            assert not np.array_equal(a.values, b.values)
+            assert not np.array_equal(a, b)
 
     def test_invalid_band(self):
         with pytest.raises(ValueError):
@@ -60,9 +60,16 @@ class TestGenSignal:
         with pytest.raises(ValueError, match="amplitude"):
             gen_signal(1, 8, (1, 3), amplitude)
 
+    def test_returns_read_only_float64_vector(self):
+        sig = gen_signal(7, 16, (2, 5), 0.25)
+        assert isinstance(sig, np.ndarray)
+        assert sig.shape == (16,) and sig.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            sig[3] = 1.0
+
     def test_zero_amplitude_is_allowed_and_zero(self):
         sig = gen_signal(1, 8, (1, 3), 0.0)
-        assert np.all(sig.values == 0.0)
+        assert np.all(sig == 0.0)
 
     def test_default_band(self):
         assert default_band(32) == (8, 16)
@@ -86,15 +93,27 @@ class TestCalibrateAmplitude:
 
 
 class TestEmbed:
-    def test_zero_signal_matches_plain_training_bit_exact(self):
+    @pytest.mark.parametrize("pruned, lr_wm", [(False, None), (True, 1.0)],
+                             ids=["plain", "zeroed_edges_negative_zeros_lr_wm_1"])
+    def test_zero_signal_matches_plain_training_bit_exact(self, pruned, lr_wm):
         x, y = small_task(seed=1)
         base = KanModel.create([2, 4, 1], seed=5)
+        if pruned:
+            # two zeroed edges in layer 0, one stored as -0.0: a run must
+            # keep those sign bits
+            layer = base.layers[0]
+            layer.coeffs[0, 0], layer.w_b[0, 0], layer.w_s[0, 0] = -0.0, -0.0, -0.0
+            layer.coeffs[2, 1], layer.w_b[2, 1], layer.w_s[2, 1] = 0.0, 0.0, 0.0
         sig = gen_signal(9, 4, (1, 2), 0.0)
-        wm = embed(base, sig, x, y, "regression", epochs=3, lr_main=1e-3, seed=77)
+        wm = embed(base, sig, x, y, "regression", epochs=3, lr_main=1e-3,
+                   lr_wm=lr_wm, seed=77)
 
         plain = base.copy()
         fit(plain, x, y, "regression", 3, adam(1e-3), 64, seed=77)
-        assert np.array_equal(wm.params, plain.params)
+        # tobytes, not array_equal: -0.0 == +0.0 would hide a flipped sign
+        assert wm.params.tobytes() == plain.params.tobytes()
+        if pruned:
+            assert np.signbit(wm.layers[0].w_s[0, 0]) and wm.layers[0].w_s[0, 0] == 0.0
 
     def test_phase_two_touches_only_target_layer(self):
         x, y = small_task(seed=2)
@@ -118,7 +137,7 @@ class TestEmbed:
         alpha = calibrate_amplitude(model, x, band, 0.3)
         sig = gen_signal(11, layer.out_dim, band, alpha)
         out, cache = layer.forward(x)
-        _, g_out = mse_loss(out, perturb(out, sig.values))
+        _, g_out = mse_loss(out, perturb(out, sig))
         ref, _ = layer.backward(cache, g_out, need_input_grad=False)
 
         steps = []
@@ -128,6 +147,15 @@ class TestEmbed:
         [(params, grads)] = steps
         assert params is layer.params
         assert np.linalg.norm(grads - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 1), (1, 4)],
+                             ids=["wrong_length", "column", "row"])
+    def test_signal_must_be_a_layer_width_vector(self, shape):
+        x, y = small_task(seed=4)
+        model = KanModel.create([2, 4, 1], seed=8)
+        bad = np.full(shape, 0.1)
+        with pytest.raises(ShapeError, match="signal shape"):
+            embed(model, bad, x, y, "regression", epochs=1)
 
     def test_embed_returns_new_model_and_checks_dims(self):
         x, y = small_task(seed=4)
@@ -146,8 +174,8 @@ class TestEmbed:
         model = KanModel.create([2, 4, 1], seed=9)
         sig = gen_signal(13, 4, (1, 2), 0.3)
         outs = layer_outputs(model, x)
-        loss, _ = mse_loss(outs, perturb(outs, sig.values))
-        expected = np.sum(sig.values ** 2) / sig.length
+        loss, _ = mse_loss(outs, perturb(outs, sig))
+        expected = np.sum(sig ** 2) / sig.size
         assert loss == pytest.approx(expected, rel=1e-10)
 
 
