@@ -32,13 +32,10 @@ def retrain_after_prune(model: KanModel, inputs, targets, task: str,
                         ratio: float = 0.6, lr: float = SMALL_LR,
                         epochs: int = 8, *, calibration,
                         seed: int = 0) -> KanModel:
-    """Prune (``calibration`` ranks the edges, see :func:`prune_kan`), then
-    continue main-task training."""
-    if lr <= 0:
-        raise ValueError(f"training attacks need lr > 0, got {lr}")
-    attacked = prune_kan(model, ratio, calibration)
-    fit(attacked, inputs, targets, task, epochs, adam(lr), seed=seed)
-    return attacked
+    """:func:`finetune` of the model pruned by :func:`prune_kan`
+    (``calibration`` ranks the edges)."""
+    return finetune(prune_kan(model, ratio, calibration), inputs, targets, task,
+                    epochs=epochs, lr=lr, seed=seed)
 
 
 def check_step(step: float) -> None:
@@ -75,16 +72,14 @@ def prune_sweep(kan_model: KanModel, mlp_model: MlpModel, test_inputs,
 def run_attack(model: KanModel, kind: str, inputs, targets, task: str, *,
                lr: float, epochs: int, ratio: float, calibration,
                seed: int) -> KanModel:
-    """Run the attack named ``kind`` (one of ATTACK_KINDS) against a model;
-    ``calibration`` ranks the edges of the pruning attacks, and ``finetune``
-    ignores ``ratio``."""
-    if kind == "finetune":
-        return finetune(model, inputs, targets, task, epochs=epochs, lr=lr,
-                        seed=seed)
+    """Run the attack named ``kind`` (one of ATTACK_KINDS) against a model:
+    ``prune`` and ``retrain_after_prune`` prune at ``ratio`` (``calibration``
+    ranks the edges), then ``finetune`` and ``retrain_after_prune`` train.
+    ``prune`` ignores ``lr`` and ``epochs``, ``finetune`` ignores ``ratio``."""
+    if kind not in ATTACK_KINDS:
+        raise ValueError(f"unknown attack kind {kind!r}")
+    if kind != "finetune":
+        model = prune_kan(model, ratio, calibration)
     if kind == "prune":
-        return prune_kan(model, ratio, calibration)
-    if kind == "retrain_after_prune":
-        return retrain_after_prune(model, inputs, targets, task, ratio=ratio,
-                                   lr=lr, epochs=epochs, calibration=calibration,
-                                   seed=seed)
-    raise ValueError(f"unknown attack kind {kind!r}")
+        return model
+    return finetune(model, inputs, targets, task, epochs=epochs, lr=lr, seed=seed)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .attacks import ATTACK_KINDS, check_step, prune_sweep, run_attack
 from .data import DataError, average_pool, gen_feynman, load_idx, split_dataset
-from .kan import KanModel, KanLayer, zero_edges
+from .kan import KanModel, KanLayer
 from .mlp import MlpModel
 from .numeric import NonFiniteError, ShapeError, views
 from .pipeline import build_detector, embed_watermark, train_clean
@@ -65,7 +65,6 @@ class SeedBundle:
     """Named sub-seeds so each pipeline stage is independently reproducible."""
 
     def __init__(self, master: int):
-        self.master = int(master)
         self.init = derive_seed(master, "init")
         self.data = derive_seed(master, "data")
         self.signal = derive_seed(master, "signal")
@@ -314,9 +313,9 @@ def load_checkpoint(path):
     # (a bad base64 string raises binascii.Error, a ValueError).
     try:
         version = payload.get("format_version")
-        if version not in (2, FORMAT_VERSION):
+        if version != FORMAT_VERSION:
             raise CheckpointError(f"checkpoint {path}: format_version {version}, "
-                                  f"expected 2 or {FORMAT_VERSION}")
+                                  f"expected {FORMAT_VERSION}")
         kind = payload.get("kind")
         if kind not in ("kan", "mlp"):
             raise CheckpointError(f"checkpoint {path}: unknown kind {kind!r}")
@@ -342,12 +341,6 @@ def load_checkpoint(path):
         else:
             model = KanModel([KanLayer(build_grid(**rec["grid"]), *arrays[3 * k:3 * k + 3])
                               for k, rec in enumerate(layers)])
-            if version == 2:  # format 2 also held a 0/1 prune_mask per layer
-                masks = [np.asarray(rec["prune_mask"], dtype=np.float64) for rec in layers]
-                if any(m.shape != e or np.any((m != 0) & (m != 1))
-                       for m, e in zip(masks, edges)):
-                    raise ValueError("prune_mask must be a 0/1 (out, in) array")
-                zero_edges(model, [m == 1 for m in masks])
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} is malformed: "
                               f"{type(exc).__name__}: {exc}") from exc
@@ -365,7 +358,7 @@ def _load(path, kind: str):
 # ---------------------------------------------------------------------------
 # report
 
-def append_report_row(out_dir, stage, cfg, bundle, main_metric, metric_kind,
+def append_report_row(out_dir, stage, cfg, main_metric, metric_kind,
                       wm_rate=None, decision=None, **extra) -> None:
     row = {
         "stage": stage,
@@ -374,7 +367,7 @@ def append_report_row(out_dir, stage, cfg, bundle, main_metric, metric_kind,
         "wm_detection_rate": None if wm_rate is None else round(100.0 * wm_rate, 4),
         "decision": decision,
         "config_hash": config_hash(cfg),
-        "seed": bundle.master,
+        "seed": cfg["seed"],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         **extra,
     }
@@ -383,7 +376,7 @@ def append_report_row(out_dir, stage, cfg, bundle, main_metric, metric_kind,
         fh.write(json.dumps(row, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _conclude(args, cfg, bundle, test, saves, stage, **row):
+def _conclude(args, cfg, test, saves, stage, **row):
     """Evaluates the first model of ``saves`` ((file name, model, checkpoint
     stage, extra) each) on the test split, then creates --out and writes each
     checkpoint and one report row; returns the printed metric and first path."""
@@ -393,8 +386,8 @@ def _conclude(args, cfg, bundle, test, saves, stage, **row):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, model, ckpt_stage, extra in saves:
-        save_checkpoint(out / name, model, ckpt_stage, config_hash(cfg), bundle.master, extra)
-    append_report_row(out, stage, cfg, bundle, value, kind, **row)
+        save_checkpoint(out / name, model, ckpt_stage, config_hash(cfg), cfg["seed"], extra)
+    append_report_row(out, stage, cfg, value, kind, **row)
     return f"{kind} {value:.4f}", out / saves[0][0]
 
 
@@ -411,7 +404,7 @@ def _setup(args):
 def cmd_train_clean(args) -> int:
     cfg, bundle, (train, test, hold) = _setup(args)
     model = _train_clean(args.model, cfg, bundle, train)
-    metric, ckpt = _conclude(args, cfg, bundle, test,
+    metric, ckpt = _conclude(args, cfg, test,
                              [(f"clean-{args.model}.json", model, "clean", None)],
                              "clean", model=args.model)
     print(f"clean {args.model}: {metric} -> {ckpt}")
@@ -428,7 +421,7 @@ def cmd_embed(args) -> int:
     detector = build_detector(wm, clean, cfg, train, bundle.detector,
                               derive_seed(bundle.detector, "train"))
     result = verify(wm, detector, hold.inputs, tau=cfg["tau"])
-    metric, wm_path = _conclude(args, cfg, bundle, test, [
+    metric, wm_path = _conclude(args, cfg, test, [
         ("watermarked-kan.json", wm, "watermarked", extra),
         ("detector-mlp.json", detector, "detector", extra)],
         "watermarked", wm_rate=result.detection_rate, decision=result.decision)
@@ -451,7 +444,7 @@ def cmd_attack(args) -> int:
     attacked = _constructs("attack", lambda: run_attack(
         wm, inputs=train.inputs, targets=train.targets, task=cfg["task"],
         calibration=train.inputs[:256], seed=bundle.attack, **provenance))
-    metric, ckpt = _conclude(args, cfg, bundle, test, [
+    metric, ckpt = _conclude(args, cfg, test, [
         (f"attacked-{kind}.json", attacked, "attacked", provenance)],
         f"attacked:{kind}", **provenance)
     print(f"attacked ({kind}): {metric} -> {ckpt}")
@@ -466,7 +459,7 @@ def cmd_verify(args) -> int:
     detector = _load(args.detector_ckpt, "mlp")
     suspect = _load(args.suspect_ckpt, "kan")
     result = verify(suspect, detector, hold.inputs, tau=tau)
-    append_report_row(args.out, "verify", cfg, bundle, 0.0, "none",
+    append_report_row(args.out, "verify", cfg, 0.0, "none",
                       wm_rate=result.detection_rate, decision=result.decision,
                       suspect=Path(args.suspect_ckpt).name)
     print(f"detection rate {100 * result.detection_rate:.2f}% "

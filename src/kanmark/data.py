@@ -94,21 +94,20 @@ def _idx_payload(path, magic: int, dims: int) -> tuple[bytes, tuple[int, ...]]:
 def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
     """Parse an IDX image/label pair into a normalized Dataset.
 
-    ``limit`` keeps only the first N records (desk-scale subsets).
+    ``limit`` keeps only the first N records (desk-scale subsets); only
+    those are converted, but every label is checked.
     """
     img_raw, (count, rows, cols) = _idx_payload(images_path, IMAGE_MAGIC, 3)
     lab_raw, (lab_count,) = _idx_payload(labels_path, LABEL_MAGIC, 1)
     if lab_count != count:
         raise IdxCountMismatchError(f"{count} images vs {lab_count} labels")
-
-    pixels = np.frombuffer(img_raw, dtype=np.uint8, count=count * rows * cols, offset=16)
-    inputs = 2.0 * (pixels.reshape(count, rows * cols).astype(np.float64) / 255.0) - 1.0
-    labels = np.frombuffer(lab_raw, dtype=np.uint8, count=count, offset=8).astype(np.int64)
+    labels = np.frombuffer(lab_raw, dtype=np.uint8, count=count, offset=8)
     if labels.size and labels.max() > 9:
         raise DataError(f"{labels_path}: labels above 9 present")
-    if limit is not None:
-        inputs, labels = inputs[:limit], labels[:limit]
-    return Dataset(inputs, labels)
+    keep = len(range(count)[:limit])  # len(records[:limit]), for any limit
+    pixels = np.frombuffer(img_raw, dtype=np.uint8, count=keep * rows * cols, offset=16)
+    inputs = 2.0 * (pixels.reshape(keep, rows * cols).astype(np.float64) / 255.0) - 1.0
+    return Dataset(inputs, labels[:keep].astype(np.int64))
 
 
 def _image_shape(d: int, image_shape: tuple[int, int] | None) -> tuple[int, int]:

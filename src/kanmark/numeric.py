@@ -84,13 +84,6 @@ def sigmoid(x):
     return np.where(x >= 0.0, 1.0 / d, e / d)
 
 
-def silu(x):
-    """x * sigmoid(x), elementwise; float in, float out."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = arr * sigmoid(arr)
-    return float(out) if out.ndim == 0 else out
-
-
 def silu_slope(x, sig):
     """d/dx silu at x, given sig = sigmoid(x)."""
     return sig * (1.0 + x * (1.0 - sig))

@@ -89,6 +89,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_single_bin_band_is_accepted(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "c.json", watermark={"band": [2, 2]}))
+        assert cfg["watermark"]["band"] == [2, 2]
+
     @pytest.mark.parametrize("overrides, key", [
         ({"watermark": {"key": -1}}, "watermark.key"),
         ({"watermark": {"key": "k"}}, "watermark.key"),
@@ -162,33 +166,6 @@ class TestCheckpointRoundTrip:
         assert [set(rec) for rec in payload["layers"]] == [{"grid"}, {"grid"}]
         assert "prune_mask" not in path.read_text()
 
-    def test_prune_mask_survives(self, tmp_path):
-        # a format-2 file's 0/1 mask, here 0 on an edge with nonzero
-        # parameters, loads as that edge zeroed
-        model = KanModel.create([3, 4, 2], seed=3)
-        masks = [np.ones((4, 3), dtype=int), np.ones((2, 4), dtype=int)]
-        masks[0][1, 2] = 0
-        path = tmp_path / "m.json"
-        save_checkpoint(path, model, "attacked", "hash", 1)
-        payload = json.loads(path.read_text())
-        payload["format_version"] = 2
-        for rec, mask in zip(payload["layers"], masks):
-            rec["prune_mask"] = mask.tolist()
-        path.write_text(canonical_json(payload))
-        loaded, _ = load_checkpoint(path)
-        expected = model.copy()
-        for a in (expected.layers[0].coeffs, expected.layers[0].w_b, expected.layers[0].w_s):
-            a[1, 2] = 0.0
-        assert np.array_equal(loaded.params, expected.params)
-        # and predicts as format 2's masked GEMMs did
-        x = np.random.default_rng(5).uniform(-1.2, 1.2, size=(6, 3))
-        h = x
-        for layer, mask in zip(model.layers, masks):
-            p = layer.prepare(h)
-            w = ((mask * layer.w_s)[:, :, None] * layer.coeffs).reshape(layer.out_dim, -1)
-            h = p["s"] @ (mask * layer.w_b).T + p["b"] @ w.T
-        assert np.array_equal(loaded.predict(x), h)
-
     def test_grid_per_layer_survives(self, tmp_path):
         model = KanModel.create([2, 3, 2], seed=5)
         hidden = model.layers[1]
@@ -212,23 +189,23 @@ class TestCheckpointRoundTrip:
         assert not path.exists()
 
     def test_version_mismatch_rejected(self, tmp_path, capsys):
-        # version 1 held every array as nested decimal lists; it is not read
+        # version 1 held every array as nested decimal lists and version 2 a
+        # 0/1 prune_mask per layer; neither is read
         path, out = tmp_path / "m.json", tmp_path / "runs"
         cfg = write_config(tmp_path / "c.json")
         commands = {"embed": ["--clean-ckpt", str(path)], "attack": ["--wm-ckpt", str(path)],
                     "verify": ["--detector-ckpt", str(path), "--suspect-ckpt", str(path)]}
-        for version in (1, 999):
+        for version in (1, 2, 999):
             save_checkpoint(path, KanModel.create([2, 4, 1], seed=4), "clean", "hash", 1)
             payload = json.loads(path.read_text())
             payload["format_version"] = version
             path.write_text(canonical_json(payload))
             for command, ckpt in commands.items():
                 assert main([command, "--config", cfg, "--out", str(out), *ckpt]) == 4
-                assert f"format_version {version}, expected 2 or 3" in capsys.readouterr().err
+                assert f"format_version {version}, expected 3" in capsys.readouterr().err
                 assert not out.exists()
 
-    @pytest.mark.parametrize("defect", ["no_grid", "list_root", "mask_entry_2",
-                                        "mask_wrong_shape",
+    @pytest.mark.parametrize("defect", ["no_grid", "list_root",
                                         "params_8_bytes_short", "params_not_base64",
                                         "nan_in_params", "widths_disagree_with_params",
                                         "fractional_degree", "boolean_degree",
@@ -241,15 +218,8 @@ class TestCheckpointRoundTrip:
                         "hash", 1)
         payload = json.loads(path.read_text())
         blob = base64.b64decode(payload["params"])
-        if defect.startswith("mask_"):  # format 2 also held a 0/1 mask per layer
-            payload["format_version"] = 2
-            payload["layers"][0]["prune_mask"] = [[1, 1], [1, 1]]
         if defect == "no_grid":
             del payload["layers"][0]["grid"]
-        elif defect == "mask_entry_2":
-            payload["layers"][0]["prune_mask"][0][0] = 2
-        elif defect == "mask_wrong_shape":
-            payload["layers"][0]["prune_mask"] = [[1, 1]]
         elif defect == "params_8_bytes_short":
             payload["params"] = base64.b64encode(blob[:-8]).decode()
         elif defect == "params_not_base64":
@@ -785,6 +755,14 @@ class TestCommands:
         assert printed == [row["ratio"] for row in table]
         assert len(set(printed)) == 21
 
+    def test_sweep_creates_nested_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_classify_idx()
+        Path("c.json").write_text(json.dumps({**CLASSIFY, "train": {"epochs": 1}}))
+        assert main(["prune-sweep", "--config", "c.json", "--step", "1",
+                     "--out", "a/b/c"]) == 0
+        assert Path("a/b/c/prune_sweep.json").is_file()
+
 
 class TestParser:
     """main builds its parser once per process, on its first call."""
@@ -828,6 +806,23 @@ class TestParser:
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
         assert self.attack(tmp_path, "--kind", "prune") == 0
         assert len((tmp_path / "runs" / "report.jsonl").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("missing", ["--detector-ckpt", "--suspect-ckpt"])
+    def test_verify_without_a_checkpoint_exits_2(self, tmp_path, capsys, missing):
+        ckpts = {"--detector-ckpt": tmp_path / "detector.json",
+                 "--suspect-ckpt": tmp_path / "suspect.json"}
+        save_checkpoint(ckpts["--detector-ckpt"], MlpModel.create([4, 8, 2], seed=0),
+                        "detector", "hash", 0)
+        save_checkpoint(ckpts["--suspect-ckpt"], KanModel.create([2, 4, 1], seed=0),
+                        "watermarked", "hash", 0)
+        given = [arg for flag, path in ckpts.items() if flag != missing
+                 for arg in (flag, str(path))]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", write_config(tmp_path / "c.json"),
+                  "--out", str(tmp_path / "runs"), *given])
+        assert exc.value.code == 2
+        assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_help_is_the_same_on_every_call(self, capsys):
         build_parser.cache_clear()

@@ -48,6 +48,30 @@ class TestLoadIdx:
         ds = load_idx(images, labels, limit=2)
         assert len(ds) == 2
 
+    @pytest.mark.parametrize("limit", [1, 4, 6, 9])
+    def test_limit_is_the_first_rows_alone(self, tmp_path, limit):
+        rng = np.random.default_rng(3)
+        images, labels = build_idx_pair(tmp_path, rng.integers(0, 256, 54),
+                                        rng.integers(0, 10, 6))
+        full, limited = load_idx(images, labels), load_idx(images, labels, limit=limit)
+        assert limited.inputs.tobytes() == full.inputs[:limit].tobytes()
+        assert limited.targets.tobytes() == full.targets[:limit].tobytes()
+        # converted alone: no view keeps the unlimited rows alive
+        for a in (limited.inputs, limited.targets):
+            assert (a if a.base is None else a.base).nbytes == a.nbytes
+
+    def test_limit_still_checks_every_label(self, tmp_path):
+        images, labels = build_idx_pair(tmp_path, np.zeros(27, dtype=np.uint8),
+                                        [1, 2, 10])
+        with pytest.raises(DataError, match="labels above 9"):
+            load_idx(images, labels, limit=1)
+
+    def test_header_only_files_load_zero_rows(self, tmp_path):
+        images, labels = build_idx_pair(tmp_path, [], [])
+        assert images.stat().st_size == 16 and labels.stat().st_size == 8
+        ds = load_idx(images, labels)
+        assert ds.inputs.shape == (0, 9) and len(ds.targets) == 0
+
     def test_bad_image_magic(self, tmp_path):
         images, labels = build_idx_pair(tmp_path, np.zeros(9, dtype=np.uint8), [1])
         data = bytearray(images.read_bytes())

@@ -3,7 +3,7 @@ import pytest
 
 from kanmark.kan import KanLayer, KanModel, edge_importances, prune_kan
 from kanmark.numeric import (ROW_CHUNK, NonFiniteError, ShapeError, keep_masks,
-                             mse_loss, sigmoid, silu, silu_slope)
+                             mse_loss, sigmoid, silu_slope)
 from kanmark.spline import basis_and_slopes, build_grid
 
 from oracles import (assert_grads_close, central_diff, edge_activation_ref,
@@ -71,7 +71,7 @@ class TestEdgeActivation:
         layer.w_b[:] = 1.0
         layer.w_s[:] = 0.0
         for x in (-0.5, 0.1, 0.9):
-            assert edge_activation(layer, 0, 0, x) == pytest.approx(silu(x), rel=1e-12)
+            assert edge_activation(layer, 0, 0, x) == pytest.approx(silu_ref(x), rel=1e-12)
 
     def test_matches_scalar_oracle(self):
         layer = random_layer(3, 2, seed=3)
@@ -109,6 +109,11 @@ class TestLayerForward:
         layer = random_layer(3, 2, seed=8)
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((4, 2)))
+
+    def test_constructor_rejects_w_s_of_wrong_shape(self):
+        layer = random_layer(3, 2, seed=8)
+        with pytest.raises(ShapeError, match="w_b / w_s"):
+            KanLayer(layer.grid, layer.coeffs, layer.w_b, layer.w_s.T)
 
     def test_per_edge_sum_matches_gemm_forward(self):
         layer = random_layer(4, 3, seed=21)
@@ -222,7 +227,7 @@ class TestModelBackward:
         out, cache = layer.forward(x)
         grads, _ = layer.backward(cache, np.ones_like(out))
         g_wb = layer_grads(layer, grads)[1]
-        expected = silu(x).sum(axis=0)
+        expected = np.vectorize(silu_ref)(x).sum(axis=0)
         for j in range(2):
             for i in range(3):
                 assert g_wb[j, i] == pytest.approx(expected[i], rel=1e-12)

@@ -3,11 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kanmark import KanLayer, build_grid
 from kanmark.numeric import (OptimizerState, ShapeError, adam,
                              cross_entropy_loss, mse_loss, optimizer_step,
-                             sigmoid, silu, silu_slope, softmax)
+                             sigmoid, silu_slope, softmax)
 
 from oracles import adam_scalar_ref, central_diff, silu_ref
+
+
+def silu(x):
+    """SiLU as a KAN layer computes it: the "s" entry of KanLayer.prepare,
+    on a layer with one input per value of x."""
+    x = np.asarray(x, dtype=np.float64)
+    rows = x.reshape(1, -1)
+    layer = KanLayer.create(rows.shape[1], 1, build_grid(), np.random.default_rng(0))
+    out = layer.prepare(rows)["s"].reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 class TestSilu:

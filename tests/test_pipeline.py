@@ -11,7 +11,7 @@ from kanmark import (KanModel, MlpModel, adam, build_detector_dataset, build_gri
                      calibrate_amplitude, embed, fit, gen_feynman, gen_signal,
                      split_dataset, train_detector)
 from kanmark.cli import check_config
-from kanmark.pipeline import build_detector, embed_watermark, train_clean
+from kanmark.pipeline import build_detector, embed_watermark, resolve_widths, train_clean
 from kanmark.watermark import default_band
 
 # 280 training rows, so the first-256-rows calibration and the first
@@ -42,6 +42,13 @@ def test_train_clean_is_create_then_each_stage(train):
         model = train_clean(kind, cfg, train, init_seed=7, fit_seeds=[8, 9])
         assert type(model) is type(ref)
         assert model.params.tobytes() == ref.params.tobytes()
+
+
+@pytest.mark.parametrize("task, widths", [("classification", [7, 32, 10]),
+                                          ("regression", [7, 5, 1])])
+def test_resolve_widths_defaults(task, widths):
+    cfg = {"task": task, "model": {"widths": None, "hidden": None}}
+    assert resolve_widths(cfg, 7) == widths
 
 
 def test_train_clean_needs_one_seed_per_stage(train):

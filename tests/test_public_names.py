@@ -1,5 +1,10 @@
 """The names ``kanmark`` exports. Adding or removing one is an API change, so
-it shows up here as an explicit edit."""
+it shows up here as an explicit edit.
+
+Removed, with the reason:
+- ``silu``: no kanmark code called it (a layer computes x * sigmoid(x) in
+  ``KanLayer.prepare``), and the tests check SiLU against ``oracles.silu_ref``.
+"""
 
 import types
 
@@ -13,7 +18,7 @@ PUBLIC_NAMES = [
     "cross_entropy_loss", "dct", "edge_importances", "embed", "evaluate",
     "finetune", "fit", "gen_feynman", "gen_signal", "idct", "load_idx", "mse_loss",
     "optimizer_step", "prune_kan", "prune_mlp", "prune_sweep",
-    "retrain_after_prune", "signal_step", "silu", "softmax", "split_dataset",
+    "retrain_after_prune", "signal_step", "softmax", "split_dataset",
     "train_detector", "verify", "write_idx",
 ]
 

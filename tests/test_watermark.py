@@ -296,6 +296,19 @@ class TestVerify:
         assert result.detection_rate == 0.0
         assert result.decision is True
 
+    @pytest.mark.parametrize("positives, decision", [(3, False), (5, True)])
+    def test_default_tau_is_one_half(self, positives, decision):
+        # a SiLU edge and a detector that flags positive outputs: the rate is
+        # the share of positive inputs
+        model = KanModel.create([1, 1], seed=17)
+        model.layers[0].w_b[:] = 1.0
+        model.layers[0].w_s[:] = 0.0
+        stub = MlpModel([np.array([[0.0], [1.0]])], [np.zeros(2)])
+        x = np.linspace(-0.9, 0.9, 8)[:, None] + 0.2 * (positives - 4)
+        result = verify(model, stub, x)
+        assert (result.detection_rate, result.threshold) == (positives / 8, 0.5)
+        assert result.decision is decision
+
     def test_dim_mismatch(self):
         x, _ = small_task(seed=10)
         model = KanModel.create([2, 4, 1], seed=16)
