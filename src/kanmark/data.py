@@ -12,6 +12,7 @@ Pixels are mapped p -> 2*(p/255) - 1, so inputs land in [-1, 1].
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -55,8 +56,8 @@ class Dataset:
             raise DataError(f"inputs must be 2-D, got shape {self.inputs.shape}")
         if self.targets.ndim != 1 or self.targets.shape[0] != self.inputs.shape[0]:
             raise DataError("targets must be one value per input row")
-        if self.inputs.size and (np.abs(self.inputs).max() > 1.0 + 1e-12
-                                 or not np.all(np.isfinite(self.inputs))):
+        bound = 1.0 + 1e-12  # a nan fails both comparisons
+        if self.inputs.size and not -bound <= self.inputs.min() <= self.inputs.max() <= bound:
             raise DataError("inputs must be finite and within [-1, 1]")
         if self.targets.size and not np.all(np.isfinite(self.targets.astype(np.float64))):
             raise DataError("targets must be finite")
@@ -65,49 +66,48 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def _read_file(path) -> bytes:
+def _idx_records(path, magic: int, dims: int, limit: int | None = None) -> tuple:
+    """The first ``limit`` records (all for None) of the regular IDX file at
+    ``path`` as a uint8 array, and its header's ``dims`` sizes. Checks header
+    length, ``magic``, then payload length against the file's size."""
+    header = 4 + 4 * dims
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            if not os.path.isfile(path):  # a pipe or device has no size to check
+                raise DataError(f"{path}: not a regular file")
+            raw, size = fh.read(header), os.fstat(fh.fileno()).st_size
+            if len(raw) < header:
+                raise IdxTruncatedError(f"{path}: header needs {header} bytes, "
+                                        f"file has {len(raw)}")
+            found, *sizes = struct.unpack(f">{1 + dims}I", raw)
+            if found != magic:
+                raise IdxMagicError(f"{path}: magic {found:#010x}, expected {magic:#010x}")
+            payload = math.prod(sizes)
+            if size < header + payload:
+                raise IdxTruncatedError(f"{path}: payload needs {payload} bytes, "
+                                        f"file has {size - header}")
+            keep = len(range(sizes[0])[:limit])  # len(records[:limit]), for any limit
+            records = fh.read(keep * math.prod(sizes[1:]))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def _idx_payload(path, magic: int, dims: int) -> tuple[bytes, tuple[int, ...]]:
-    """The bytes of the IDX file at ``path`` and the ``dims`` sizes of its
-    header, checked: header length, ``magic``, then payload length."""
-    raw = _read_file(path)
-    header = 4 + 4 * dims
-    if len(raw) < header:
-        raise IdxTruncatedError(f"{path}: header needs {header} bytes, "
-                                f"file has {len(raw)}")
-    found, *sizes = struct.unpack(f">{1 + dims}I", raw[:header])
-    if found != magic:
-        raise IdxMagicError(f"{path}: magic {found:#010x}, expected {magic:#010x}")
-    payload = math.prod(sizes)
-    if len(raw) < header + payload:
-        raise IdxTruncatedError(f"{path}: payload needs {payload} bytes, "
-                                f"file has {len(raw) - header}")
-    return raw, tuple(sizes)
+    return np.frombuffer(records, np.uint8).reshape(keep, *sizes[1:]), tuple(sizes)
 
 
 def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
-    """Parse an IDX image/label pair into a normalized Dataset.
-
-    ``limit`` keeps only the first N records (desk-scale subsets); only
-    those are converted, but every label is checked.
-    """
-    img_raw, (count, rows, cols) = _idx_payload(images_path, IMAGE_MAGIC, 3)
-    lab_raw, (lab_count,) = _idx_payload(labels_path, LABEL_MAGIC, 1)
+    """Parse an IDX image/label pair into a normalized Dataset. ``limit``
+    keeps the first N records (desk-scale subsets): only those image records
+    are read, but every label is read and checked."""
+    pixels, (count, rows, cols) = _idx_records(images_path, IMAGE_MAGIC, 3, limit)
+    labels, (lab_count,) = _idx_records(labels_path, LABEL_MAGIC, 1)
     if lab_count != count:
         raise IdxCountMismatchError(f"{count} images vs {lab_count} labels")
-    labels = np.frombuffer(lab_raw, dtype=np.uint8, count=count, offset=8)
     if labels.size and labels.max() > 9:
         raise DataError(f"{labels_path}: labels above 9 present")
-    keep = len(range(count)[:limit])  # len(records[:limit]), for any limit
-    pixels = np.frombuffer(img_raw, dtype=np.uint8, count=keep * rows * cols, offset=16)
-    inputs = 2.0 * (pixels.reshape(keep, rows * cols).astype(np.float64) / 255.0) - 1.0
-    return Dataset(inputs, labels[:keep].astype(np.int64))
+    inputs = pixels.reshape(len(pixels), rows * cols).astype(np.float64)
+    inputs /= 255.0  # 2 * (p / 255) - 1, one operation at a time in place
+    inputs *= 2.0
+    inputs -= 1.0
+    return Dataset(inputs, labels[:len(inputs)].astype(np.int64))
 
 
 def _image_shape(d: int, image_shape: tuple[int, int] | None) -> tuple[int, int]:

@@ -79,24 +79,23 @@ class KanLayer:
                 "slopes": slopes}
 
     def prepare_rows(self, x) -> dict:
-        """:meth:`prepare` of many rows without the slopes, filled
-        :data:`~kanmark.numeric.ROW_CHUNK` rows at a time into preallocated
-        arrays, so its temporaries are one chunk's. Byte-identical to
-        :meth:`prepare`'s arrays, because row r depends on row r of x alone."""
+        """:meth:`prepare`'s two GEMM operands, silu(x) "s" and basis rows "b",
+        of many rows, filled :data:`~kanmark.numeric.ROW_CHUNK` rows at a time
+        into preallocated arrays, so its temporaries are one chunk's. They are
+        byte-identical to :meth:`prepare`'s: row r depends on row r of x alone."""
         x = as_matrix(x, "layer input")
-        n = x.shape[0]
-        prepared = {"x": x, "sig": np.empty(x.shape), "s": np.empty(x.shape),
-                    "b": np.empty((n, x.shape[1] * self.grid.basis_count))}
-        for rows in row_chunks(n):
+        prepared = {"s": np.empty(x.shape),
+                    "b": np.empty((x.shape[0], x.shape[1] * self.grid.basis_count))}
+        for rows in row_chunks(x.shape[0]):
             chunk = self.prepare(x[rows])
-            for key in ("sig", "s", "b"):
-                prepared[key][rows] = chunk[key]
+            for key, a in prepared.items():
+                a[rows] = chunk[key]
         return prepared
 
     def apply(self, prepared: dict) -> tuple[np.ndarray, dict]:
         """The two GEMMs of :meth:`forward` on a :meth:`prepare` or
         :meth:`prepare_rows` result; returns (outputs, cache-for-backward).
-        Without a "slopes" entry the cache serves only
+        A :meth:`prepare_rows` cache serves only
         ``backward(need_input_grad=False)``."""
         w = self._spline_weights()
         y = prepared["s"] @ self.w_b.T + prepared["b"] @ w.T
@@ -116,23 +115,23 @@ class KanLayer:
         The cache holds values of the parameters that forward saw, so do not
         change them between the two calls.
         """
-        if cache is None or "x" not in cache:
+        if cache is None or "b" not in cache:
             raise ValueError("missing forward cache")
-        x, sig, s, b = cache["x"], cache["sig"], cache["s"], cache["b"]
+        b = cache["b"]
         gy = np.asarray(gy, dtype=np.float64)
-        if gy.shape != (x.shape[0], self.out_dim):
+        if gy.shape != (b.shape[0], self.out_dim):
             raise ShapeError(f"upstream grad shape {gy.shape} does not match "
-                             f"cached batch ({x.shape[0]}, {self.out_dim})")
+                             f"cached batch ({b.shape[0]}, {self.out_dim})")
         g = (gy.T @ b).reshape(self.coeffs.shape)
         g_coeffs = self.w_s[:, :, None] * g
         g_ws = (g * self.coeffs).sum(axis=-1)
         gx = None
         if need_input_grad:
-            db = cache["slopes"]()
+            x, db = cache["x"], cache["slopes"]()
             gb = (gy @ cache["w"]).reshape(db.shape)
-            gx = silu_slope(x, sig) * (gy @ self.w_b) \
+            gx = silu_slope(x, cache["sig"]) * (gy @ self.w_b) \
                 + (gb * db).sum(axis=-1).reshape(x.shape)
-        grads = [g_coeffs, gy.T @ s, g_ws]
+        grads = [g_coeffs, gy.T @ cache["s"], g_ws]
         return np.concatenate([a.ravel() for a in grads]), gx
 
     def per_edge_activations(self, x) -> np.ndarray:

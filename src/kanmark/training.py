@@ -17,8 +17,8 @@ TASKS = ("classification", "regression")
 
 # A batch loss this many times the run's first batch loss counts as diverged.
 DIVERGENCE_FACTOR = 1e6
-# Most bytes of layer-0 arrays (sigmoid, silu and basis rows of every input)
-# that :func:`steps` prepares once per run; above it, it prepares each batch.
+# Most bytes of layer-0 arrays (silu and basis rows of every input) that
+# :func:`steps` prepares once per run; above it, it prepares each batch.
 PREPARED_BYTES_MAX = 256 * 2**20
 
 
@@ -98,12 +98,12 @@ def batch_inputs(model, inputs: np.ndarray):
     """Function from a batch's row indices to its model input: the rows of
     ``inputs`` for an MlpModel, layer 0's :meth:`KanLayer.prepare` cache of
     them for a KanModel. Up to PREPARED_BYTES_MAX that cache is prepared
-    once for all rows (:meth:`KanLayer.prepare_rows`), without the slopes
-    layer 0's backward never needs."""
+    once for all rows (:meth:`KanLayer.prepare_rows`), as the two GEMM
+    operands that layer 0's forward and backward read."""
     if not isinstance(model, KanModel):
         return lambda idx: inputs.take(idx, axis=0)
     layer = model.layers[0]
-    if inputs.size * (layer.grid.basis_count + 2) * 8 > PREPARED_BYTES_MAX:
+    if inputs.size * (layer.grid.basis_count + 1) * 8 > PREPARED_BYTES_MAX:
         return lambda idx: layer.prepare(inputs.take(idx, axis=0))
     prepared = layer.prepare_rows(inputs)
     return lambda idx: {key: a.take(idx, axis=0) for key, a in prepared.items()}

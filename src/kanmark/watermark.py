@@ -81,7 +81,7 @@ def signal_step(model: KanModel, prepared: dict, signal: np.ndarray, opt) -> Non
     layer's parameters move.
     """
     layer = model.layers[0]
-    shape = (prepared["x"].shape[0], layer.out_dim)
+    shape = (prepared["b"].shape[0], layer.out_dim)
     g_out = np.broadcast_to(-2.0 * idct(signal) / np.prod(shape), shape)
     grads, _ = layer.backward(prepared, g_out, need_input_grad=False)
     optimizer_step(layer.params, grads, opt)

@@ -366,3 +366,21 @@ def feynman_ref(fid, row):
     if fid == "III.17.37":
         return v[1] * (1 + v[0] * math.cos(v[2]))
     raise KeyError(fid)
+
+
+# The denominators of feynman_ref that vanish somewhere on (-1, 1)^arity, as
+# written there; a formula's guard must rank rows as their magnitude does.
+FEYNMAN_DENOMINATORS = {
+    "I.6.2": lambda v: math.sqrt(2 * math.pi * v[1] ** 2),
+    "I.6.2b": lambda v: math.sqrt(2 * math.pi * v[2] ** 2),
+    "I.9.18": lambda v: (v[1] - 1) ** 2 + (v[2] - v[3]) ** 2 + (v[4] - v[5]) ** 2,
+    "I.13.12": lambda v: v[1],
+    "I.15.3x": lambda v: math.sqrt(1 - v[1] ** 2),
+    "I.16.6": lambda v: 1 + v[0] * v[1],
+    "I.18.4": lambda v: 1 + v[0],
+    "I.27.2": lambda v: 1 + v[0] * v[1],
+    "I.30.3": lambda v: math.sin(v[1] / 2) ** 2,
+    "II.11.27": lambda v: 1 - v[0] * v[1] / 3,
+    "II.38.3": lambda v: v[1],
+    "III.9.52": lambda v: ((v[1] - v[2]) / 2) ** 2,
+}

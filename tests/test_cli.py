@@ -9,9 +9,9 @@ import pytest
 from kanmark import (Dataset, KanLayer, KanModel, MlpModel, build_grid, prune_kan,
                      write_idx)
 from kanmark.cli import (SCHEMA, CheckpointError, ConfigError, SeedBundle,
-                         _fits, build_parser, canonical_json, config_hash, derive_seed,
-                         load_checkpoint, load_config, main, resolve_dataset,
-                         save_checkpoint)
+                         _fits, append_report_row, build_parser, canonical_json,
+                         config_hash, derive_seed, load_checkpoint, load_config, main,
+                         resolve_dataset, save_checkpoint)
 
 
 # A classification run on the 30-image IDX pair of write_classify_idx.
@@ -92,6 +92,23 @@ class TestConfig:
     def test_single_bin_band_is_accepted(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.json", watermark={"band": [2, 2]}))
         assert cfg["watermark"]["band"] == [2, 2]
+
+    def test_tau_zero_is_accepted(self, tmp_path):
+        assert load_config(write_config(tmp_path / "c.json", tau=0.0))["tau"] == 0.0
+
+    def test_list_kinds_are_worded_by_length(self, tmp_path):
+        # model.widths holds any number of ints, watermark.band exactly two.
+        with pytest.raises(ConfigError, match=r"^model\.widths must be \[int, \.\.\.\] "):
+            load_config(write_config(tmp_path / "c.json", model={"widths": 5}))
+        with pytest.raises(ConfigError, match=r"^watermark\.band must be \[int, int\] "):
+            load_config(write_config(tmp_path / "c.json", watermark={"band": 5}))
+
+    def test_report_row_holding_nan_raises(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "c.json"))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            append_report_row(tmp_path, "clean", cfg, float("nan"), "rmse")
+        report = tmp_path / "report.jsonl"
+        assert not report.exists() or report.read_text() == ""
 
     @pytest.mark.parametrize("overrides, key", [
         ({"watermark": {"key": -1}}, "watermark.key"),
@@ -602,6 +619,16 @@ class TestCommands:
                      "--suspect-ckpt", str(model), "--tau", "1.5",
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_verify_accepts_tau_zero(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        suspect, detector = tmp_path / "kan.json", tmp_path / "mlp.json"
+        save_checkpoint(suspect, KanModel.create([2, 4, 1], seed=0), "clean", "hash", 0)
+        save_checkpoint(detector, MlpModel.create([4, 8, 2], seed=0), "detector", "hash", 0)
+        assert main(["verify", "--config", cfg, "--detector-ckpt", str(detector),
+                     "--suspect-ckpt", str(suspect), "--tau", "0",
+                     "--out", str(tmp_path / "runs")]) == 0
+        assert "(tau 0%) -> decision WATERMARKED" in capsys.readouterr().out
 
     def test_corrupt_idx_exit_code(self, tmp_path):
         img = tmp_path / "img.idx"

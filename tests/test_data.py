@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from kanmark.data import (FEYNMAN, DataError, Dataset, IdxCountMismatchError,
                           epoch_batches, gen_feynman, load_idx, split_dataset,
                           write_idx)
 
-from oracles import feynman_ref
+from oracles import FEYNMAN_DENOMINATORS, feynman_ref
 
 
 def build_idx_pair(tmp_path, pixels, labels, rows=3, cols=3):
@@ -117,6 +118,18 @@ class TestLoadIdx:
         with pytest.raises(DataError):
             load_idx(tmp_path / "nope.idx", tmp_path / "nope2.idx")
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_not_a_regular_file(self, tmp_path):
+        images, labels = build_idx_pair(tmp_path, np.zeros(9, dtype=np.uint8), [1])
+        read_end, write_end = os.pipe()
+        os.write(write_end, images.read_bytes())
+        os.close(write_end)
+        try:
+            with pytest.raises(DataError, match="not a regular file"):
+                load_idx(f"/dev/fd/{read_end}", labels)
+        finally:
+            os.close(read_end)
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         pixels = rng.integers(0, 256, size=4 * 25, dtype=np.uint8)
@@ -173,6 +186,23 @@ class TestFeynman:
             guard = FEYNMAN[fid].guard(ds.inputs)
             assert np.all(guard >= 1e-6), fid
             assert np.all(np.isfinite(ds.targets))
+
+    def test_guards_track_the_vanishing_denominators(self):
+        # A guard on another expression would only redraw other rows.
+        guarded = sorted(fid for fid, f in FEYNMAN.items() if f.guard is not None)
+        assert guarded == sorted(FEYNMAN_DENOMINATORS)
+        rng = np.random.default_rng(23)
+        for fid in guarded:
+            x = rng.uniform(-1.0, 1.0, size=(200, FEYNMAN[fid].arity))
+            guard = FEYNMAN[fid].guard(x)
+            den = np.abs([FEYNMAN_DENOMINATORS[fid](row) for row in x])
+            # rows ordered by |denominator| have a non-decreasing guard
+            assert np.all(np.diff(guard[np.lexsort((guard, den))]) >= 0), fid
+
+    def test_size_check_counts_every_input(self):
+        # 2**59 floats fit numpy's size limit; 2**59 rows of 6 inputs do not.
+        with pytest.raises(MemoryError, match="samples of 6 inputs"):
+            gen_feynman("I.9.18", 2**59)
 
     @pytest.mark.parametrize("fid", sorted(FEYNMAN))
     def test_targets_match_independent_evaluator(self, fid):

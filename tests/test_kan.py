@@ -140,7 +140,7 @@ class TestPrepareRows:
         x[3::11, 1] = grid.t_min
         x[:grid.knots.size, 2] = grid.knots
         whole, rows = layer.prepare(x), layer.prepare_rows(x)
-        assert set(rows) == {"x", "sig", "s", "b"}
+        assert set(rows) == {"s", "b"}
         for key, a in rows.items():
             assert a.shape == whole[key].shape and a.tobytes() == whole[key].tobytes()
 

@@ -4,14 +4,18 @@ the default grid, a 256-row calibration batch and 10 shuffles per sample.
 
 Each bound was fixed before the first run: the arrays the pass keeps plus an
 allowance for one chunk's temporaries. Passes that build their arrays for all
-rows at once peak at several times these bounds."""
+rows at once peak at several times these bounds.
 
+IDX loads read a random-byte pair of 3000 28x28 images: a load keeps its
+Dataset, and reads only the records it keeps plus every label."""
+
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from kanmark import KanModel, build_detector_dataset, edge_importances
+from kanmark import KanModel, build_detector_dataset, edge_importances, load_idx
 from kanmark.training import batch_inputs
 
 ROWS, WIDTHS, CALIBRATION, SHUFFLES = 1257, [64, 32, 10], 256, 10
@@ -36,7 +40,7 @@ def inputs():
 def test_batch_inputs_peak_is_prepared_arrays_plus_a_chunk(inputs):
     model = KanModel.create(WIDTHS, seed=42)
     gather, peak = traced_peak(lambda: batch_inputs(model, inputs))
-    kept = inputs.size * (model.layers[0].grid.basis_count + 2) * 8
+    kept = inputs.size * (model.layers[0].grid.basis_count + 1) * 8
     assert peak <= kept + 2 * MiB
     assert gather(np.arange(3))["b"].shape == (3, WIDTHS[0] * 8)
 
@@ -74,3 +78,34 @@ def test_build_detector_dataset_frees_layer_outputs_before_labels(inputs):
     # fill the rows, and lies about 0.4 MiB above the dataset.
     kept, peak = detector_dataset_and_peak(inputs)
     assert peak <= kept + 0.5 * MiB
+
+
+IDX_ROWS, IDX_SIDE, IDX_LIMIT = 3000, 28, 300
+
+
+@pytest.fixture(scope="module")
+def idx_pair(tmp_path_factory):
+    rng = np.random.default_rng(47)
+    directory = tmp_path_factory.mktemp("idx")
+    images, labels = directory / "i.idx", directory / "l.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, IDX_ROWS, IDX_SIDE, IDX_SIDE)
+                       + rng.integers(0, 256, IDX_ROWS * IDX_SIDE ** 2, np.uint8).tobytes())
+    labels.write_bytes(struct.pack(">II", 0x801, IDX_ROWS)
+                       + rng.integers(0, 10, IDX_ROWS, np.uint8).tobytes())
+    return images, labels
+
+
+def load_and_peak(idx_pair, limit):
+    data, peak = traced_peak(lambda: load_idx(*idx_pair, limit=limit))
+    assert len(data) == min(limit or IDX_ROWS, IDX_ROWS)
+    return data.inputs.nbytes + data.targets.nbytes, peak
+
+
+def test_limited_idx_load_peak_is_the_kept_rows(idx_pair):
+    kept, peak = load_and_peak(idx_pair, IDX_LIMIT)
+    assert peak <= kept + 2 * MiB
+
+
+def test_full_idx_load_peak_is_the_dataset_plus_the_payload(idx_pair):
+    kept, peak = load_and_peak(idx_pair, None)
+    assert peak <= kept + IDX_ROWS * (IDX_SIDE ** 2 + 1) + 1 * MiB

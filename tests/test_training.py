@@ -174,9 +174,10 @@ class TestLayerZeroPreparedOncePerRun:
     them once per training row, before the first step; the hidden layer's
     follow each batch, plus once for the forward check after the last step.
     Embed's signal steps add no evaluation. 100 rows in batches of 24 make 5
-    batches per epoch."""
+    batches per epoch. The budget is the prepared arrays' bytes: 100 rows of
+    3 inputs, each a silu value and 8 basis values on the default grid."""
 
-    EPOCHS, BATCHES = 3, 5
+    EPOCHS, BATCHES, PREPARED_BYTES = 3, 5, 100 * 3 * (1 + 8) * 8
 
     def run(self, how, monkeypatch):
         shapes, self.points = [], []
@@ -202,6 +203,7 @@ class TestLayerZeroPreparedOncePerRun:
 
     @pytest.mark.parametrize("how", ["fit", "embed"])
     def test_layer_zero_basis_once_per_run(self, how, monkeypatch):
+        monkeypatch.setattr(training, "PREPARED_BYTES_MAX", self.PREPARED_BYTES)
         shapes = self.run(how, monkeypatch)
         steps = self.EPOCHS * self.BATCHES
         layer_zero = [s[1] for s in shapes].count(3)
@@ -212,7 +214,7 @@ class TestLayerZeroPreparedOncePerRun:
 
     @pytest.mark.parametrize("how", ["fit", "embed"])
     def test_over_budget_prepares_layer_zero_per_batch(self, how, monkeypatch):
-        monkeypatch.setattr(training, "PREPARED_BYTES_MAX", 0)
+        monkeypatch.setattr(training, "PREPARED_BYTES_MAX", self.PREPARED_BYTES - 1)
         shapes = self.run(how, monkeypatch)
         steps = self.EPOCHS * self.BATCHES
         assert [s[1] for s in shapes] == [3, 4] * steps + [4]
