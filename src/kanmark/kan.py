@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numeric import (ShapeError, as_matrix, check_floats, keep_masks, row_chunks,
-                      sigmoid, silu_slope, views)
+from .numeric import (ROW_CHUNK, ShapeError, as_matrix, check_floats, keep_masks,
+                      row_chunks, sigmoid, silu_slope, views)
 from .spline import SplineGrid, basis_and_slopes, build_grid
 
 
@@ -66,13 +66,18 @@ class KanLayer:
         """w_s-scaled coefficients as one (out, in * m) GEMM operand."""
         return (self.w_s[:, :, None] * self.coeffs).reshape(self.out_dim, -1)
 
+    def _input(self, x) -> np.ndarray:
+        """x as a checked float64 (rows, in_dim) matrix, even with no rows."""
+        x = as_matrix(x, "layer input")
+        if x.shape[1] != self.in_dim:
+            raise ShapeError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
+        return x
+
     def prepare(self, x) -> dict:
         """The parameter-free part of :meth:`forward`: the checked input x,
         sigmoid(x), silu(x), the basis rows B and the slope function from
         basis_and_slopes. Row r of each array depends on row r of x alone."""
-        x = as_matrix(x, "layer input")
-        if x.shape[1] != self.in_dim:
-            raise ShapeError(f"layer expects {self.in_dim} inputs, got {x.shape[1]}")
+        x = self._input(x)
         sig = sigmoid(x)
         b, slopes = basis_and_slopes(self.grid, x)
         return {"x": x, "sig": sig, "s": x * sig, "b": b.reshape(x.shape[0], -1),
@@ -83,7 +88,7 @@ class KanLayer:
         of many rows, filled :data:`~kanmark.numeric.ROW_CHUNK` rows at a time
         into preallocated arrays, so its temporaries are one chunk's. They are
         byte-identical to :meth:`prepare`'s: row r depends on row r of x alone."""
-        x = as_matrix(x, "layer input")
+        x = self._input(x)
         prepared = {"s": np.empty(x.shape),
                     "b": np.empty((x.shape[0], x.shape[1] * self.grid.basis_count))}
         for rows in row_chunks(x.shape[0]):
@@ -134,13 +139,34 @@ class KanLayer:
         grads = [g_coeffs, gy.T @ cache["s"], g_ws]
         return np.concatenate([a.ravel() for a in grads]), gx
 
+    def edge_chunks(self, prepared: dict):
+        """Yields (rows, edges) for each :func:`~kanmark.numeric.row_chunks`
+        slice of a :meth:`prepare_rows` result; edges[i, r, j] is edge (j, i)
+        on row r of the slice. A slice is one batched GEMM: input i's
+        [B_i | silu(x_i)] (rows x (m+1)) times its block of ``w``, the
+        w_s-scaled coeffs[:, i, :] over w_b[:, i] ((m+1) x out), which is
+        built once per call. The yielded array is reused, so it holds its
+        values only until the next slice."""
+        m, n = self.grid.basis_count, len(prepared["s"])
+        w = np.empty((self.in_dim, m + 1, self.out_dim))
+        np.multiply(self.w_s.T[:, None, :], self.coeffs.transpose(1, 2, 0), out=w[:, :m])
+        w[:, m] = self.w_b.T
+        size = self.in_dim * min(n, ROW_CHUNK)
+        operand, out = np.empty(size * (m + 1)), np.empty(size * self.out_dim)
+        for rows in row_chunks(n):
+            s = prepared["s"][rows]
+            a = operand[:s.size * (m + 1)].reshape(self.in_dim, len(s), m + 1)
+            a[:, :, :m] = prepared["b"][rows].reshape(len(s), self.in_dim, m).transpose(1, 0, 2)
+            a[:, :, m] = s.T
+            yield rows, np.matmul(a, w, out=out[:s.size * self.out_dim].reshape(
+                self.in_dim, len(s), self.out_dim))
+
     def per_edge_activations(self, x) -> np.ndarray:
         """All edge outputs for a batch; shape (batch, out_dim, in_dim)."""
-        p = self.prepare(x)
-        bv = p["b"].reshape(p["x"].shape[0], self.in_dim, -1)
-        edges = np.einsum("bim,jim->bji", bv, self.coeffs)
-        edges *= self.w_s
-        edges += self.w_b * p["s"][:, None, :]
+        prepared = self.prepare_rows(x)
+        edges = np.empty((len(prepared["s"]), self.out_dim, self.in_dim))
+        for rows, chunk in self.edge_chunks(prepared):
+            edges[rows] = chunk.transpose(1, 2, 0)
         return edges
 
     def copy(self) -> "KanLayer":
@@ -218,26 +244,27 @@ def edge_importances(model: KanModel, calibration) -> list[np.ndarray]:
     """Mean |edge activation| of every layer over a calibration batch of
     model inputs, one (out_dim, in_dim) array per layer.
 
-    The batch is checked once and forwarded layer by layer, so each layer
-    is scored on what it actually sees; the last layer's outputs are never
-    computed. The per-edge tensor is built ROW_CHUNK rows at a time, and
-    its rows are added in order into one sum, as the mean over axis 0 of
-    the whole tensor adds them, so the scores are the same bits.
+    The batch is checked once. Each layer prepares its rows once
+    (:meth:`KanLayer.prepare_rows`), scores its edges on them
+    (:meth:`KanLayer.edge_chunks`) and forwards them to the next layer, so
+    each layer is scored on what it actually sees; the last layer's outputs
+    are never computed. Each chunk's edge rows are added in order into one
+    sum, as the mean over axis 0 of the whole per-edge tensor adds them, so
+    the scores are the same bits.
     """
     h = as_matrix(calibration, "calibration")
     if h.shape[0] == 0:
         raise ValueError("calibration batch is empty")
     scores = []
     for k, layer in enumerate(model.layers):
-        if k:
-            prev = model.layers[k - 1]
-            h = prev.apply(prev.prepare_rows(h))[0]
-        total = np.zeros((layer.out_dim, layer.in_dim))
-        for rows in row_chunks(h.shape[0]):
-            edges = layer.per_edge_activations(h[rows])
-            for row in np.abs(edges, out=edges):
+        prepared = layer.prepare_rows(h)
+        total = np.zeros((layer.in_dim, layer.out_dim))
+        for _, edges in layer.edge_chunks(prepared):
+            for row in np.abs(edges, out=edges).transpose(1, 0, 2):
                 total += row
-        scores.append(total / h.shape[0])
+        scores.append(np.ascontiguousarray(total.T) / h.shape[0])
+        if k + 1 < len(model.layers):
+            h = layer.apply(prepared)[0]
     return scores
 
 

@@ -96,6 +96,9 @@ class TestConfig:
     def test_tau_zero_is_accepted(self, tmp_path):
         assert load_config(write_config(tmp_path / "c.json", tau=0.0))["tau"] == 0.0
 
+    def test_tau_one_is_accepted(self, tmp_path):
+        assert load_config(write_config(tmp_path / "c.json", tau=1.0))["tau"] == 1.0
+
     def test_list_kinds_are_worded_by_length(self, tmp_path):
         # model.widths holds any number of ints, watermark.band exactly two.
         with pytest.raises(ConfigError, match=r"^model\.widths must be \[int, \.\.\.\] "):
@@ -320,9 +323,11 @@ class TestCommands:
         assert main(["train-clean", "--config", cfg, "--out", out_a]) == 0
         assert main(["train-clean", "--config", cfg, "--seed", "99",
                      "--out", out_b]) == 0
-        a = (Path(out_a) / "clean-kan.json").read_bytes()
-        b = (Path(out_b) / "clean-kan.json").read_bytes()
-        assert a != b
+        # The parameters, not the file bytes: the config hash in the file
+        # changes with the seed whether or not training sees it.
+        a, _ = load_checkpoint(Path(out_a) / "clean-kan.json")
+        b, _ = load_checkpoint(Path(out_b) / "clean-kan.json")
+        assert not np.array_equal(a.params, b.params)
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -620,15 +625,24 @@ class TestCommands:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_verify_accepts_tau_zero(self, tmp_path, capsys):
+    @staticmethod
+    def verify_with_tau(tmp_path, tau: str) -> int:
+        """Exit code of ``verify --tau tau`` on fresh 2-4-1 and 4-8-2 models."""
         cfg = write_config(tmp_path / "c.json")
         suspect, detector = tmp_path / "kan.json", tmp_path / "mlp.json"
         save_checkpoint(suspect, KanModel.create([2, 4, 1], seed=0), "clean", "hash", 0)
         save_checkpoint(detector, MlpModel.create([4, 8, 2], seed=0), "detector", "hash", 0)
-        assert main(["verify", "--config", cfg, "--detector-ckpt", str(detector),
-                     "--suspect-ckpt", str(suspect), "--tau", "0",
-                     "--out", str(tmp_path / "runs")]) == 0
+        return main(["verify", "--config", cfg, "--detector-ckpt", str(detector),
+                     "--suspect-ckpt", str(suspect), "--tau", tau,
+                     "--out", str(tmp_path / "runs")])
+
+    def test_verify_accepts_tau_zero(self, tmp_path, capsys):
+        assert self.verify_with_tau(tmp_path, "0") == 0
         assert "(tau 0%) -> decision WATERMARKED" in capsys.readouterr().out
+
+    def test_verify_accepts_tau_one(self, tmp_path, capsys):
+        assert self.verify_with_tau(tmp_path, "1") == 0
+        assert "(tau 100%) -> decision" in capsys.readouterr().out
 
     def test_corrupt_idx_exit_code(self, tmp_path):
         img = tmp_path / "img.idx"

@@ -81,6 +81,15 @@ class TestEdgeActivation:
                 assert got == pytest.approx(edge_activation_ref(layer, j, i, 0.3),
                                             abs=1e-12)
 
+    def test_batch_across_chunks_matches_scalar_oracle(self):
+        # Two full row chunks and a short third, each its own batched GEMM.
+        layer = random_layer(3, 2, seed=4)
+        prune_edges(layer, 1, 2)
+        x = np.random.default_rng(4).uniform(-1.5, 1.5, size=(2 * ROW_CHUNK + 5, 3))
+        ref = [[[edge_activation_ref(layer, j, i, row[i]) for i in range(3)]
+                for j in range(2)] for row in x]
+        assert np.max(np.abs(layer.per_edge_activations(x) - ref)) < 1e-12
+
 
 class TestLayerForward:
     def test_zero_parameters_give_zero(self):
@@ -143,6 +152,12 @@ class TestPrepareRows:
         assert set(rows) == {"s", "b"}
         for key, a in rows.items():
             assert a.shape == whole[key].shape and a.tobytes() == whole[key].tobytes()
+
+    @pytest.mark.parametrize("method", ["prepare_rows", "per_edge_activations"])
+    def test_empty_batch_of_wrong_width_rejected(self, method):
+        # No chunk runs prepare on an empty batch, so the width is checked first.
+        with pytest.raises(ShapeError, match="expects 3 inputs"):
+            getattr(random_layer(3, 2, seed=32), method)(np.zeros((0, 5)))
 
     @pytest.mark.parametrize("degree", range(5))
     def test_basis_rows_contiguous_and_prepare_views_them(self, degree):
@@ -293,6 +308,11 @@ class TestModelBackward:
         with pytest.raises(ValueError):
             model.backward(None, np.zeros((4, 2)))
 
+    def test_layer_without_cache_rejected(self):
+        layer = random_layer(2, 3, seed=20)
+        with pytest.raises(ValueError, match="missing forward cache"):
+            layer.backward(None, np.zeros((4, 3)))
+
 
 def assert_importances_match(layer, h, imp):
     """imp[j, i] is the mean |activation| of edge (j, i) over the rows of the
@@ -346,6 +366,18 @@ class TestEdgeImportance:
         got = edge_importances(model, calib)
         want = edge_importances_tensor_ref(model, calib)
         assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+    def test_each_layer_prepares_its_rows_once(self, monkeypatch):
+        model = random_model([64, 32, 10], seed=30)
+        rows = 3 * ROW_CHUNK + 7
+        prepared = [0] * len(model.layers)
+        for k, layer in enumerate(model.layers):
+            def counted(x, k=k, prepare=layer.prepare):
+                prepared[k] += len(x)
+                return prepare(x)
+            monkeypatch.setattr(layer, "prepare", counted)
+        edge_importances(model, np.random.default_rng(3).uniform(-1, 1, size=(rows, 64)))
+        assert prepared == [rows] * len(model.layers)
 
     def test_empty_batch_rejected(self):
         model = random_model([2, 2], seed=24)
