@@ -62,10 +62,6 @@ class KanLayer:
         w_s = np.ones((out_dim, in_dim))
         return cls(grid, coeffs, w_b, w_s)
 
-    def _spline_weights(self) -> np.ndarray:
-        """w_s-scaled coefficients as one (out, in * m) GEMM operand."""
-        return (self.w_s[:, :, None] * self.coeffs).reshape(self.out_dim, -1)
-
     def _input(self, x) -> np.ndarray:
         """x as a checked float64 (rows, in_dim) matrix, even with no rows."""
         x = as_matrix(x, "layer input")
@@ -102,7 +98,7 @@ class KanLayer:
         :meth:`prepare_rows` result; returns (outputs, cache-for-backward).
         A :meth:`prepare_rows` cache serves only
         ``backward(need_input_grad=False)``."""
-        w = self._spline_weights()
+        w = (self.w_s[:, :, None] * self.coeffs).reshape(self.out_dim, -1)
         y = prepared["s"] @ self.w_b.T + prepared["b"] @ w.T
         return y, {**prepared, "w": w}
 
@@ -138,36 +134,6 @@ class KanLayer:
                 + (gb * db).sum(axis=-1).reshape(x.shape)
         grads = [g_coeffs, gy.T @ cache["s"], g_ws]
         return np.concatenate([a.ravel() for a in grads]), gx
-
-    def edge_chunks(self, prepared: dict):
-        """Yields (rows, edges) for each :func:`~kanmark.numeric.row_chunks`
-        slice of a :meth:`prepare_rows` result; edges[i, r, j] is edge (j, i)
-        on row r of the slice. A slice is one batched GEMM: input i's
-        [B_i | silu(x_i)] (rows x (m+1)) times its block of ``w``, the
-        w_s-scaled coeffs[:, i, :] over w_b[:, i] ((m+1) x out), which is
-        built once per call. The yielded array is reused, so it holds its
-        values only until the next slice."""
-        m, n = self.grid.basis_count, len(prepared["s"])
-        w = np.empty((self.in_dim, m + 1, self.out_dim))
-        np.multiply(self.w_s.T[:, None, :], self.coeffs.transpose(1, 2, 0), out=w[:, :m])
-        w[:, m] = self.w_b.T
-        size = self.in_dim * min(n, ROW_CHUNK)
-        operand, out = np.empty(size * (m + 1)), np.empty(size * self.out_dim)
-        for rows in row_chunks(n):
-            s = prepared["s"][rows]
-            a = operand[:s.size * (m + 1)].reshape(self.in_dim, len(s), m + 1)
-            a[:, :, :m] = prepared["b"][rows].reshape(len(s), self.in_dim, m).transpose(1, 0, 2)
-            a[:, :, m] = s.T
-            yield rows, np.matmul(a, w, out=out[:s.size * self.out_dim].reshape(
-                self.in_dim, len(s), self.out_dim))
-
-    def per_edge_activations(self, x) -> np.ndarray:
-        """All edge outputs for a batch; shape (batch, out_dim, in_dim)."""
-        prepared = self.prepare_rows(x)
-        edges = np.empty((len(prepared["s"]), self.out_dim, self.in_dim))
-        for rows, chunk in self.edge_chunks(prepared):
-            edges[rows] = chunk.transpose(1, 2, 0)
-        return edges
 
     def copy(self) -> "KanLayer":
         return KanLayer(self.grid, self.coeffs, self.w_b, self.w_s)
@@ -245,24 +211,38 @@ def edge_importances(model: KanModel, calibration) -> list[np.ndarray]:
     model inputs, one (out_dim, in_dim) array per layer.
 
     The batch is checked once. Each layer prepares its rows once
-    (:meth:`KanLayer.prepare_rows`), scores its edges on them
-    (:meth:`KanLayer.edge_chunks`) and forwards them to the next layer, so
-    each layer is scored on what it actually sees; the last layer's outputs
-    are never computed. Each chunk's edge rows are added in order into one
-    sum, as the mean over axis 0 of the whole per-edge tensor adds them, so
-    the scores are the same bits.
+    (:meth:`KanLayer.prepare_rows`), scores its edges on them and forwards
+    them to the next layer, so each layer is scored on what it actually
+    sees; the last layer's outputs are never computed. A
+    :func:`~kanmark.numeric.row_chunks` slice of rows is scored by one
+    batched GEMM into reused buffers: input i's [B_i | silu(x_i)]
+    (rows x (m+1)) times its block of ``w``, the w_s-scaled coeffs[:, i, :]
+    over w_b[:, i] ((m+1) x out), so edges[i, r, j] is edge (j, i) on row r.
+    The rows of |edges| are added in order into one sum.
     """
     h = as_matrix(calibration, "calibration")
-    if h.shape[0] == 0:
+    n = h.shape[0]
+    if n == 0:
         raise ValueError("calibration batch is empty")
     scores = []
     for k, layer in enumerate(model.layers):
         prepared = layer.prepare_rows(h)
-        total = np.zeros((layer.in_dim, layer.out_dim))
-        for _, edges in layer.edge_chunks(prepared):
+        m, ins, outs = layer.grid.basis_count, layer.in_dim, layer.out_dim
+        w = np.empty((ins, m + 1, outs))
+        np.multiply(layer.w_s.T[:, None, :], layer.coeffs.transpose(1, 2, 0), out=w[:, :m])
+        w[:, m] = layer.w_b.T
+        size = ins * min(n, ROW_CHUNK)
+        operand, out = np.empty(size * (m + 1)), np.empty(size * outs)
+        total = np.zeros((ins, outs))
+        for rows in row_chunks(n):
+            s = prepared["s"][rows]
+            a = operand[:s.size * (m + 1)].reshape(ins, len(s), m + 1)
+            a[:, :, :m] = prepared["b"][rows].reshape(len(s), ins, m).transpose(1, 0, 2)
+            a[:, :, m] = s.T
+            edges = np.matmul(a, w, out=out[:s.size * outs].reshape(ins, len(s), outs))
             for row in np.abs(edges, out=edges).transpose(1, 0, 2):
                 total += row
-        scores.append(np.ascontiguousarray(total.T) / h.shape[0])
+        scores.append(np.ascontiguousarray(total.T) / n)
         if k + 1 < len(model.layers):
             h = layer.apply(prepared)[0]
     return scores

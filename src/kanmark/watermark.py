@@ -158,9 +158,8 @@ def build_detector_dataset(model_wm: KanModel, model_clean: KanModel, inputs,
     return rows.reshape(-1, width), np.tile(labels, n)
 
 
-def train_detector(inputs, labels, hidden=(64, 32), epochs: int = 50,
-                   lr: float = 1e-3, batch_size: int = 128,
-                   seed: int = 0) -> MlpModel:
+def train_detector(inputs, labels, *, hidden, epochs: int, lr: float,
+                   batch_size: int, seed: int = 0) -> MlpModel:
     """Train the MLP detector with cross-entropy on labeled rows."""
     if len(np.unique(labels)) < 2:
         raise ValueError("detector dataset must contain both classes")

@@ -168,12 +168,19 @@ def detector_dataset_tensor_ref(o_wm, o_clean, n_shuffles, seed):
 
 def edge_importances_tensor_ref(model, calibration):
     """Mean |edge activation| per layer from each layer's whole
-    (batch, out, in) per-edge tensor, the input forwarded layer by layer."""
+    (batch, out, in) per-edge tensor, the input forwarded layer by layer:
+    an einsum of the basis rows with the w_s-scaled coefficients, plus
+    silu(x) * w_b."""
+    from kanmark.spline import basis_and_slopes
+
     h, scores = np.asarray(calibration, dtype=np.float64), []
     for k, layer in enumerate(model.layers):
         if k:
             h, _ = model.layers[k - 1].forward(h)
-        scores.append(np.abs(layer.per_edge_activations(h)).mean(axis=0))
+        b = basis_and_slopes(layer.grid, h)[0].reshape(*h.shape, -1)
+        edges = np.einsum("bim,jim->bji", b, layer.w_s[:, :, None] * layer.coeffs) \
+            + (h / (1.0 + np.exp(-h)))[:, None, :] * layer.w_b
+        scores.append(np.abs(edges).mean(axis=0))
     return scores
 
 

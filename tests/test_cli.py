@@ -12,6 +12,7 @@ from kanmark.cli import (SCHEMA, CheckpointError, ConfigError, SeedBundle,
                          _fits, append_report_row, build_parser, canonical_json,
                          config_hash, derive_seed, load_checkpoint, load_config, main,
                          resolve_dataset, save_checkpoint)
+from kanmark.pipeline import train_clean
 
 
 # A classification run on the 30-image IDX pair of write_classify_idx.
@@ -328,6 +329,20 @@ class TestCommands:
         a, _ = load_checkpoint(Path(out_a) / "clean-kan.json")
         b, _ = load_checkpoint(Path(out_b) / "clean-kan.json")
         assert not np.array_equal(a.params, b.params)
+
+    def test_train_clean_runs_each_stage_on_its_sub_seed(self, tmp_path):
+        path = write_config(tmp_path / "c.json", train={
+            "epochs": 2, "lr": 0.001, "batch_size": 32, "stages": [[1, 0.0005]]})
+        out = tmp_path / "runs"
+        assert main(["train-clean", "--config", path, "--out", str(out)]) == 0
+        cfg = load_config(path)
+        bundle = SeedBundle(cfg["seed"])
+        train, _, _ = resolve_dataset(cfg, bundle)
+        want = train_clean("kan", cfg, train, bundle.init,
+                           [derive_seed(bundle.data, "fit-stage-0"),
+                            derive_seed(bundle.data, "fit-stage-1")])
+        got, _ = load_checkpoint(out / "clean-kan.json")
+        assert np.array_equal(got.params, want.params)
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -263,20 +263,21 @@ class TestTrainDetector:
     def test_separable_classes_reach_high_accuracy(self):
         inputs, labels = self.separable_dataset()
         det = train_detector(inputs, labels, hidden=(16, 8), epochs=50, lr=1e-3,
-                             seed=1)
+                             batch_size=128, seed=1)
         pred = np.argmax(det.predict(inputs), axis=1)
         assert np.mean(pred == labels) >= 0.99
 
     def test_lr_zero_returns_initialization(self):
         det = train_detector(*self.separable_dataset(n=20), hidden=(8,), epochs=5,
-                             lr=0.0, seed=9)
+                             lr=0.0, batch_size=128, seed=9)
         init = MlpModel.create([6, 8, 2], seed=9)
         assert np.array_equal(det.params, init.params)
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            train_detector(rng.normal(size=(10, 4)), np.ones(10, dtype=np.int64))
+            train_detector(rng.normal(size=(10, 4)), np.ones(10, dtype=np.int64),
+                           hidden=(8,), epochs=1, lr=1e-3, batch_size=128)
 
 
 class TestVerify:
@@ -329,7 +330,8 @@ class TestPipelineDeterminism:
             wm = embed(clean, sig, x, y, "regression", epochs=3,
                        lr_main=1e-3, seed=22)
             rows, labels = build_detector_dataset(wm, clean, x[:60], 5, seed=23)
-            det = train_detector(rows, labels, (16, 8), epochs=10, lr=1e-3, seed=24)
+            det = train_detector(rows, labels, hidden=(16, 8), epochs=10, lr=1e-3,
+                                 batch_size=128, seed=24)
             return verify(wm, det, x[100:160]).detection_rate
 
         assert run() == run()
