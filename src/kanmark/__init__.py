@@ -2,8 +2,7 @@
 DCT-based activation watermarking pipeline (embedding, detection,
 verification) and watermark-removal attack harnesses."""
 
-from .numeric import (OptimizerState, ShapeError, adam, cross_entropy_loss,
-                      mse_loss, optimizer_step, softmax)
+from .numeric import OptimizerState, ShapeError, adam, optimizer_step, softmax
 from .spline import SplineGrid, basis_and_slopes, build_grid
 from .transform import dct, idct
 from .kan import KanLayer, KanModel, edge_importances, prune_kan

@@ -82,7 +82,7 @@ class SeedBundle:
 # default is null; bools are never numbers. Values are checked, never coerced,
 # so a well-typed config keeps its config_hash.
 SCHEMA = {
-    "task": ("classification", TASKS),
+    "task": ("classification", tuple(TASKS)),
     "dataset": {
         "kind": ("idx", ("idx", "feynman")),
         "images": (None, str), "labels": (None, str),

@@ -98,18 +98,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def mse_loss(pred, target):
-    """Mean squared error over all elements.
-
-    Returns (loss, grad) with grad = 2 * (pred - target) / element_count.
-    """
-    return mse_core(as_matrix(pred, "pred"), as_matrix(target, "target"))
-
-
 def mse_core(pred: np.ndarray, target: np.ndarray):
-    """:func:`mse_loss` on finite float64 matrices; only shapes are checked."""
+    """(loss, grad) of the mean squared error of two finite float64 matrices,
+    grad = 2 * (pred - target) / element_count; only shapes are checked."""
     if pred.shape != target.shape:
-        raise ShapeError(f"mse_loss: shapes {pred.shape} vs {target.shape}")
+        raise ShapeError(f"mse: shapes {pred.shape} vs {target.shape}")
     diff = pred - target
     loss = float((diff * diff).sum() / diff.size)  # np.mean, minus its wrapper
     return loss, 2.0 * diff / diff.size
@@ -139,17 +132,9 @@ def real_targets(targets, rows: int, width: int) -> np.ndarray:
     return as_matrix(targets.reshape(rows, width), "targets")
 
 
-def cross_entropy_loss(logits, labels):
-    """Mean softmax cross-entropy against integer class labels.
-
-    Returns (loss, grad) with grad = (softmax - one_hot) / rows.
-    """
-    logits = as_matrix(logits, "logits")
-    return cross_entropy_core(logits, class_labels(labels, *logits.shape))
-
-
 def cross_entropy_core(logits: np.ndarray, labels: np.ndarray):
-    """:func:`cross_entropy_loss` on finite logits and :func:`class_labels`."""
+    """(loss, grad) of the mean softmax cross-entropy of finite float64 logits
+    against :func:`class_labels`, grad = (softmax - one_hot) / rows; unchecked."""
     p = softmax(logits)
     rows = np.arange(logits.shape[0])
     picked = np.maximum(p[rows, labels], LOG_FLOOR)

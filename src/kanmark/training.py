@@ -10,10 +10,7 @@ import numpy as np
 from .data import epoch_batches
 from .kan import KanModel
 from .numeric import (NonFiniteError, as_matrix, class_labels, cross_entropy_core,
-                      cross_entropy_loss, mse_core, mse_loss, optimizer_step,
-                      real_targets)
-
-TASKS = ("classification", "regression")
+                      mse_core, optimizer_step, real_targets)
 
 # A batch loss this many times the run's first batch loss counts as diverged.
 DIVERGENCE_FACTOR = 1e6
@@ -49,11 +46,10 @@ def checked_forward(model, x):
 def train_step(model, x, y, task: str, opt) -> float:
     """One gradient step of a KanModel or MlpModel on the main-task loss;
     returns the loss before the step. The forward pass is checked
-    (:func:`checked_forward`); the loss core checks nothing, so ``y`` must be
-    as :func:`steps` passes it."""
+    (:func:`checked_forward`); the task's loss core checks nothing, so ``y``
+    must be as :func:`steps` passes it."""
     out, cache = checked_forward(model, x)
-    core = cross_entropy_core if task == "classification" else mse_core
-    loss, g = core(out, y)
+    loss, g = TASKS[task][1](out, y)
     optimizer_step(model.params, model.backward(cache, g), opt)
     return loss
 
@@ -64,9 +60,10 @@ def steps(model, inputs, targets, task: str, epochs: int, opt,
     batch is the step's model input from :func:`batch_inputs`.
 
     The data are checked once, before the first step (ValueError): finite
-    inputs, and :func:`class_labels` or :func:`real_targets` of the model's
-    output width. Batches follow a seeded shuffle (``epoch_batches``),
-    and a diverging loss raises DivergenceError (:func:`check_divergence`).
+    inputs, and targets by the task's check in TASKS (:func:`class_labels`
+    or :func:`real_targets` of the model's output width). Batches follow a
+    seeded shuffle (``epoch_batches``), and a diverging loss raises
+    DivergenceError (:func:`check_divergence`).
     After the consumer's last step, the last batch's forward pass is
     checked again, so the final update is checked too.
     """
@@ -78,8 +75,7 @@ def steps(model, inputs, targets, task: str, epochs: int, opt,
     n, width = inputs.shape[0], model.widths[-1]
     if n == 0:
         raise ValueError("empty training data")
-    checked = class_labels if task == "classification" else real_targets
-    targets = checked(targets, n, width)
+    targets = TASKS[task][0](targets, n, width)
     gather = batch_inputs(model, inputs)
     rng = np.random.default_rng(seed)
     first = None
@@ -120,24 +116,27 @@ def fit(model, inputs, targets, task: str, epochs: int, opt,
     return [float(np.mean(batch_losses)) for batch_losses in losses.values()]
 
 
-def accuracy(logits: np.ndarray, labels) -> float:
+def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of rows whose argmax matches the label."""
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def rmse(pred: np.ndarray, targets) -> float:
-    diff = pred.ravel() - np.asarray(targets, dtype=np.float64).ravel()
+def rmse(pred: np.ndarray, targets: np.ndarray) -> float:
+    diff = pred.ravel() - targets.ravel()
     return float(np.sqrt(np.mean(diff * diff)))
 
 
+# Per task: its target check, its loss core, and its metric's name and function.
+TASKS = {"classification": (class_labels, cross_entropy_core, "accuracy", accuracy),
+         "regression": (real_targets, mse_core, "rmse", rmse)}
+
+
 def evaluate(model, inputs, targets, task: str) -> dict:
-    """Loss plus accuracy (classification) or RMSE (regression), every input
-    checked."""
-    out = model.predict(inputs)
-    if task == "classification":
-        return {"loss": cross_entropy_loss(out, targets)[0],
-                "accuracy": accuracy(out, targets)}
-    if task == "regression":
-        target = real_targets(targets, *out.shape)
-        return {"loss": mse_loss(out, target)[0], "rmse": rmse(out, target)}
-    raise ValueError(f"unknown task {task!r}")
+    """Loss plus the task's metric (accuracy or RMSE). The model output and
+    the targets are checked once, as :func:`steps` checks its data."""
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    check, core, metric, score = TASKS[task]
+    out = as_matrix(model.predict(inputs), "model output")
+    targets = check(targets, *out.shape)
+    return {"loss": core(out, targets)[0], metric: score(out, targets)}

@@ -246,19 +246,19 @@ def train_ref(model, inputs, targets, task, epochs, lr, batch_size, seed,
               signal=None, lr_wm=None):
     """Plain reference of ``fit`` and, given a signal, of ``embed``'s loop,
     training ``model`` in place: per-batch ``inputs[idx]`` gathers from
-    ``epoch_batches``, the checked ``cross_entropy_loss``/``mse_loss``,
+    ``epoch_batches``, the loss core on ``class_labels``/``real_targets``,
     ``forward_with_cache`` plus ``backward`` for a KAN or
     :func:`mlp_loss_grad_ref` for an MLP, and :func:`adam_ref`. A signal
     step moves layer 0 by the closed-form output gradient
     -2 idct(P) / (rows * width). Returns the main-task Adam state."""
     from kanmark.data import epoch_batches
-    from kanmark.numeric import cross_entropy_loss, mse_loss
+    from kanmark.numeric import class_labels, cross_entropy_core, mse_core, real_targets
     from kanmark.transform import idct
 
     def loss(out, y):
         if task == "classification":
-            return cross_entropy_loss(out, y)
-        return mse_loss(out, np.asarray(y, dtype=np.float64).reshape(out.shape))
+            return cross_entropy_core(out, class_labels(y, *out.shape))
+        return mse_core(out, real_targets(y, *out.shape))
 
     inputs, targets = np.asarray(inputs, dtype=np.float64), np.asarray(targets)
     main = {"m": np.zeros_like(model.params), "v": np.zeros_like(model.params), "t": 0}

@@ -223,6 +223,19 @@ class TestFeynman:
         with pytest.raises(DataError):
             gen_feynman("I.12.11", 0, seed=0)
 
+    def test_one_sample(self):
+        ds = gen_feynman("I.12.11", 1, seed=0)
+        assert ds.inputs.shape == (1, 2) and ds.targets.shape == (1,)
+
+    @pytest.mark.parametrize("fid", sorted(set(FEYNMAN) - {"I.50.26"}))
+    def test_formula_reads_its_last_declared_input(self, fid):
+        # An arity above the formula's would pass every sampling test, so each
+        # formula must fail on one column fewer. I.50.26 lists a second
+        # variable that it does not use.
+        arity = FEYNMAN[fid].arity
+        with pytest.raises(IndexError):
+            FEYNMAN[fid].fn(np.full((3, arity - 1), 0.5))
+
 
 class TestAveragePool:
     def test_pools_block_means(self):

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kanmark import KanLayer, build_grid
-from kanmark.numeric import (OptimizerState, ShapeError, adam,
-                             cross_entropy_loss, mse_loss, optimizer_step,
-                             sigmoid, silu_slope, softmax)
+from kanmark.numeric import (OptimizerState, ShapeError, adam, class_labels,
+                             cross_entropy_core, mse_core, optimizer_step,
+                             real_targets, sigmoid, silu_slope, softmax)
 
 from oracles import adam_scalar_ref, central_diff, silu_ref
 
@@ -19,6 +19,16 @@ def silu(x):
     layer = KanLayer.create(rows.shape[1], 1, build_grid(), np.random.default_rng(0))
     out = layer.prepare(rows)["s"].reshape(x.shape)
     return float(out) if out.ndim == 0 else out
+
+
+def mse(pred, target):
+    """:func:`mse_core` on :func:`real_targets`, as training calls it."""
+    return mse_core(pred, real_targets(target, *pred.shape))
+
+
+def cross_entropy(logits, labels):
+    """:func:`cross_entropy_core` on :func:`class_labels`, as training calls it."""
+    return cross_entropy_core(logits, class_labels(labels, *logits.shape))
 
 
 class TestSilu:
@@ -72,19 +82,19 @@ class TestSoftmax:
 class TestMseLoss:
     def test_identity_case(self):
         a = np.arange(6, dtype=float).reshape(2, 3)
-        loss, grad = mse_loss(a, a.copy())
+        loss, grad = mse(a, a.copy())
         assert loss == 0.0
         assert np.all(grad == 0.0)
 
     def test_simple_value(self):
-        loss, _ = mse_loss(np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]]))
+        loss, _ = mse(np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]]))
         assert loss == pytest.approx(0.5)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(1)
         pred = rng.normal(size=(3, 4))
         target = rng.normal(size=(3, 4))
-        loss, grad = mse_loss(pred, target)
+        loss, grad = mse(pred, target)
         acc = 0.0
         for i in range(3):
             for j in range(4):
@@ -97,60 +107,60 @@ class TestMseLoss:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            mse_loss(np.zeros((2, 2)), np.zeros((2, 3)))
+            mse_core(np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_grad_matches_finite_difference(self):
         rng = np.random.default_rng(2)
         pred = rng.normal(size=(3, 4))
         target = rng.normal(size=(3, 4))
-        _, grad = mse_loss(pred, target)
-        fd = central_diff(lambda: mse_loss(pred, target)[0], [pred])[0]
+        _, grad = mse(pred, target)
+        fd = central_diff(lambda: mse(pred, target)[0], [pred])[0]
         assert np.allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
         for c in (2, 5, 10):
-            loss, _ = cross_entropy_loss(np.zeros((3, c)), np.zeros(3, dtype=int))
+            loss, _ = cross_entropy(np.zeros((3, c)), np.zeros(3, dtype=int))
             assert loss == pytest.approx(np.log(c), rel=1e-12)
 
     def test_saturated_softmax(self):
         logits = np.array([[1e3, 0.0, 0.0]])
-        loss, _ = cross_entropy_loss(logits, np.array([0]))
+        loss, _ = cross_entropy(logits, np.array([0]))
         assert loss == pytest.approx(0.0, abs=1e-10)
 
     def test_known_value(self):
-        loss, _ = cross_entropy_loss(np.array([[1.0, 2.0, 3.0]]), np.array([2]))
+        loss, _ = cross_entropy(np.array([[1.0, 2.0, 3.0]]), np.array([2]))
         assert loss == pytest.approx(0.40761, abs=1e-5)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            cross_entropy_loss(np.zeros((2, 3)), np.array([0, 3]))
+            cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
         with pytest.raises(ValueError):
-            cross_entropy_loss(np.zeros((2, 3)), np.array([-1, 0]))
+            cross_entropy(np.zeros((2, 3)), np.array([-1, 0]))
 
     def test_label_at_width_is_shape_error(self):
         with pytest.raises(ShapeError, match="label 3 needs more than the 3 outputs"):
-            cross_entropy_loss(np.zeros((2, 3)), np.array([0, 3]))
+            cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
     @pytest.mark.parametrize("labels", [[0.5, 1.0], [0.0, np.nan]])
     def test_fractional_labels_rejected(self, labels):
         with pytest.raises(ValueError, match="must be integers"):
-            cross_entropy_loss(np.zeros((2, 3)), np.array(labels))
+            cross_entropy(np.zeros((2, 3)), np.array(labels))
 
     def test_grad_rows_sum_to_zero(self):
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(5, 7))
         labels = rng.integers(0, 7, size=5)
-        _, grad = cross_entropy_loss(logits, labels)
+        _, grad = cross_entropy(logits, labels)
         assert np.all(np.abs(grad.sum(axis=1)) < 1e-12)
 
     def test_grad_matches_finite_difference(self):
         rng = np.random.default_rng(4)
         logits = rng.normal(size=(3, 4))
         labels = rng.integers(0, 4, size=3)
-        _, grad = cross_entropy_loss(logits, labels)
-        fd = central_diff(lambda: cross_entropy_loss(logits, labels)[0], [logits])[0]
+        _, grad = cross_entropy(logits, labels)
+        fd = central_diff(lambda: cross_entropy(logits, labels)[0], [logits])[0]
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-6
 

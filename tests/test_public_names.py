@@ -4,6 +4,9 @@ it shows up here as an explicit edit.
 Removed, with the reason:
 - ``silu``: no kanmark code called it (a layer computes x * sigmoid(x) in
   ``KanLayer.prepare``), and the tests check SiLU against ``oracles.silu_ref``.
+- ``cross_entropy_loss`` and ``mse_loss``: ``evaluate`` was their only caller.
+  It now checks the model output and the targets once and calls the task's
+  loss core, so ``evaluate(...)["loss"]`` is the checked loss.
 """
 
 import types
@@ -14,10 +17,10 @@ PUBLIC_NAMES = [
     "DataError", "Dataset", "FEYNMAN", "FeynmanFormula", "KanLayer", "KanModel",
     "MlpModel", "OptimizerState", "ShapeError", "SplineGrid",
     "VerificationResult", "adam", "average_pool", "basis_and_slopes",
-    "build_detector_dataset", "build_grid", "calibrate_amplitude",
-    "cross_entropy_loss", "dct", "edge_importances", "embed", "evaluate",
-    "finetune", "fit", "gen_feynman", "gen_signal", "idct", "load_idx", "mse_loss",
-    "optimizer_step", "prune_kan", "prune_mlp", "prune_sweep",
+    "build_detector_dataset", "build_grid", "calibrate_amplitude", "dct",
+    "edge_importances", "embed", "evaluate", "finetune", "fit", "gen_feynman",
+    "gen_signal", "idct", "load_idx", "optimizer_step", "prune_kan", "prune_mlp",
+    "prune_sweep",
     "retrain_after_prune", "signal_step", "softmax", "split_dataset",
     "train_detector", "verify", "write_idx",
 ]

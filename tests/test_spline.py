@@ -53,6 +53,12 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="overflows|coincide"):
             build_grid(*args)
 
+    @pytest.mark.parametrize("bound", [{"t_min": -np.inf}, {"t_max": np.inf}])
+    def test_infinite_bound_is_not_finite(self, bound):
+        # Not the overflow message that an infinite spacing would raise later.
+        with pytest.raises(ValueError, match="need finite"):
+            build_grid(**bound)
+
     def test_wide_finite_span_accepted(self):
         grid = build_grid(3, 5, -1e307, 1e307)
         assert np.all(np.isfinite(grid.knots)) and np.all(np.diff(grid.knots) > 0)

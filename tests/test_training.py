@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from kanmark import KanModel, MlpModel, adam, embed, evaluate, fit, gen_signal, mse_loss
+from kanmark import KanModel, MlpModel, ShapeError, adam, embed, evaluate, fit, gen_signal
 from kanmark import kan, training, watermark
-from kanmark.training import DivergenceError
+from kanmark.numeric import NonFiniteError, mse_core, real_targets
+from kanmark.training import DIVERGENCE_FACTOR, DivergenceError, check_divergence
 
 from oracles import assert_grads_close, central_diff, train_ref
 
@@ -33,11 +34,11 @@ class TestFlatParameters:
 
         model.params[:] = rng.normal(scale=0.3, size=model.params.size)
         x = rng.uniform(-0.9, 0.9, size=(4, 3))
-        target = rng.normal(size=(4, 2))
+        target = real_targets(rng.normal(size=(4, 2)), 4, 2)
         out, cache = model.forward_with_cache(x)
-        grads = model.backward(cache, mse_loss(out, target)[1])
+        grads = model.backward(cache, mse_core(out, target)[1])
         assert grads.shape == model.params.shape
-        numeric = central_diff(lambda: mse_loss(model.predict(x), target)[0],
+        numeric = central_diff(lambda: mse_core(model.predict(x), target)[0],
                                named_arrays(model))
         assert_grads_close([grads], [np.concatenate([g.ravel() for g in numeric])])
 
@@ -63,9 +64,43 @@ class TestEvaluate:
         assert out["loss"] == pytest.approx(0.5)
 
     def test_unknown_task(self):
+        # rejected before the model predicts
+        class Stub:
+            def predict(self, x):
+                raise AssertionError("predicted")
+
+        with pytest.raises(ValueError, match="unknown task 'ranking'"):
+            evaluate(Stub(), np.zeros((2, 2)), np.zeros(2), "ranking")
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_non_finite_output(self, task):
+        class Stub:
+            def predict(self, x):
+                return np.array([[0.0, np.inf], [1.0, 0.0]])
+
+        with pytest.raises(NonFiniteError, match="model output"):
+            evaluate(Stub(), np.zeros((2, 1)), np.zeros((2, 2)) if task == "regression"
+                     else np.array([0, 1]), task)
+
+    def test_label_at_output_width(self):
+        model = MlpModel.create([2, 3, 3], seed=0)
+        with pytest.raises(ShapeError, match="label 3 needs more than the 3 outputs"):
+            evaluate(model, np.zeros((2, 2)), np.array([0, 3]), "classification")
+
+    def test_regression_targets_of_wrong_shape(self):
         model = KanModel.create([2, 2], seed=0)
-        with pytest.raises(ValueError):
-            evaluate(model, np.zeros((2, 2)), np.zeros(2), "ranking")
+        with pytest.raises(ShapeError, match=r"\(2, 3\) targets for 2 rows of 2 outputs"):
+            evaluate(model, np.zeros((2, 2)), np.zeros((2, 3)), "regression")
+
+
+class TestCheckDivergence:
+    def test_zero_first_loss_disables_the_explosion_test(self):
+        check_divergence(5.0, 0.0)
+
+    def test_factor_times_first_loss_is_the_last_allowed(self):
+        check_divergence(DIVERGENCE_FACTOR * 2.0, 2.0)
+        with pytest.raises(DivergenceError):
+            check_divergence(float(np.nextafter(DIVERGENCE_FACTOR * 2.0, np.inf)), 2.0)
 
 
 class TestFit:
@@ -126,8 +161,9 @@ class TestFit:
 
 
 class TestReferenceLoop:
-    """fit and embed equal, byte for byte, a plain loop of the checked public
-    pieces (``oracles.train_ref``). Batches of 24 leave a short last batch."""
+    """fit and embed equal, byte for byte, a plain loop of the public pieces
+    and the loss cores on checked targets (``oracles.train_ref``). Batches of
+    24 leave a short last batch."""
 
     @pytest.mark.parametrize("kind", ["mlp_detector", "kan_regressor",
                                       "kan_regressor_over_budget"])

@@ -5,7 +5,7 @@ from kanmark import (KanModel, adam, build_detector_dataset, embed, fit,
                      gen_feynman, gen_signal, train_detector, verify)
 from kanmark import watermark
 from kanmark.mlp import MlpModel
-from kanmark.numeric import ROW_CHUNK, ShapeError, mse_loss
+from kanmark.numeric import ROW_CHUNK, ShapeError, mse_core
 from kanmark.spline import build_grid
 from kanmark.transform import dct
 from kanmark.watermark import (calibrate_amplitude, default_band, layer_outputs,
@@ -137,7 +137,7 @@ class TestEmbed:
         alpha = calibrate_amplitude(model, x, band, 0.3)
         sig = gen_signal(11, layer.out_dim, band, alpha)
         out, cache = layer.forward(x)
-        _, g_out = mse_loss(out, perturb(out, sig))
+        _, g_out = mse_core(out, perturb(out, sig))
         ref, _ = layer.backward(cache, g_out, need_input_grad=False)
 
         steps = []
@@ -174,7 +174,7 @@ class TestEmbed:
         model = KanModel.create([2, 4, 1], seed=9)
         sig = gen_signal(13, 4, (1, 2), 0.3)
         outs = layer_outputs(model, x)
-        loss, _ = mse_loss(outs, perturb(outs, sig))
+        loss, _ = mse_core(outs, perturb(outs, sig))
         expected = np.sum(sig ** 2) / sig.size
         assert loss == pytest.approx(expected, rel=1e-10)
 
