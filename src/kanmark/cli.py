@@ -381,8 +381,8 @@ def _conclude(args, cfg, test, saves, stage, **row):
     stage, extra) each) on the test split, then creates --out and writes each
     checkpoint and one report row; returns the printed metric and first path."""
     metrics = evaluate(saves[0][1], test.inputs, test.targets, cfg["task"])
-    value, kind = ((100.0 * metrics["accuracy"], "accuracy_pct")
-                   if cfg["task"] == "classification" else (metrics["rmse"], "rmse"))
+    _, _, metric, _, kind, scale = TASKS[cfg["task"]]
+    value = scale * metrics[metric]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, model, ckpt_stage, extra in saves:

@@ -6,7 +6,7 @@ IDX files are big-endian:
     images: 0x00000803 magic, then [count, rows, cols] as 32-bit ints,
             then count*rows*cols unsigned bytes;
     labels: 0x00000801 magic, then [count] as a 32-bit int, then count bytes.
-Pixels are mapped p -> 2*(p/255) - 1, so inputs land in [-1, 1].
+Pixel p is mapped to PIXEL_VALUES[p] = 2*(p/255) - 1, so inputs lie in [-1, 1].
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from .numeric import check_floats
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 MIN_DENOMINATOR = 1e-6
+# The value of pixel p: p / 255, times 2, minus 1, in that order.
+PIXEL_VALUES = np.arange(256, dtype=np.float64) / 255.0 * 2.0 - 1.0
+PIXEL_VALUES.setflags(write=False)
 
 
 class DataError(Exception):
@@ -103,10 +106,7 @@ def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
         raise IdxCountMismatchError(f"{count} images vs {lab_count} labels")
     if labels.size and labels.max() > 9:
         raise DataError(f"{labels_path}: labels above 9 present")
-    inputs = pixels.reshape(len(pixels), rows * cols).astype(np.float64)
-    inputs /= 255.0  # 2 * (p / 255) - 1, one operation at a time in place
-    inputs *= 2.0
-    inputs -= 1.0
+    inputs = PIXEL_VALUES[pixels.reshape(len(pixels), rows * cols)]
     return Dataset(inputs, labels[:len(inputs)].astype(np.int64))
 
 

@@ -4,15 +4,21 @@ derivatives.
 A grid of degree k over G intervals on [t_min, t_max] carries uniformly
 spaced knots extended k steps past each end at the same spacing, giving
 G + 2k + 1 knots and G + k basis functions. Inputs are clamped to
-[t_min, t_max] before evaluation so the basis is total on the reals.
+[t_min, t_max] before evaluation so the basis is total on the reals; inputs
+that are all 8-bit pixel values (data.PIXEL_VALUES) read rows from a table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
+
+from .data import PIXEL_VALUES
+
+_PIXEL_SET = frozenset(PIXEL_VALUES.tolist())
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,9 @@ def build_grid(degree: int = 3, intervals: int = 5,
         raise ValueError(f"[{t_min}, {t_max}] is too narrow for {intervals} "
                          f"intervals: knots coincide at spacing {h}")
     knots.setflags(write=False)
-    return SplineGrid(int(degree), int(intervals), float(t_min), float(t_max), knots)
+    # -0.0 + 0.0 is 0.0: equal grids then clamp alike and share a pixel table.
+    return SplineGrid(int(degree), int(intervals), float(t_min) + 0.0,
+                      float(t_max) + 0.0, knots)
 
 
 def _local_basis(grid: SplineGrid, x: np.ndarray):
@@ -100,9 +108,40 @@ def basis_and_slopes(grid: SplineGrid, x):
     knot search or recursion. The slopes follow the degree-lowering formula
     (B_{i,k-1} - B_{i+1,k-1}) / h on the degree k - 1 values (none at k = 0):
     the right-limit at a knot, and 0 strictly outside [t_min, t_max], where
-    the clamped basis is constant.
+    the clamped basis is constant. Pixel inputs gather both from a table
+    that the same evaluation fills (:func:`_pixel_table`).
     """
     x = np.asarray(x, dtype=np.float64).ravel()
+    codes = _pixel_codes(x)
+    if codes is None:
+        return _evaluate(grid, x)
+    b, db = _pixel_table(grid)
+    return b.take(codes, axis=0), lambda: db.take(codes, axis=0)
+
+
+def _pixel_codes(x: np.ndarray):
+    """Codes p with PIXEL_VALUES[p] == x for every point of x, or None. The
+    first point is looked up alone first, so other inputs cost a set lookup;
+    fmax and fmin give nan a code too, so the cast never warns."""
+    if not x.size or x.item(0) not in _PIXEL_SET:
+        return None
+    codes = np.fmin(np.fmax(np.rint((x + 1.0) * 127.5), 0.0), 255.0).astype(np.intp)
+    return codes if np.array_equal(PIXEL_VALUES[codes], x) else None
+
+
+@lru_cache(maxsize=None)
+def _pixel_table(grid: SplineGrid) -> tuple:
+    """Read-only basis and slope rows of the 256 PIXEL_VALUES on the grid. A
+    row depends on its point alone, so a gathered row is the evaluator's."""
+    b, slopes = _evaluate(grid, PIXEL_VALUES)
+    table = b, slopes()
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _evaluate(grid: SplineGrid, x: np.ndarray):
+    """:func:`basis_and_slopes` of a flat float64 x by Cox-de Boor."""
     idx, lower, b = _local_basis(grid, x)
 
     def slopes() -> np.ndarray:

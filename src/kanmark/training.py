@@ -126,9 +126,10 @@ def rmse(pred: np.ndarray, targets: np.ndarray) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-# Per task: its target check, its loss core, and its metric's name and function.
-TASKS = {"classification": (class_labels, cross_entropy_core, "accuracy", accuracy),
-         "regression": (real_targets, mse_core, "rmse", rmse)}
+# Per task: target check, loss core, metric name and function, report kind and scale.
+TASKS = {"classification": (class_labels, cross_entropy_core, "accuracy", accuracy,
+                            "accuracy_pct", 100.0),
+         "regression": (real_targets, mse_core, "rmse", rmse, "rmse", 1.0)}
 
 
 def evaluate(model, inputs, targets, task: str) -> dict:
@@ -136,7 +137,7 @@ def evaluate(model, inputs, targets, task: str) -> dict:
     the targets are checked once, as :func:`steps` checks its data."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    check, core, metric, score = TASKS[task]
+    check, core, metric, score = TASKS[task][:4]
     out = as_matrix(model.predict(inputs), "model output")
     targets = check(targets, *out.shape)
     return {"loss": core(out, targets)[0], metric: score(out, targets)}

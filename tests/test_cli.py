@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kanmark import (Dataset, KanLayer, KanModel, MlpModel, build_grid, prune_kan,
-                     write_idx)
+from kanmark import (Dataset, KanLayer, KanModel, MlpModel, build_grid, evaluate,
+                     prune_kan, write_idx)
 from kanmark.cli import (SCHEMA, CheckpointError, ConfigError, SeedBundle,
                          _fits, append_report_row, build_parser, canonical_json,
                          config_hash, derive_seed, load_checkpoint, load_config, main,
@@ -343,6 +343,26 @@ class TestCommands:
                             derive_seed(bundle.data, "fit-stage-1")])
         got, _ = load_checkpoint(out / "clean-kan.json")
         assert np.array_equal(got.params, want.params)
+
+    @pytest.mark.parametrize("task,metric,kind,scale", [
+        ("classification", "accuracy", "accuracy_pct", 100.0),
+        ("regression", "rmse", "rmse", 1.0)])
+    def test_report_row_holds_the_tasks_metric_at_its_scale(
+            self, tmp_path, monkeypatch, capsys, task, metric, kind, scale):
+        monkeypatch.chdir(tmp_path)
+        write_classify_idx()
+        # Seed 7 gets 1 of the 4 test images right: a zero would hide the scale.
+        path = write_config("c.json", seed=7,
+                            **(CLASSIFY if task == "classification" else {}))
+        assert main(["train-clean", "--config", path, "--out", "runs"]) == 0
+        cfg = load_config(path)
+        _, test, _ = resolve_dataset(cfg, SeedBundle(cfg["seed"]))
+        model, _ = load_checkpoint("runs/clean-kan.json")
+        value = scale * evaluate(model, test.inputs, test.targets, task)[metric]
+        assert value > 0
+        row = json.loads(Path("runs/report.jsonl").read_text())
+        assert (row["metric_kind"], row["main_metric"]) == (kind, round(value, 6))
+        assert f"{kind} {value:.4f}" in capsys.readouterr().out
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -4,10 +4,10 @@ import struct
 import numpy as np
 import pytest
 
-from kanmark.data import (FEYNMAN, DataError, Dataset, IdxCountMismatchError,
-                          IdxMagicError, IdxTruncatedError, average_pool,
-                          epoch_batches, gen_feynman, load_idx, split_dataset,
-                          write_idx)
+from kanmark.data import (FEYNMAN, PIXEL_VALUES, DataError, Dataset,
+                          IdxCountMismatchError, IdxMagicError, IdxTruncatedError,
+                          average_pool, epoch_batches, gen_feynman, load_idx,
+                          split_dataset, write_idx)
 
 from oracles import FEYNMAN_DENOMINATORS, feynman_ref
 
@@ -36,6 +36,18 @@ class TestLoadIdx:
         expected = 2.0 * (pixels.reshape(2, 9).astype(float) / 255.0) - 1.0
         assert np.array_equal(ds.inputs, expected)
         assert np.array_equal(ds.targets, [7, 2])
+
+    def test_every_pixel_loads_as_the_in_place_formulas_bits(self, tmp_path):
+        # load_idx once mapped pixels with these three in-place steps.
+        pixels = np.arange(256, dtype=np.uint8)
+        old = pixels.astype(np.float64)
+        old /= 255.0
+        old *= 2.0
+        old -= 1.0
+        images, labels = build_idx_pair(tmp_path, pixels, [3], rows=16, cols=16)
+        ds = load_idx(images, labels)
+        assert ds.inputs.tobytes() == PIXEL_VALUES.tobytes() == old.tobytes()
+        assert ds.inputs.flags.writeable and not PIXEL_VALUES.flags.writeable
 
     def test_normalization_endpoints(self, tmp_path):
         images, labels = build_idx_pair(tmp_path, [0] * 9 + [255] * 9, [0, 1])

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kanmark import spline
+from kanmark.data import PIXEL_VALUES
 from kanmark.spline import basis_and_slopes, build_grid
 
 from oracles import basis_derivative_naive, basis_vector_naive
@@ -163,3 +165,95 @@ def test_local_basis_matches_oracles_at_knots_and_edges(degree, intervals):
             want = np.eye(grid.basis_count)[-1]
         assert np.max(np.abs(got - want)) < 1e-12
         assert np.max(np.abs(dgot - basis_derivative_naive(grid, x))) < 1e-12
+
+
+def evaluated_sizes(monkeypatch) -> list:
+    """Sizes of the inputs that basis_and_slopes hands to the Cox-de Boor
+    evaluator from now on; the pixel tables start empty."""
+    sizes, evaluate = [], spline._evaluate
+
+    def counted(grid, x):
+        sizes.append(x.size)
+        return evaluate(grid, x)
+
+    monkeypatch.setattr(spline, "_evaluate", counted)
+    spline._pixel_table.cache_clear()
+    return sizes
+
+
+def rows_bytes(grid, x) -> tuple:
+    b, slopes = basis_and_slopes(grid, x)
+    return b.shape, b.tobytes(), slopes().tobytes()
+
+
+class TestPixelTable:
+    """Inputs that are all 8-bit pixel values read their rows from a table
+    of the 256 PIXEL_VALUES on the grid, byte for byte the evaluator's."""
+
+    @given(degree=st.integers(0, 3), intervals=st.integers(1, 9),
+           t_min=st.floats(-3.0, 0.5), width=st.floats(0.25, 6.0),
+           first=st.sampled_from([0, 255]) | st.integers(0, 255),
+           rest=st.lists(st.integers(0, 255), max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_are_the_evaluators_bytes(self, degree, intervals, t_min, width,
+                                           first, rest):
+        grid = build_grid(degree, intervals, t_min, t_min + width)
+        x = PIXEL_VALUES[[first, *rest]]
+        want_b, want_slopes = spline._evaluate(grid, x)
+        assert rows_bytes(grid, x) == (want_b.shape, want_b.tobytes(),
+                                       want_slopes().tobytes())
+
+    def test_signed_zero_bounds_give_the_same_bytes(self):
+        # Grids that compare equal share a table, so they must clamp alike:
+        # points beyond a bound of -0.0 clamp to 0.0, not to -0.0.
+        x = [-0.5, 0.25, 0.5, 2.0]
+        for degree in (1, 3):
+            for low, high in [(-0.0, 1.0), (-1.0, -0.0)]:
+                assert rows_bytes(build_grid(degree, 4, low, high), x) == \
+                    rows_bytes(build_grid(degree, 4, low + 0.0, high + 0.0), x)
+
+    def test_no_points_give_no_rows(self):
+        assert rows_bytes(build_grid(), np.empty((0, 3))) == ((0, 8), b"", b"")
+
+    @pytest.mark.parametrize("first", [0, 255, 1, 127, 128, 254])
+    def test_pixel_inputs_are_gathered_from_the_table(self, monkeypatch, first):
+        sizes = evaluated_sizes(monkeypatch)
+        grid = build_grid(3, 5, -1.0, 1.0)
+        x = PIXEL_VALUES[[first, *range(256)]].reshape(1, -1)
+        for _ in range(3):
+            _, slopes = basis_and_slopes(grid, x)
+            slopes()
+        assert sizes == [256]  # the table's one fill
+
+    @pytest.mark.parametrize("where", [0, 50, -1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("stray", [0.0, np.nextafter(PIXEL_VALUES[7], 0.0), 1.5,
+                                       -np.inf],
+                             ids=["between_pixels", "next_float", "above", "minus_inf"])
+    def test_one_stray_point_sends_every_point_to_the_evaluator(
+            self, monkeypatch, where, stray):
+        grid = build_grid(2, 4, -1.0, 1.0)
+        x = PIXEL_VALUES[np.arange(200) % 256]
+        x[where] = stray
+        want = rows_bytes(grid, x)
+        sizes = evaluated_sizes(monkeypatch)
+        assert rows_bytes(grid, x) == want
+        assert sizes == [200]
+
+    @pytest.mark.parametrize("where", [0, 50, -1], ids=["first", "middle", "last"])
+    def test_a_nan_point_has_no_codes_and_no_warning(self, where):
+        x = PIXEL_VALUES[np.arange(200) % 256]
+        x[where] = np.nan
+        assert spline._pixel_codes(x) is None
+
+    def test_table_is_read_only(self):
+        grid = build_grid(3, 5, -1.0, 1.0)
+        for a in spline._pixel_table(grid):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_gathered_rows_are_fresh_writable_arrays(self):
+        grid = build_grid(3, 5, -1.0, 1.0)
+        b, slopes = basis_and_slopes(grid, PIXEL_VALUES[:10])
+        for a in (b, slopes()):
+            assert a.flags.writeable
+            assert not any(np.shares_memory(a, t) for t in spline._pixel_table(grid))

@@ -256,6 +256,24 @@ class TestLayerZeroPreparedOncePerRun:
         assert [s[1] for s in shapes] == [3, 4] * steps + [4]
         assert shapes[:2] == [(24, 3), (24, 4)]
 
+    @pytest.mark.parametrize("budget,calls", [(None, 1), (0, 0)],
+                             ids=["default_budget", "zero_budget"])
+    def test_fit_prepares_all_rows_in_one_call_within_budget(self, budget, calls,
+                                                             monkeypatch):
+        # The run's 2.7 kB fit the default PREPARED_BYTES_MAX: one prepare_rows
+        # call for every row; a zero budget prepares each batch with prepare.
+        prepare_rows, shapes = kan.KanLayer.prepare_rows, []
+
+        def counted(layer, x):
+            shapes.append(np.shape(x))
+            return prepare_rows(layer, x)
+
+        monkeypatch.setattr(kan.KanLayer, "prepare_rows", counted)
+        if budget is not None:
+            monkeypatch.setattr(training, "PREPARED_BYTES_MAX", budget)
+        self.run("fit", monkeypatch)
+        assert shapes == [(100, 3)] * calls
+
 
 class TestDataCheckedBeforeAnyStep:
     """Bad data raise ValueError before the first step, even where only the
