@@ -3,7 +3,7 @@ models, embed watermarks, run attacks, verify ownership, sweep pruning rates.
 
 Subcommands: train-clean, embed, attack, verify, prune-sweep, report.
 Configs, checkpoints, and reports are JSON (checkpoints carry parameters as
-one base64 string of float64 bytes and are byte-stable across
+one lowercase hex string of float64 bytes and are byte-stable across
 save/load/save). Reports are JSON lines appended to <out>/report.jsonl.
 
 Exit codes: 0 success, 2 config error (a prune-sweep --step outside
@@ -17,7 +17,7 @@ model's output width and a loaded model whose activations overflow.
 from __future__ import annotations
 
 import argparse
-import base64
+import binascii
 import copy
 import functools
 import hashlib
@@ -39,7 +39,7 @@ from .spline import build_grid
 from .training import TASKS, DivergenceError, evaluate
 from .watermark import verify
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # Byte layout of a checkpoint's params blob: little-endian float64.
 PARAMS_DTYPE = "<f8"
 
@@ -167,8 +167,8 @@ def load_config(path, seed_override: int | None = None) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8 (UnicodeDecodeError) or not JSON
+        raise ConfigError(f"config {path} is not UTF-8 JSON: {exc}") from exc
     cfg = check_config(raw)
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
@@ -278,7 +278,7 @@ def _grid_to_dict(grid) -> dict:
 def save_checkpoint(path, model, stage: str, cfg_hash: str, seed: int,
                     extra: dict | None = None) -> None:
     """Writes ``model`` as canonical JSON: readable metadata plus its flat
-    ``params`` vector as one base64 string of PARAMS_DTYPE bytes. Raises
+    ``params`` vector as one lowercase hex string of PARAMS_DTYPE bytes. Raises
     ValueError on non-finite parameters."""
     if not isinstance(model, (KanModel, MlpModel)):
         raise CheckpointError(f"cannot checkpoint a {type(model).__name__}")
@@ -291,8 +291,7 @@ def save_checkpoint(path, model, stage: str, cfg_hash: str, seed: int,
         "seed": int(seed),
         "kind": "kan" if isinstance(model, KanModel) else "mlp",
         "widths": model.widths,
-        "params": base64.b64encode(np.asarray(model.params, PARAMS_DTYPE).tobytes())
-                  .decode("ascii"),
+        "params": np.asarray(model.params, PARAMS_DTYPE).tobytes().hex(),
     }
     if isinstance(model, KanModel):
         payload["layers"] = [{"grid": _grid_to_dict(layer.grid)} for layer in model.layers]
@@ -307,10 +306,12 @@ def load_checkpoint(path):
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8 (UnicodeDecodeError) or not JSON
+        raise CheckpointError(f"checkpoint {path} is not UTF-8 JSON: {exc}") from exc
     # Malformed payloads raise lookup/type errors here, bad values ValueError
-    # (a bad base64 string raises binascii.Error, a ValueError).
+    # (a2b_hex raises binascii.Error, a ValueError, on an odd length or a
+    # character that is not a hex digit, whitespace among them, and
+    # ValueError on a non-ASCII one).
     try:
         version = payload.get("format_version")
         if version != FORMAT_VERSION:
@@ -329,8 +330,7 @@ def load_checkpoint(path):
             counts = [rec["grid"]["intervals"] + rec["grid"]["degree"] for rec in layers]
             shapes = [shape for edge, count in zip(edges, counts)
                       for shape in ((*edge, count), edge, edge)]
-        params = np.frombuffer(base64.b64decode(payload["params"], validate=True),
-                               dtype=PARAMS_DTYPE)
+        params = np.frombuffer(binascii.a2b_hex(payload["params"]), dtype=PARAMS_DTYPE)
         need = sum(math.prod(shape) for shape in shapes)
         if params.size != need:
             raise ValueError(f"params hold {params.size} values, widths {widths} "

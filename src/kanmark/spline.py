@@ -4,8 +4,9 @@ derivatives.
 A grid of degree k over G intervals on [t_min, t_max] carries uniformly
 spaced knots extended k steps past each end at the same spacing, giving
 G + 2k + 1 knots and G + k basis functions. Inputs are clamped to
-[t_min, t_max] before evaluation so the basis is total on the reals; inputs
-that are all 8-bit pixel values (data.PIXEL_VALUES) read rows from a table.
+[t_min, t_max] before evaluation so the basis is total on the reals, ±inf
+included; a nan input raises NonFiniteError. Inputs that are all 8-bit
+pixel values (data.PIXEL_VALUES) read rows from a table.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from numbers import Integral
 import numpy as np
 
 from .data import PIXEL_VALUES
+from .numeric import NonFiniteError
 
 _PIXEL_SET = frozenset(PIXEL_VALUES.tolist())
 
@@ -109,7 +111,8 @@ def basis_and_slopes(grid: SplineGrid, x):
     (B_{i,k-1} - B_{i+1,k-1}) / h on the degree k - 1 values (none at k = 0):
     the right-limit at a knot, and 0 strictly outside [t_min, t_max], where
     the clamped basis is constant. Pixel inputs gather both from a table
-    that the same evaluation fills (:func:`_pixel_table`).
+    that the same evaluation fills (:func:`_pixel_table`). Raises
+    NonFiniteError on a nan point.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     codes = _pixel_codes(x)
@@ -141,7 +144,10 @@ def _pixel_table(grid: SplineGrid) -> tuple:
 
 
 def _evaluate(grid: SplineGrid, x: np.ndarray):
-    """:func:`basis_and_slopes` of a flat float64 x by Cox-de Boor."""
+    """:func:`basis_and_slopes` of a flat float64 x by Cox-de Boor. A nan
+    point has no interval, and its columns would spill into another row's."""
+    if np.isnan(x).any():
+        raise NonFiniteError("spline input: contains nan points")
     idx, lower, b = _local_basis(grid, x)
 
     def slopes() -> np.ndarray:

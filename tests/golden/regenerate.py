@@ -10,9 +10,9 @@ Regenerate only in the commit of a change that is meant to move the
 numbers, and say so in CHANGES.md. The file records, per config:
 - the SHA-256 of every checkpoint and of ``prune_sweep.json``;
 - the report rows without their ``timestamp``;
-- each checkpoint's decoded parameters (base64 float64, as checkpoints store
-  them) and the prune-sweep rows, for hosts whose numbers may differ in the
-  last bits;
+- each checkpoint's decoded parameters (little-endian float64 bytes in
+  base64, this file's own encoding, whatever the checkpoint format) and the
+  prune-sweep rows, for hosts whose numbers may differ in the last bits;
 - numpy's version, its BLAS and the CPU features numpy dispatches on, which
   decide whether a host is expected to reproduce the bytes.
 """

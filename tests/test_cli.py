@@ -1,6 +1,7 @@
 import argparse
 import base64
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -177,15 +178,16 @@ class TestCheckpointRoundTrip:
                         meta["seed"])
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_format_3_records_only_grids(self, tmp_path):
+    def test_format_4_records_only_grids_and_hex_params(self, tmp_path):
         x = np.random.default_rng(4).uniform(-1, 1, size=(8, 3))
         path = tmp_path / "m.json"
-        save_checkpoint(path, prune_kan(KanModel.create([3, 4, 2], seed=3), 0.5, x),
-                        "attacked", "hash", 1)
+        model = prune_kan(KanModel.create([3, 4, 2], seed=3), 0.5, x)
+        save_checkpoint(path, model, "attacked", "hash", 1)
         payload = json.loads(path.read_text())
-        assert payload["format_version"] == 3
+        assert payload["format_version"] == 4
         assert [set(rec) for rec in payload["layers"]] == [{"grid"}, {"grid"}]
         assert "prune_mask" not in path.read_text()
+        assert payload["params"] == model.params.astype("<f8").tobytes().hex()
 
     def test_grid_per_layer_survives(self, tmp_path):
         model = KanModel.create([2, 3, 2], seed=5)
@@ -210,45 +212,68 @@ class TestCheckpointRoundTrip:
         assert not path.exists()
 
     def test_version_mismatch_rejected(self, tmp_path, capsys):
-        # version 1 held every array as nested decimal lists and version 2 a
-        # 0/1 prune_mask per layer; neither is read
+        # version 1 held every array as nested decimal lists, version 2 a
+        # 0/1 prune_mask per layer and version 3 params in base64; none is read
         path, out = tmp_path / "m.json", tmp_path / "runs"
         cfg = write_config(tmp_path / "c.json")
         commands = {"embed": ["--clean-ckpt", str(path)], "attack": ["--wm-ckpt", str(path)],
                     "verify": ["--detector-ckpt", str(path), "--suspect-ckpt", str(path)]}
-        for version in (1, 2, 999):
+        for version in (1, 2, 3, 999):
             save_checkpoint(path, KanModel.create([2, 4, 1], seed=4), "clean", "hash", 1)
             payload = json.loads(path.read_text())
             payload["format_version"] = version
             path.write_text(canonical_json(payload))
             for command, ckpt in commands.items():
                 assert main([command, "--config", cfg, "--out", str(out), *ckpt]) == 4
-                assert f"format_version {version}, expected 3" in capsys.readouterr().err
+                assert f"format_version {version}, expected 4" in capsys.readouterr().err
                 assert not out.exists()
 
-    @pytest.mark.parametrize("defect", ["no_grid", "list_root",
-                                        "params_8_bytes_short", "params_not_base64",
-                                        "nan_in_params", "widths_disagree_with_params",
-                                        "fractional_degree", "boolean_degree",
-                                        "intervals_2_pow_50", "degree_2_pow_50"])
-    def test_malformed_checkpoint_exit_code(self, tmp_path, defect):
+    # Each defect and a phrase of the message that its own check gives.
+    MALFORMED = {
+        "no_grid": "KeyError: 'grid'",
+        "list_root": "AttributeError",
+        "params_8_bytes_short": "params hold 39 values, widths [2, 2] need 40",
+        "params_odd_length": "Odd-length string",
+        "params_not_hex": "Non-hexadecimal digit",
+        "params_whitespace": "Non-hexadecimal digit",
+        "params_not_ascii": "only ASCII characters",
+        "params_base64": "Non-hexadecimal digit",
+        "nan_in_params": "non-finite",
+        "widths_disagree_with_params": "params hold 40 values, widths [2, 3] need 60",
+        "fractional_degree": "params hold 32 values, widths [2, 2] need 34.0",
+        "boolean_degree": "degree must be an integer >= 0, got True",
+        "intervals_2_pow_50": f"params hold 40 values, widths [2, 2] need {4 * (2**50 + 3) + 8}",
+        "degree_2_pow_50": f"params hold 40 values, widths [2, 2] need {4 * (2**50 + 5) + 8}",
+    }
+
+    @pytest.mark.parametrize("defect", list(MALFORMED))
+    def test_malformed_checkpoint_exit_code(self, tmp_path, capsys, defect):
         path = tmp_path / "m.json"
-        # a degree-1 grid, so params fit int(1.5) and int(True) basis functions
+        # A degree-1 grid: its params fit the 6 basis functions of degree True,
+        # which build_grid refuses, not the 6.5 of degree 1.5.
         grid = build_grid(1, 5) if defect.endswith("_degree") else build_grid()
         save_checkpoint(path, KanModel.create([2, 2], grid=grid, seed=4), "clean",
                         "hash", 1)
         payload = json.loads(path.read_text())
-        blob = base64.b64decode(payload["params"])
+        hexed = payload["params"]
         if defect == "no_grid":
             del payload["layers"][0]["grid"]
         elif defect == "params_8_bytes_short":
-            payload["params"] = base64.b64encode(blob[:-8]).decode()
-        elif defect == "params_not_base64":
-            payload["params"] = "not base64!"
+            payload["params"] = hexed[:-16]
+        elif defect == "params_odd_length":
+            payload["params"] = hexed[:-1]
+        elif defect == "params_not_hex":
+            payload["params"] = "g" + hexed[1:]
+        elif defect == "params_whitespace":
+            payload["params"] = hexed[:16] + "  " + hexed[18:]
+        elif defect == "params_not_ascii":
+            payload["params"] = "\u00e9" + hexed[1:]
+        elif defect == "params_base64":  # a format-3 blob under version 4
+            payload["params"] = base64.b64encode(bytes.fromhex(hexed)).decode()
         elif defect == "nan_in_params":
-            params = np.frombuffer(blob, dtype="<f8").copy()
+            params = np.frombuffer(bytes.fromhex(hexed), dtype="<f8").copy()
             params[1] = np.nan
-            payload["params"] = base64.b64encode(params.tobytes()).decode()
+            payload["params"] = params.tobytes().hex()
         elif defect == "widths_disagree_with_params":
             payload["widths"] = [2, 3]
         elif defect == "fractional_degree":
@@ -260,11 +285,23 @@ class TestCheckpointRoundTrip:
         else:
             payload = [payload]
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=re.escape(self.MALFORMED[defect])):
             load_checkpoint(path)
         assert main(["verify", "--config", write_config(tmp_path / "c.json"),
                      "--detector-ckpt", str(path), "--suspect-ckpt", str(path),
                      "--out", str(tmp_path)]) == 4
+        assert self.MALFORMED[defect] in capsys.readouterr().err
+        assert not (tmp_path / "report.jsonl").exists()
+
+    def test_checkpoint_that_is_not_utf8_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(CheckpointError, match="not UTF-8 JSON"):
+            load_checkpoint(path)
+        assert main(["verify", "--config", write_config(tmp_path / "c.json"),
+                     "--detector-ckpt", str(path), "--suspect-ckpt", str(path),
+                     "--out", str(tmp_path)]) == 4
+        assert "is not UTF-8 JSON" in capsys.readouterr().err
         assert not (tmp_path / "report.jsonl").exists()
 
 
@@ -369,6 +406,22 @@ class TestCommands:
         path.write_text("{broken")
         assert main(["train-clean", "--config", str(path),
                      "--out", str(tmp_path)]) == 2
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match="not UTF-8 JSON"):
+            load_config(path)
+        assert main(["train-clean", "--config", str(path),
+                     "--out", str(tmp_path / "runs")]) == 2
+        assert "is not UTF-8 JSON" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_train_clean_creates_nested_out(self, tmp_path):
+        out = tmp_path / "a" / "b" / "runs"
+        assert main(["train-clean", "--config", write_config(tmp_path / "c.json"),
+                     "--out", str(out)]) == 0
+        assert load_checkpoint(out / "clean-kan.json")[1]["stage"] == "clean"
 
     @pytest.mark.parametrize("kind", ["prune", "retrain"])
     def test_out_of_range_prune_ratio_exit_code(self, tmp_path, kind):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from kanmark import spline
 from kanmark.data import PIXEL_VALUES
+from kanmark.numeric import NonFiniteError
 from kanmark.spline import basis_and_slopes, build_grid
 
 from oracles import basis_derivative_naive, basis_vector_naive
@@ -110,6 +111,22 @@ class TestBasisValues:
             grid = build_grid(degree, 4, -1.0, 1.0)
             assert basis_rows(grid, [-1.0])[0].sum() == pytest.approx(1.0, abs=1e-12)
             assert basis_rows(grid, [1.0])[0].sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_a_nan_point_is_refused(self, degree, where):
+        x = [0.1, 0.2, 0.3]
+        x[where] = np.nan
+        with pytest.raises(NonFiniteError, match="nan"):
+            basis_and_slopes(build_grid(degree, 5), x)
+
+    def test_infinite_points_clamp(self):
+        grid = build_grid(2, 5)
+        b, slopes = basis_and_slopes(grid, [-np.inf, 0.1, np.inf])
+        want, want_slopes = basis_and_slopes(grid, [-1.0, 0.1, 1.0])
+        assert np.array_equal(b, want)
+        assert np.array_equal(slopes()[1], want_slopes()[1])
+        assert not slopes()[[0, 2]].any()  # the clamped basis is flat out there
 
 
 class TestBasisDerivatives:
