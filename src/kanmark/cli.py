@@ -6,12 +6,13 @@ Configs, checkpoints, and reports are JSON (checkpoints carry parameters as
 one lowercase hex string of float64 bytes and are byte-stable across
 save/load/save). Reports are JSON lines appended to <out>/report.jsonl.
 
-Exit codes: 0 success, 2 config error (a prune-sweep --step outside
-[0.001, 1] among them), unusable --out, diverged training or an array too
-large to allocate (nothing is written), 3 data error or an unreadable or
-damaged report.jsonl (a bad line named by number), 4 dimension or
-checkpoint-compatibility error, among them targets that do not fit the
-model's output width and a loaded model whose activations overflow.
+Exit codes: 0 success, 2 config error (a bad flag among them, checked before
+any data is read), unusable --out, diverged training or an array too large
+to allocate (nothing is written), 3 data error or an unreadable or damaged
+report.jsonl (a bad line named by number), 4 dimension or checkpoint error,
+among them widths or a grid record that break the config's rules (named by
+field), targets that do not fit the model's output width and a loaded model
+whose activations overflow.
 """
 
 from __future__ import annotations
@@ -75,12 +76,13 @@ class SeedBundle:
 # ---------------------------------------------------------------------------
 # config
 
-# Every config key: (default, kind) or (default, kind, least). kind is int (a
-# JSON integer, never 8.0), float (an int or a finite float), str, a tuple of
-# allowed values, [kind] (a non-empty list) or [kind, kind, ...] (exactly that
-# many). least bounds every number in the value; null is allowed only where the
-# default is null; bools are never numbers. Values are checked, never coerced,
-# so a well-typed config keeps its config_hash.
+# Every config key: (default, kind), optionally followed by least and most,
+# which bound every number in the value. kind is int (a JSON integer, never
+# 8.0), float (an int or a finite float), str, a tuple of allowed values, [kind]
+# (a non-empty list) or [kind, kind, ...] (exactly that many). null is allowed
+# only where the default is null; bools are never numbers. Values are checked,
+# never coerced, so a well-typed config keeps its config_hash. The same leaves
+# judge the attack and verify flags and a checkpoint's widths and grid records.
 SCHEMA = {
     "task": ("classification", tuple(TASKS)),
     "dataset": {
@@ -109,24 +111,24 @@ SCHEMA = {
         "n_samples": (2000, int, 1), "batch_size": (128, int, 1),
     },
     "attack": {"kind": ("finetune", ATTACK_KINDS), "lr": (1e-3, float, 0),
-               "epochs": (8, int, 0), "ratio": (0.6, float, 0)},
-    "tau": (0.5, float, 0),
+               "epochs": (8, int, 0), "ratio": (0.6, float, 0, 1)},
+    "tau": (0.5, float, 0, 1),
     "seed": (0, int),
 }
 
 
-def _fits(value, kind, least) -> bool:
+def _fits(value, kind, least=None, most=None) -> bool:
     if isinstance(kind, tuple):
         return value in kind
     if isinstance(kind, list):
         kinds = kind * len(value) if len(kind) == 1 and isinstance(value, list) else kind
         return (isinstance(value, list) and 0 < len(value) == len(kinds)
-                and all(_fits(v, k, least) for v, k in zip(value, kinds)))
+                and all(_fits(v, k, least, most) for v, k in zip(value, kinds)))
     if kind is str:
         return isinstance(value, str)
     number = type(value) is int or (kind is float and type(value) is float
                                     and math.isfinite(value))
-    return number and (least is None or value >= least)
+    return number and (least is None or value >= least) and (most is None or value <= most)
 
 
 def _describe(kind) -> str:
@@ -150,15 +152,20 @@ def _merge(cfg, schema: dict, path: str = "") -> dict:
         if isinstance(spec, dict):
             out[key] = _merge(cfg.get(key, {}), spec, f"{path}{key}.")
             continue
-        default, kind, least = (*spec, None)[:3]
-        value = cfg[key] if key in cfg else copy.deepcopy(default)
-        if not (value is None and default is None or _fits(value, kind, least)):
-            raise ConfigError(
-                f"{path}{key} must be {_describe(kind)}"
-                f"{'' if least is None else f' (numbers >= {least})'}"
-                f"{' or null' if default is None else ''}, got {json.dumps(value)}")
-        out[key] = value
+        out[key] = value = cfg[key] if key in cfg else copy.deepcopy(spec[0])
+        _check(path + key, value, spec, null=spec[0] is None)
     return out
+
+
+def _check(name: str, value, spec, null: bool) -> None:
+    """Raises ConfigError naming ``name`` unless ``value`` fits the leaf ``spec``
+    or is null where ``null``."""
+    if not (value is None and null or _fits(value, *spec[1:])):
+        kind, least, most = (*spec[1:], None, None)[:3]
+        bounds = ("" if least is None else f" (numbers >= {least})" if most is None
+                  else f" (numbers in [{least}, {most}])")
+        raise ConfigError(f"{name} must be {_describe(kind)}{bounds}"
+                          f"{' or null' if null else ''}, got {json.dumps(value)}")
 
 
 def load_config(path, seed_override: int | None = None) -> dict:
@@ -191,7 +198,6 @@ def check_config(raw) -> dict:
     if abs(sum(ds["fractions"]) - 1.0) > 1e-9:
         raise ConfigError("dataset.fractions (train, test, holdout) must sum "
                           f"to 1, got {ds['fractions']!r}")
-    _check_tau(cfg["tau"])
     widths = cfg["model"]["widths"]
     if widths and len(widths) < 2:
         raise ConfigError(f"model.widths must list input and output widths, got {widths}")
@@ -200,13 +206,6 @@ def check_config(raw) -> dict:
         raise ConfigError(f"watermark.band must be [lo, hi] with lo <= hi, got {band!r}")
     _constructs("grid", lambda: build_grid(**cfg["grid"]))  # t_min < t_max
     return cfg
-
-
-def _check_tau(tau) -> None:
-    """The detection threshold, from the config or ``verify --tau``, is a
-    rate in [0, 1]."""
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigError(f"tau must be a number in [0, 1], got {tau!r}")
 
 
 def _constructs(name: str, build):
@@ -270,11 +269,6 @@ def _train_clean(kind: str, cfg: dict, bundle: SeedBundle, train):
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _grid_to_dict(grid) -> dict:
-    return {"degree": grid.degree, "intervals": grid.intervals,
-            "t_min": grid.t_min, "t_max": grid.t_max}
-
-
 def save_checkpoint(path, model, stage: str, cfg_hash: str, seed: int,
                     extra: dict | None = None) -> None:
     """Writes ``model`` as canonical JSON: readable metadata plus its flat
@@ -294,7 +288,8 @@ def save_checkpoint(path, model, stage: str, cfg_hash: str, seed: int,
         "params": np.asarray(model.params, PARAMS_DTYPE).tobytes().hex(),
     }
     if isinstance(model, KanModel):
-        payload["layers"] = [{"grid": _grid_to_dict(layer.grid)} for layer in model.layers]
+        payload["layers"] = [{"grid": {key: getattr(layer.grid, key) for key in SCHEMA["grid"]}}
+                             for layer in model.layers]
     if extra:
         payload["extra"] = extra
     Path(path).write_text(canonical_json(payload), encoding="utf-8")
@@ -308,10 +303,9 @@ def load_checkpoint(path):
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
     except ValueError as exc:  # not UTF-8 (UnicodeDecodeError) or not JSON
         raise CheckpointError(f"checkpoint {path} is not UTF-8 JSON: {exc}") from exc
-    # Malformed payloads raise lookup/type errors here, bad values ValueError
-    # (a2b_hex raises binascii.Error, a ValueError, on an odd length or a
-    # character that is not a hex digit, whitespace among them, and
-    # ValueError on a non-ASCII one).
+    # Malformed payloads raise lookup/type errors here, bad values ValueError (a2b_hex's
+    # binascii.Error on an odd length, whitespace or another non-hex character, or on a
+    # non-ASCII one) and widths or a grid record that break the config's rules ConfigError.
     try:
         version = payload.get("format_version")
         if version != FORMAT_VERSION:
@@ -321,12 +315,18 @@ def load_checkpoint(path):
         if kind not in ("kan", "mlp"):
             raise CheckpointError(f"checkpoint {path}: unknown kind {kind!r}")
         widths, layers = payload["widths"], payload.get("layers")
+        _check("widths", widths, SCHEMA["model"]["widths"], null=False)
         edges = list(zip(widths[1:], widths))  # (out, in) of each layer
         if kind == "mlp":
             shapes = [shape for edge in edges for shape in (edge, edge[:1])]
         elif len(layers) != len(edges):
             raise ValueError(f"{len(layers)} layer records for widths {widths}")
-        else:  # basis counts from the records, checked before build_grid allocates
+        else:  # basis counts from checked records, before build_grid allocates
+            for k, rec in enumerate(layers):
+                keys, need = sorted(rec["grid"]), sorted(SCHEMA["grid"])
+                if keys != need:  # a missing key never takes its default
+                    raise ConfigError(f"layers[{k}].grid holds keys {keys}, not {need}")
+                _merge(rec["grid"], SCHEMA["grid"], f"layers[{k}].grid.")
             counts = [rec["grid"]["intervals"] + rec["grid"]["degree"] for rec in layers]
             shapes = [shape for edge, count in zip(edges, counts)
                       for shape in ((*edge, count), edge, edge)]
@@ -341,7 +341,7 @@ def load_checkpoint(path):
         else:
             model = KanModel([KanLayer(build_grid(**rec["grid"]), *arrays[3 * k:3 * k + 3])
                               for k, rec in enumerate(layers)])
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, AttributeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} is malformed: "
                               f"{type(exc).__name__}: {exc}") from exc
     return model, payload
@@ -431,11 +431,12 @@ def cmd_embed(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    cfg, bundle, (train, test, hold) = _setup(args)
     flags = {"kind": {"retrain": "retrain_after_prune"}.get(args.kind, args.kind),
              "lr": args.lr, "epochs": args.epochs, "ratio": args.ratio}
-    atk = _merge({**cfg["attack"], **{k: v for k, v in flags.items() if v is not None}},
-                 SCHEMA["attack"], "attack.")
+    flags = {key: value for key, value in flags.items() if value is not None}
+    _merge(flags, SCHEMA["attack"], "attack.")  # checked before any data is read
+    cfg, bundle, (train, test, hold) = _setup(args)
+    atk = {**cfg["attack"], **flags}
     wm = _load(args.wm_ckpt, "kan")
     kind = atk["kind"]
     # float(): the checkpoint and report row record lr and ratio as floats
@@ -452,8 +453,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.tau is not None:  # checked before any data is loaded
-        _check_tau(args.tau)
+    if args.tau is not None:  # checked before any data is read
+        _merge({"tau": args.tau}, {"tau": SCHEMA["tau"]})
     cfg, bundle, (train, test, hold) = _setup(args)
     tau = args.tau if args.tau is not None else cfg["tau"]
     detector = _load(args.detector_ckpt, "mlp")
@@ -530,8 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", default="runs", help="output directory")
 
     p = sub.add_parser("train-clean", help="train a clean model")
@@ -547,18 +547,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="run a watermark-removal attack")
     common(p)
     p.add_argument("--wm-ckpt", required=True)
-    p.add_argument("--kind", choices=("finetune", "prune", "retrain"),
-                   default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--ratio", type=float, default=None)
+    p.add_argument("--kind", choices=("finetune", "prune", "retrain"))
+    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--ratio", type=float)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("verify", help="verify a suspect model")
     common(p)
     p.add_argument("--detector-ckpt", required=True)
     p.add_argument("--suspect-ckpt", required=True)
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--tau", type=float)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("prune-sweep", help="KAN vs MLP pruning comparison")

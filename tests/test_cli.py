@@ -101,6 +101,21 @@ class TestConfig:
     def test_tau_one_is_accepted(self, tmp_path):
         assert load_config(write_config(tmp_path / "c.json", tau=1.0))["tau"] == 1.0
 
+    @pytest.mark.parametrize("section, key", [(None, "tau"), ("attack", "ratio")])
+    def test_rates_lie_in_0_to_1(self, tmp_path, section, key):
+        def load(value):
+            entry = {key: value}
+            cfg = load_config(write_config(tmp_path / "c.json",
+                                           **({section: entry} if section else entry)))
+            return cfg[section][key] if section else cfg[key]
+
+        for value in (0, 0.0, 1, 1.0):
+            assert load(value) == value
+        name = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{name} must be number (numbers in [0, 1]), got 1.0000000001")):
+            load(1.0000000001)
+
     def test_list_kinds_are_worded_by_length(self, tmp_path):
         # model.widths holds any number of ints, watermark.band exactly two.
         with pytest.raises(ConfigError, match=r"^model\.widths must be \[int, \.\.\.\] "):
@@ -134,9 +149,8 @@ class TestConfig:
                 else:
                     yield f"{path}{key}", spec
 
-        for name, spec in leaves(SCHEMA):
-            default, kind, least = (*spec, None)[:3]
-            assert default is None or _fits(default, kind, least), name
+        for name, (default, kind, *bounds) in leaves(SCHEMA):
+            assert default is None or _fits(default, kind, *bounds), name
 
     def test_readme_quickstart_config_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -240,8 +254,18 @@ class TestCheckpointRoundTrip:
         "params_base64": "Non-hexadecimal digit",
         "nan_in_params": "non-finite",
         "widths_disagree_with_params": "params hold 40 values, widths [2, 3] need 60",
-        "fractional_degree": "params hold 32 values, widths [2, 2] need 34.0",
-        "boolean_degree": "degree must be an integer >= 0, got True",
+        "fractional_degree": "layers[0].grid.degree must be int (numbers >= 0), got 1.5",
+        "boolean_degree": "layers[0].grid.degree must be int (numbers >= 0), got true",
+        "fractional_intervals": "layers[0].grid.intervals must be int (numbers >= 1), got 4.5",
+        "string_t_min": 'layers[0].grid.t_min must be number, got "-1"',
+        "missing_grid_key": "layers[0].grid holds keys ['degree', 'intervals', 't_min'], "
+                            "not ['degree', 'intervals', 't_max', 't_min']",
+        "extra_grid_key": "layers[0].grid holds keys ['degree', 'intervals', 'knots', "
+                          "'t_max', 't_min'], not ['degree', 'intervals', 't_max', 't_min']",
+        "float_widths": "widths must be [int, ...] (numbers >= 1), got [2.0, 2]",
+        "null_widths": "widths must be [int, ...] (numbers >= 1), got null",
+        "t_min_not_below_t_max": "need finite t_min < t_max, got [1.0, 1.0]",
+        "one_width_no_layers": "model needs at least one layer",
         "intervals_2_pow_50": f"params hold 40 values, widths [2, 2] need {4 * (2**50 + 3) + 8}",
         "degree_2_pow_50": f"params hold 40 values, widths [2, 2] need {4 * (2**50 + 5) + 8}",
     }
@@ -249,11 +273,7 @@ class TestCheckpointRoundTrip:
     @pytest.mark.parametrize("defect", list(MALFORMED))
     def test_malformed_checkpoint_exit_code(self, tmp_path, capsys, defect):
         path = tmp_path / "m.json"
-        # A degree-1 grid: its params fit the 6 basis functions of degree True,
-        # which build_grid refuses, not the 6.5 of degree 1.5.
-        grid = build_grid(1, 5) if defect.endswith("_degree") else build_grid()
-        save_checkpoint(path, KanModel.create([2, 2], grid=grid, seed=4), "clean",
-                        "hash", 1)
+        save_checkpoint(path, KanModel.create([2, 2], seed=4), "clean", "hash", 1)
         payload = json.loads(path.read_text())
         hexed = payload["params"]
         if defect == "no_grid":
@@ -280,6 +300,22 @@ class TestCheckpointRoundTrip:
             payload["layers"][0]["grid"]["degree"] = 1.5
         elif defect == "boolean_degree":
             payload["layers"][0]["grid"]["degree"] = True
+        elif defect == "fractional_intervals":
+            payload["layers"][0]["grid"]["intervals"] = 4.5
+        elif defect == "string_t_min":
+            payload["layers"][0]["grid"]["t_min"] = "-1"
+        elif defect == "missing_grid_key":  # never filled from the config default
+            del payload["layers"][0]["grid"]["t_max"]
+        elif defect == "extra_grid_key":
+            payload["layers"][0]["grid"]["knots"] = []
+        elif defect == "float_widths":
+            payload["widths"] = [2.0, 2]
+        elif defect == "null_widths":  # model.widths may be null in a config only
+            payload["widths"] = None
+        elif defect == "t_min_not_below_t_max":  # build_grid's rules span keys
+            payload["layers"][0]["grid"]["t_min"] = 1.0
+        elif defect == "one_width_no_layers":
+            payload.update(widths=[3], layers=[], params="")
         elif defect.endswith("_2_pow_50"):  # its knot vector could never be allocated
             payload["layers"][0]["grid"][defect.split("_")[0]] = 2**50
         else:
@@ -711,6 +747,20 @@ class TestCommands:
         assert main(["verify", "--config", cfg, "--detector-ckpt", str(model),
                      "--suspect-ckpt", str(model), "--tau", "1.5",
                      "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_bad_attack_ratio_exits_2_before_loading_data(self, tmp_path, capsys):
+        # Neither the IDX pair nor the checkpoint exists: loading the pair would exit 3.
+        cfg = write_config(
+            tmp_path / "c.json", task="classification",
+            dataset={"kind": "idx", "images": str(tmp_path / "no.idx"),
+                     "labels": str(tmp_path / "no2.idx")},
+            model={"widths": None})
+        out = tmp_path / "runs"
+        assert main(["attack", "--config", cfg, "--wm-ckpt", str(tmp_path / "no.json"),
+                     "--kind", "prune", "--ratio", "1.5", "--out", str(out)]) == 2
+        assert "attack.ratio must be number (numbers in [0, 1]), got 1.5" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     @staticmethod

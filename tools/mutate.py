@@ -16,7 +16,7 @@ to other scopes.
 
     python tools/mutate.py --list
     python tools/mutate.py --sample 60 --seed 1 tests
-    python tools/mutate.py --mutant 'src/kanmark/cli.py::_check_tau::<=::<::0' tests/test_cli.py
+    python tools/mutate.py --mutant 'src/kanmark/cli.py::_fits::>=::>::0' tests/test_cli.py
 
 Standard library only. Exits 1 if any mutant survives, 2 on a usage error.
 """
