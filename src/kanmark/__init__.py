@@ -13,6 +13,6 @@ from .data import (FEYNMAN, Dataset, DataError, FeynmanFormula, average_pool,
 from .watermark import (VerificationResult, build_detector_dataset,
                         calibrate_amplitude, embed, gen_signal, signal_step,
                         train_detector, verify)
-from .attacks import finetune, prune_sweep, retrain_after_prune
+from .attacks import finetune, prune_sweep
 
 __version__ = "0.1.0"

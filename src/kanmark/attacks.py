@@ -1,5 +1,6 @@
-"""Watermark-removal attack executors: fine-tuning, pruning,
-retrain-after-pruning, and the KAN-vs-MLP pruning fragility sweep.
+"""Watermark-removal attacks: fine-tuning, and the KAN-vs-MLP pruning
+fragility sweep. Pruning is :func:`~kanmark.kan.prune_kan`, and retraining
+after pruning is :func:`finetune` of its result.
 
 Attacks never change architecture; each returns a new model and leaves its
 input untouched.
@@ -9,13 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kan import KanModel, edge_importances, prune_kan, zero_edges
+from .kan import KanModel, edge_importances, zero_edges
 from .mlp import MlpModel, prune_mlp
 from .numeric import adam, keep_masks
 from .training import evaluate, fit
 
 SMALL_LR = 1e-3
-ATTACK_KINDS = ("finetune", "prune", "retrain_after_prune")
 
 
 def finetune(model: KanModel, inputs, targets, task: str, epochs: int = 8,
@@ -26,16 +26,6 @@ def finetune(model: KanModel, inputs, targets, task: str, epochs: int = 8,
     attacked = model.copy()
     fit(attacked, inputs, targets, task, epochs, adam(lr), seed=seed)
     return attacked
-
-
-def retrain_after_prune(model: KanModel, inputs, targets, task: str,
-                        ratio: float = 0.6, lr: float = SMALL_LR,
-                        epochs: int = 8, *, calibration,
-                        seed: int = 0) -> KanModel:
-    """:func:`finetune` of the model pruned by :func:`prune_kan`
-    (``calibration`` ranks the edges)."""
-    return finetune(prune_kan(model, ratio, calibration), inputs, targets, task,
-                    epochs=epochs, lr=lr, seed=seed)
 
 
 def check_step(step: float) -> None:
@@ -67,19 +57,3 @@ def prune_sweep(kan_model: KanModel, mlp_model: MlpModel, test_inputs,
                      "mlp_loss": mlp_eval["loss"],
                      "mlp_accuracy": mlp_eval["accuracy"]})
     return rows
-
-
-def run_attack(model: KanModel, kind: str, inputs, targets, task: str, *,
-               lr: float, epochs: int, ratio: float, calibration,
-               seed: int) -> KanModel:
-    """Run the attack named ``kind`` (one of ATTACK_KINDS) against a model:
-    ``prune`` and ``retrain_after_prune`` prune at ``ratio`` (``calibration``
-    ranks the edges), then ``finetune`` and ``retrain_after_prune`` train.
-    ``prune`` ignores ``lr`` and ``epochs``, ``finetune`` ignores ``ratio``."""
-    if kind not in ATTACK_KINDS:
-        raise ValueError(f"unknown attack kind {kind!r}")
-    if kind != "finetune":
-        model = prune_kan(model, ratio, calibration)
-    if kind == "prune":
-        return model
-    return finetune(model, inputs, targets, task, epochs=epochs, lr=lr, seed=seed)

@@ -30,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import ATTACK_KINDS, check_step, prune_sweep, run_attack
+from .attacks import check_step, finetune, prune_sweep
 from .data import DataError, average_pool, gen_feynman, load_idx, split_dataset
-from .kan import KanModel, KanLayer
+from .kan import KanModel, KanLayer, prune_kan
 from .mlp import MlpModel
 from .numeric import NonFiniteError, ShapeError, views
 from .pipeline import build_detector, embed_watermark, train_clean
@@ -43,6 +43,7 @@ from .watermark import verify
 FORMAT_VERSION = 4
 # Byte layout of a checkpoint's params blob: little-endian float64.
 PARAMS_DTYPE = "<f8"
+ATTACK_KINDS = ("finetune", "prune", "retrain_after_prune")
 
 
 class ConfigError(Exception):
@@ -442,9 +443,12 @@ def cmd_attack(args) -> int:
     # float(): the checkpoint and report row record lr and ratio as floats
     provenance = {"kind": kind, "lr": float(atk["lr"]), "epochs": atk["epochs"],
                   "ratio": None if kind == "finetune" else float(atk["ratio"])}
-    attacked = _constructs("attack", lambda: run_attack(
-        wm, inputs=train.inputs, targets=train.targets, task=cfg["task"],
-        calibration=train.inputs[:256], seed=bundle.attack, **provenance))
+    attacked = wm if kind == "finetune" else prune_kan(wm, provenance["ratio"],
+                                                       train.inputs[:256])
+    if kind != "prune":  # lr 0 fits SCHEMA, so finetune's refusal is a config error
+        attacked = _constructs("attack", functools.partial(
+            finetune, attacked, train.inputs, train.targets, cfg["task"],
+            epochs=atk["epochs"], lr=provenance["lr"], seed=bundle.attack))
     metric, ckpt = _conclude(args, cfg, test, [
         (f"attacked-{kind}.json", attacked, "attacked", provenance)],
         f"attacked:{kind}", **provenance)

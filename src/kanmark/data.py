@@ -24,6 +24,8 @@ from .numeric import check_floats
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 MIN_DENOMINATOR = 1e-6
+# gen_feynman gives up after this many rounds of redrawing rejected rows.
+MAX_REDRAWS = 100
 # The value of pixel p: p / 255, times 2, minus 1, in that order.
 PIXEL_VALUES = np.arange(256, dtype=np.float64) / 255.0 * 2.0 - 1.0
 PIXEL_VALUES.setflags(write=False)
@@ -229,7 +231,8 @@ FEYNMAN: dict[str, FeynmanFormula] = _formulas()
 
 def gen_feynman(formula: str, n: int, seed: int = 0) -> Dataset:
     """Sample the :data:`FEYNMAN` formula of that id uniformly on
-    (-1, 1)^arity with rejection of near-singular rows (|denominator| < 1e-6)."""
+    (-1, 1)^arity with rejection of near-singular rows (|denominator| < 1e-6);
+    raises DataError if rows are still rejected after MAX_REDRAWS redraws."""
     if not isinstance(formula, str) or formula not in FEYNMAN:
         raise DataError(f"unknown formula id {formula!r}")
     formula = FEYNMAN[formula]
@@ -238,12 +241,15 @@ def gen_feynman(formula: str, n: int, seed: int = 0) -> Dataset:
     check_floats(n * formula.arity, f"{n} samples of {formula.arity} inputs")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(n, formula.arity))
-    while True:
+    for redraws in range(MAX_REDRAWS + 1):
         bad = np.abs(x).max(axis=1) >= 1.0
         if formula.guard is not None:
             bad |= formula.guard(x) < MIN_DENOMINATOR
         if not bad.any():
             break
+        if redraws == MAX_REDRAWS:
+            raise DataError(f"formula {formula.id} still rejects {int(bad.sum())} of "
+                            f"{n} rows after {MAX_REDRAWS} redraws")
         x[bad] = rng.uniform(-1.0, 1.0, size=(int(bad.sum()), formula.arity))
     return Dataset(x, formula.fn(x))
 

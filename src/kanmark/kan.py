@@ -158,8 +158,6 @@ class KanModel:
 
     @classmethod
     def create(cls, widths, grid: SplineGrid | None = None, seed: int = 0) -> "KanModel":
-        if len(widths) < 2:
-            raise ValueError("widths must list at least input and output dims")
         grid = grid if grid is not None else build_grid()
         rng = np.random.default_rng(seed)
         return cls([KanLayer.create(a, b, grid, rng)

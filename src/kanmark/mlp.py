@@ -35,8 +35,6 @@ class MlpModel:
     @classmethod
     def create(cls, widths, seed: int = 0) -> "MlpModel":
         """He-initialized weights, zero biases."""
-        if len(widths) < 2:
-            raise ValueError("widths must list at least input and output dims")
         rng = np.random.default_rng(seed)
         weights = [rng.normal(0.0, np.sqrt(2.0 / a), size=(b, a))
                    for a, b in zip(widths, widths[1:])]

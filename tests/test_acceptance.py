@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from kanmark import (KanModel, MlpModel, adam, dct, evaluate, fit, gen_feynman,
-                     idct, load_idx, split_dataset, verify, write_idx)
-from kanmark.attacks import finetune, prune_sweep, retrain_after_prune
+                     idct, load_idx, prune_kan, split_dataset, verify, write_idx)
+from kanmark.attacks import finetune, prune_sweep
 from kanmark.cli import check_config, main as cli_main
 from kanmark.data import Dataset, IdxMagicError, IdxTruncatedError
 from kanmark.numeric import class_labels, cross_entropy_core, mse_core, real_targets
@@ -254,10 +254,8 @@ def test_criterion_6_attack_robustness(class_pipeline):
                         epochs=8, lr=1e-2, seed=62)
     rate_large = verify(ft_large, p["detector"], hold.inputs).detection_rate
 
-    retrained = retrain_after_prune(p["wm"], train.inputs, train.targets,
-                                    "classification", ratio=0.6, lr=1e-3,
-                                    epochs=8, calibration=p["calibration"],
-                                    seed=63)
+    retrained = finetune(prune_kan(p["wm"], 0.6, p["calibration"]), train.inputs,
+                         train.targets, "classification", epochs=8, lr=1e-3, seed=63)
     rate_retrain = verify(retrained, p["detector"], hold.inputs).detection_rate
     elapsed = time.time() - start
 

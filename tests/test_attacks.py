@@ -3,11 +3,14 @@ import pytest
 
 from kanmark import (KanModel, MlpModel, adam, evaluate, fit, gen_feynman,
                      prune_kan, prune_mlp)
-from kanmark.attacks import finetune, prune_sweep, retrain_after_prune, run_attack
+from kanmark.attacks import finetune, prune_sweep
 from kanmark import attacks
+from kanmark.cli import SeedBundle, load_checkpoint, load_config, main, resolve_dataset, \
+    save_checkpoint
 from kanmark.kan import edge_importances
 
 from oracles import prune_ref
+from test_cli import write_config
 
 
 def small_task(seed=0, n=160):
@@ -15,27 +18,24 @@ def small_task(seed=0, n=160):
     return ds.inputs, ds.targets
 
 
+def run_attack_command(tmp_path, wm, kind, *flags):
+    """Runs `kanmark attack --kind <kind>` on ``wm`` with the regression
+    config of test_cli; returns the attacked model, the training split and
+    the attack seed."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    path = write_config(tmp_path / "c.json")
+    save_checkpoint(tmp_path / "wm.json", wm, "watermarked", "hash", 0)
+    out = tmp_path / "runs"
+    assert main(["attack", "--config", path, "--wm-ckpt", str(tmp_path / "wm.json"),
+                 "--kind", kind, "--ratio", "0.5", *flags, "--out", str(out)]) == 0
+    cfg = load_config(path)
+    bundle = SeedBundle(cfg["seed"])
+    train, _, _ = resolve_dataset(cfg, bundle)
+    name = "retrain_after_prune" if kind == "retrain" else kind
+    return load_checkpoint(out / f"attacked-{name}.json")[0], train, bundle.attack
+
+
 class TestAttackChecks:
-    def test_prune_requires_ratio(self):
-        x, y = small_task(seed=0)
-        model = KanModel.create([2, 4, 1], seed=0)
-        for kind in ("prune", "retrain_after_prune"):
-            with pytest.raises(TypeError):
-                run_attack(model, kind, x, y, "regression", lr=1e-3, epochs=1,
-                           calibration=x[:32], seed=0)
-            with pytest.raises(TypeError):
-                run_attack(model, kind, x, y, "regression", lr=1e-3, epochs=1,
-                           ratio=None, calibration=x[:32], seed=0)
-        run_attack(model, "prune", x, y, "regression", lr=1e-3, epochs=1,
-                   ratio=0.6, calibration=x[:32], seed=0)
-
-    def test_unknown_kind(self):
-        x, y = small_task(seed=0)
-        model = KanModel.create([2, 4, 1], seed=0)
-        with pytest.raises(ValueError, match="unknown attack kind"):
-            run_attack(model, "distill", x, y, "regression", lr=1e-3, epochs=1,
-                       ratio=0.6, calibration=x[:32], seed=0)
-
     def test_training_attacks_need_positive_lr(self):
         x, y = small_task(seed=0)
         model = KanModel.create([2, 4, 1], seed=0)
@@ -43,28 +43,21 @@ class TestAttackChecks:
             with pytest.raises(ValueError, match="lr > 0"):
                 finetune(model, x, y, "regression", lr=lr)
             with pytest.raises(ValueError, match="lr > 0"):
-                retrain_after_prune(model, x, y, "regression", lr=lr,
-                                    calibration=x[:32])
-            # pruning alone trains nothing, so it takes any lr
-            run_attack(model, "prune", x, y, "regression", lr=lr, epochs=1,
-                       ratio=0.6, calibration=x[:32], seed=0)
+                finetune(prune_kan(model, 0.6, x[:32]), x, y, "regression", lr=lr)
 
     @pytest.mark.parametrize("ratio", [-0.1, 1.5])
     def test_ratio_outside_unit_interval(self, ratio):
-        x, y = small_task(seed=0)
+        x, _ = small_task(seed=0)
         model = KanModel.create([2, 4, 1], seed=0)
-        for kind in ("prune", "retrain_after_prune"):
-            with pytest.raises(ValueError, match=r"prune ratio must be in \[0, 1\]"):
-                run_attack(model, kind, x, y, "regression", lr=1e-3, epochs=1,
-                           ratio=ratio, calibration=x[:32], seed=0)
+        with pytest.raises(ValueError, match=r"prune ratio must be in \[0, 1\]"):
+            prune_kan(model, ratio, x[:32])
 
     def test_negative_epochs(self):
         x, y = small_task(seed=0)
         model = KanModel.create([2, 4, 1], seed=0)
-        for kind in ("finetune", "retrain_after_prune"):
+        for attacked in (model, prune_kan(model, 0.6, x[:32])):
             with pytest.raises(ValueError, match="epochs must be >= 0"):
-                run_attack(model, kind, x, y, "regression", lr=1e-3, epochs=-1,
-                           ratio=0.6, calibration=x[:32], seed=0)
+                finetune(attacked, x, y, "regression", lr=1e-3, epochs=-1)
 
 
 class TestFinetune:
@@ -106,21 +99,19 @@ class TestPruneAttack:
         with pytest.raises(ValueError):
             prune_kan(model, 0.5, None)
 
-    def test_delegates_to_prune_kan(self):
-        x, _ = small_task(seed=5)
-        model = KanModel.create([2, 4, 1], seed=9)
-        a = run_attack(model, "prune", x, None, "regression", lr=1e-3, epochs=8,
-                       ratio=0.5, calibration=x[:32], seed=0)
-        b = prune_kan(model, 0.5, x[:32])
-        assert np.array_equal(a.params, b.params)
+    def test_delegates_to_prune_kan(self, tmp_path):
+        # the prune attack trains nothing, so its lr and epochs change nothing
+        wm = KanModel.create([2, 4, 1], seed=9)
+        got, train, _ = run_attack_command(tmp_path, wm, "prune", "--lr", "0.002",
+                                        "--epochs", "8")
+        assert np.array_equal(got.params, prune_kan(wm, 0.5, train.inputs[:256]).params)
 
 
 class TestRetrainAfterPrune:
     def test_zero_epochs_equals_prune_with_lifted_masks(self):
         x, y = small_task(seed=6)
         model = KanModel.create([2, 4, 1], seed=10)
-        out = retrain_after_prune(model, x, y, "regression", ratio=0.5,
-                                  epochs=0, calibration=x[:32])
+        out = finetune(prune_kan(model, 0.5, x[:32]), x, y, "regression", epochs=0)
         ref = prune_kan(model, 0.5, x[:32])
         assert np.array_equal(out.params, ref.params)
 
@@ -130,8 +121,7 @@ class TestRetrainAfterPrune:
         pruned = prune_kan(model, 0.5, x[:32])
         zeroed = pruned.layers[0].w_b == 0.0
         assert zeroed.sum() > 0
-        out = retrain_after_prune(model, x, y, "regression", ratio=0.5,
-                                  lr=1e-2, epochs=3, calibration=x[:32], seed=12)
+        out = finetune(pruned, x, y, "regression", lr=1e-2, epochs=3, seed=12)
         # w_b regrows; coeffs and w_s stay 0, as each one's gradient is a
         # multiple of the other
         assert np.any(np.abs(out.layers[0].w_b[zeroed]) > 0.0)
@@ -141,8 +131,8 @@ class TestRetrainAfterPrune:
     def test_architecture_preserved(self):
         x, y = small_task(seed=8)
         model = KanModel.create([2, 4, 1], seed=13)
-        out = retrain_after_prune(model, x, y, "regression", ratio=0.6,
-                                  epochs=1, calibration=x[:32], seed=14)
+        out = finetune(prune_kan(model, 0.6, x[:32]), x, y, "regression",
+                       epochs=1, seed=14)
         assert out.widths == model.widths
 
 
@@ -217,20 +207,22 @@ class TestPruneSweep:
 
 
 class TestRunAttack:
-    def test_dispatch(self):
-        x, y = small_task(seed=9)
-        model = KanModel.create([2, 4, 1], seed=15)
-        for kind, ref in [
-            ("finetune", finetune(model, x, y, "regression", epochs=1, lr=1e-3,
-                                  seed=1)),
-            ("prune", prune_kan(model, 0.5, x[:256])),
-            ("retrain_after_prune",
-             retrain_after_prune(model, x, y, "regression", ratio=0.5, lr=1e-3,
-                                 epochs=1, calibration=x[:256], seed=1)),
-        ]:
-            out = run_attack(model, kind, x, y, "regression", lr=1e-3, epochs=1,
-                             ratio=0.5, calibration=x[:256], seed=1)
-            assert np.array_equal(out.params, ref.params)
+    def test_dispatch(self, tmp_path):
+        # each kind of `kanmark attack` is finetune, prune_kan, or finetune of
+        # prune_kan's result, with the attack seed of the config's master seed
+        wm = KanModel.create([2, 4, 1], seed=15)
+        for kind in ("finetune", "prune", "retrain"):
+            got, train, attack_seed = run_attack_command(tmp_path / kind, wm, kind,
+                                                         "--lr", "0.002", "--epochs", "1")
+
+            def trained(model):
+                return finetune(model, train.inputs, train.targets, "regression",
+                                epochs=1, lr=0.002, seed=attack_seed)
+
+            pruned = prune_kan(wm, 0.5, train.inputs[:256])
+            want = {"finetune": trained(wm), "prune": pruned,
+                    "retrain": trained(pruned)}[kind]
+            assert np.array_equal(got.params, want.params), kind
 
 
 ORACLE_RATIOS = (0.0, 0.1, 0.3, 0.5, 0.77, 1.0)

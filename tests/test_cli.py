@@ -1,5 +1,6 @@
 import argparse
 import base64
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -7,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kanmark import (Dataset, KanLayer, KanModel, MlpModel, build_grid, evaluate,
-                     prune_kan, write_idx)
+from kanmark import (FEYNMAN, Dataset, KanLayer, KanModel, MlpModel, build_grid,
+                     evaluate, prune_kan, write_idx)
 from kanmark.cli import (SCHEMA, CheckpointError, ConfigError, SeedBundle,
                          _fits, append_report_row, build_parser, canonical_json,
                          config_hash, derive_seed, load_checkpoint, load_config, main,
@@ -469,6 +470,29 @@ class TestCommands:
                      "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "report.jsonl").exists()
 
+    def test_prune_attack_ignores_lr(self, tmp_path):
+        # pruning trains nothing, so lr 0, which finetune refuses, is accepted
+        path = write_config(tmp_path / "c.json")
+        save_checkpoint(tmp_path / "wm.json", KanModel.create([2, 4, 1], seed=0),
+                        "watermarked", "hash", 0)
+        payloads = []
+        for out, lr in ((tmp_path / "zero", ["--lr", "0"]), (tmp_path / "default", [])):
+            assert main(["attack", "--config", path, "--wm-ckpt", str(tmp_path / "wm.json"),
+                         "--kind", "prune", *lr, "--out", str(out)]) == 0
+            payloads.append(json.loads((out / "attacked-prune.json").read_text()))
+        assert [p["extra"].pop("lr") for p in payloads] == [0.0, 0.001]
+        assert payloads[0] == payloads[1]
+
+    def test_formula_that_rejects_every_row_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(FEYNMAN, "I.12.11", dataclasses.replace(
+            FEYNMAN["I.12.11"], guard=lambda v: np.zeros(len(v))))
+        out = tmp_path / "runs"
+        assert main(["train-clean", "--config", write_config(tmp_path / "c.json"),
+                     "--out", str(out)]) == 3
+        assert "data error: formula I.12.11 still rejects 400 of 400 rows" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_diverging_finetune_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         out = tmp_path / "runs"
@@ -714,16 +738,21 @@ class TestCommands:
         assert (f"cannot read {report}" if line is None else f"{report} line 2") in captured.err
 
     def test_report_columns_align_after_the_longest_stage(self, tmp_path, capsys):
-        rows = [("clean", "rmse"), ("watermarked", "accuracy_pct"),
-                ("attacked:retrain_after_prune", "rmse"), ("verify", "none")]
+        rows = [("clean", "rmse", None, None), ("watermarked", "accuracy_pct", 97.5, True),
+                ("attacked:retrain_after_prune", "rmse", 12.25, False),
+                ("verify", "none", 0.0, False)]
         (tmp_path / "report.jsonl").write_text("".join(
-            json.dumps({"stage": stage, "metric_kind": kind, "main_metric": 0.5}) + "\n"
-            for stage, kind in rows))
+            json.dumps({"stage": stage, "metric_kind": kind, "main_metric": 0.5,
+                        "wm_detection_rate": rate, "decision": decision}) + "\n"
+            for stage, kind, rate, decision in rows))
         assert main(["report", "--out", str(tmp_path)]) == 0
         header, *lines = capsys.readouterr().out.splitlines()
         # the metric column is right-aligned, so its text ends at one offset
-        ends = {line.index(kind) + len(kind) for line, (_, kind) in zip(lines, rows)}
+        ends = {line.index(kind) + len(kind) for line, (_, kind, _, _) in zip(lines, rows)}
         assert ends == {header.index("metric") + len("metric")}
+        # the wm rate % and decision cells, "-" where the row holds null
+        assert [line.split()[-2:] for line in lines] == [
+            ["-", "-"], ["97.5", "True"], ["12.25", "False"], ["0.0", "False"]]
 
     def test_data_error_exit_code(self, tmp_path):
         cfg = write_config(
@@ -986,22 +1015,28 @@ class TestParser:
         assert self.attack(tmp_path, "--kind", "prune") == 0
         assert len((tmp_path / "runs" / "report.jsonl").read_text().splitlines()) == 2
 
-    @pytest.mark.parametrize("missing", ["--detector-ckpt", "--suspect-ckpt"])
+    # attack (--wm-ckpt) and embed (--clean-ckpt) each need their one checkpoint
+    @pytest.mark.parametrize("missing", ["--detector-ckpt", "--suspect-ckpt", "--wm-ckpt",
+                                         "--clean-ckpt"])
     def test_verify_without_a_checkpoint_exits_2(self, tmp_path, capsys, missing):
-        ckpts = {"--detector-ckpt": tmp_path / "detector.json",
-                 "--suspect-ckpt": tmp_path / "suspect.json"}
-        save_checkpoint(ckpts["--detector-ckpt"], MlpModel.create([4, 8, 2], seed=0),
-                        "detector", "hash", 0)
-        save_checkpoint(ckpts["--suspect-ckpt"], KanModel.create([2, 4, 1], seed=0),
-                        "watermarked", "hash", 0)
-        given = [arg for flag, path in ckpts.items() if flag != missing
-                 for arg in (flag, str(path))]
+        detector, suspect = tmp_path / "detector.json", tmp_path / "suspect.json"
+        save_checkpoint(detector, MlpModel.create([4, 8, 2], seed=0), "detector", "hash", 0)
+        save_checkpoint(suspect, KanModel.create([2, 4, 1], seed=0), "watermarked", "hash", 0)
+        command, given = {"--detector-ckpt": ("verify", ["--suspect-ckpt", str(suspect)]),
+                          "--suspect-ckpt": ("verify", ["--detector-ckpt", str(detector)]),
+                          "--wm-ckpt": ("attack", []), "--clean-ckpt": ("embed", [])}[missing]
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--config", write_config(tmp_path / "c.json"),
+            main([command, "--config", write_config(tmp_path / "c.json"),
                   "--out", str(tmp_path / "runs"), *given])
         assert exc.value.code == 2
         assert f"the following arguments are required: {missing}" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    def test_no_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "the following arguments are required: command" in capsys.readouterr().err
 
     def test_help_is_the_same_on_every_call(self, capsys):
         build_parser.cache_clear()

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import struct
 
@@ -222,6 +223,20 @@ class TestFeynman:
         for row, target in zip(ds.inputs, ds.targets):
             assert target == pytest.approx(feynman_ref(fid, row),
                                            rel=1e-12, abs=1e-12)
+
+    def test_guard_that_rejects_every_row_raises(self, monkeypatch):
+        calls = []
+
+        def reject_all(v):
+            calls.append(len(v))
+            return np.zeros(len(v))
+
+        monkeypatch.setitem(FEYNMAN, "III.9.52",
+                            dataclasses.replace(FEYNMAN["III.9.52"], guard=reject_all))
+        with pytest.raises(DataError, match="formula III.9.52 still rejects 50 of 50 "
+                                            "rows after 100 redraws"):
+            gen_feynman("III.9.52", 50, seed=0)
+        assert calls == [50] * 101  # the first draw, then each redraw
 
     def test_unknown_formula(self):
         with pytest.raises(DataError):

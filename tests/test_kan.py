@@ -225,6 +225,11 @@ class TestModelForward:
     def test_widths(self):
         assert KanModel.create([4, 5, 3]).widths == [4, 5, 3]
 
+    @pytest.mark.parametrize("widths", [[3], []])
+    def test_create_without_a_layer_rejected(self, widths):
+        with pytest.raises(ValueError, match="at least one layer"):
+            KanModel.create(widths)
+
     def test_input_width_mismatch(self):
         model = random_model([3, 2], seed=14)
         with pytest.raises(ShapeError):

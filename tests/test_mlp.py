@@ -29,6 +29,11 @@ class TestForward:
         with pytest.raises(ShapeError):
             model.forward(np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("widths", [[3], []])
+    def test_create_without_a_layer_rejected(self, widths):
+        with pytest.raises(ShapeError, match="non-empty"):
+            MlpModel.create(widths)
+
     def test_bad_construction(self):
         with pytest.raises(ShapeError):
             MlpModel([np.zeros((2, 3)), np.zeros((4, 5))],

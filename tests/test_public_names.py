@@ -7,6 +7,9 @@ Removed, with the reason:
 - ``cross_entropy_loss`` and ``mse_loss``: ``evaluate`` was their only caller.
   It now checks the model output and the targets once and calls the task's
   loss core, so ``evaluate(...)["loss"]`` is the checked loss.
+- ``retrain_after_prune``: it was ``finetune`` of ``prune_kan``'s result, two
+  public calls that ``kanmark attack`` and the tests now make themselves, so
+  prune-then-train is written once, where it runs.
 """
 
 import types
@@ -20,8 +23,7 @@ PUBLIC_NAMES = [
     "build_detector_dataset", "build_grid", "calibrate_amplitude", "dct",
     "edge_importances", "embed", "evaluate", "finetune", "fit", "gen_feynman",
     "gen_signal", "idct", "load_idx", "optimizer_step", "prune_kan", "prune_mlp",
-    "prune_sweep",
-    "retrain_after_prune", "signal_step", "softmax", "split_dataset",
+    "prune_sweep", "signal_step", "softmax", "split_dataset",
     "train_detector", "verify", "write_idx",
 ]
 
