@@ -11,8 +11,7 @@ from .training import evaluate, fit
 from .data import (FEYNMAN, Dataset, DataError, FeynmanFormula, average_pool,
                    gen_feynman, load_idx, split_dataset, write_idx)
 from .watermark import (VerificationResult, build_detector_dataset,
-                        calibrate_amplitude, embed, gen_signal, signal_step,
-                        train_detector, verify)
+                        calibrate_amplitude, embed, gen_signal, signal_step, verify)
 from .attacks import finetune, prune_sweep
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from .data import DataError, average_pool, gen_feynman, load_idx, split_dataset
 from .kan import KanModel, KanLayer, prune_kan
 from .mlp import MlpModel
 from .numeric import NonFiniteError, ShapeError, views
-from .pipeline import build_detector, embed_watermark, train_clean
+from .pipeline import CALIBRATION_ROWS, build_detector, embed_watermark, train_clean
 from .spline import build_grid
 from .training import TASKS, DivergenceError, evaluate
 from .watermark import verify
@@ -444,7 +444,7 @@ def cmd_attack(args) -> int:
     provenance = {"kind": kind, "lr": float(atk["lr"]), "epochs": atk["epochs"],
                   "ratio": None if kind == "finetune" else float(atk["ratio"])}
     attacked = wm if kind == "finetune" else prune_kan(wm, provenance["ratio"],
-                                                       train.inputs[:256])
+                                                       train.inputs[:CALIBRATION_ROWS])
     if kind != "prune":  # lr 0 fits SCHEMA, so finetune's refusal is a config error
         attacked = _constructs("attack", functools.partial(
             finetune, attacked, train.inputs, train.targets, cfg["task"],
@@ -480,7 +480,7 @@ def cmd_prune_sweep(args) -> int:
         raise ConfigError("prune-sweep is a classification experiment")
     kan, mlp = (_train_clean(kind, cfg, bundle, train) for kind in ("kan", "mlp"))
     rows = prune_sweep(kan, mlp, test.inputs, test.targets,
-                       calibration=train.inputs[:256], step=args.step)
+                       calibration=train.inputs[:CALIBRATION_ROWS], step=args.step)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "prune_sweep.json").write_text(canonical_json(rows), encoding="utf-8")

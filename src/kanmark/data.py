@@ -35,18 +35,6 @@ class DataError(Exception):
     """Problem reading, generating, or splitting a dataset."""
 
 
-class IdxMagicError(DataError):
-    """IDX file does not start with the expected magic number."""
-
-
-class IdxTruncatedError(DataError):
-    """IDX payload is shorter than its header promises."""
-
-
-class IdxCountMismatchError(DataError):
-    """Image and label files disagree on the record count."""
-
-
 @dataclass
 class Dataset:
     """Inputs in [-1, 1] with integer class labels or real targets."""
@@ -82,15 +70,15 @@ def _idx_records(path, magic: int, dims: int, limit: int | None = None) -> tuple
                 raise DataError(f"{path}: not a regular file")
             raw, size = fh.read(header), os.fstat(fh.fileno()).st_size
             if len(raw) < header:
-                raise IdxTruncatedError(f"{path}: header needs {header} bytes, "
-                                        f"file has {len(raw)}")
+                raise DataError(f"{path}: header needs {header} bytes, "
+                                f"file has {len(raw)}")
             found, *sizes = struct.unpack(f">{1 + dims}I", raw)
             if found != magic:
-                raise IdxMagicError(f"{path}: magic {found:#010x}, expected {magic:#010x}")
+                raise DataError(f"{path}: magic {found:#010x}, expected {magic:#010x}")
             payload = math.prod(sizes)
             if size < header + payload:
-                raise IdxTruncatedError(f"{path}: payload needs {payload} bytes, "
-                                        f"file has {size - header}")
+                raise DataError(f"{path}: payload needs {payload} bytes, "
+                                f"file has {size - header}")
             keep = len(range(sizes[0])[:limit])  # len(records[:limit]), for any limit
             records = fh.read(keep * math.prod(sizes[1:]))
     except OSError as exc:
@@ -105,7 +93,7 @@ def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
     pixels, (count, rows, cols) = _idx_records(images_path, IMAGE_MAGIC, 3, limit)
     labels, (lab_count,) = _idx_records(labels_path, LABEL_MAGIC, 1)
     if lab_count != count:
-        raise IdxCountMismatchError(f"{count} images vs {lab_count} labels")
+        raise DataError(f"{count} images vs {lab_count} labels")
     if labels.size and labels.max() > 9:
         raise DataError(f"{labels_path}: labels above 9 present")
     inputs = PIXEL_VALUES[pixels.reshape(len(pixels), rows * cols)]

@@ -11,7 +11,11 @@ from .numeric import ShapeError, adam
 from .spline import build_grid
 from .training import fit
 from .watermark import (build_detector_dataset, calibrate_amplitude, default_band,
-                        embed, gen_signal, train_detector)
+                        embed, gen_signal)
+
+# The first this many training rows calibrate the watermark amplitude and
+# rank edges for pruning.
+CALIBRATION_ROWS = 256
 
 
 def resolve_widths(cfg: dict, input_dim: int) -> list[int]:
@@ -44,14 +48,15 @@ def train_clean(kind: str, cfg: dict, train, init_seed: int, fit_seeds):
 def embed_watermark(clean: KanModel, cfg: dict, train, key: int, seed: int):
     """The watermarked copy of ``clean`` (:func:`embed` shuffling with
     ``seed``) and its signal's ``{band, alpha, key}``. The band defaults to
-    :func:`default_band` of layer 0, alpha to one calibrated on the first 256
-    training rows, lr_main to train.lr; a band outside layer 0 raises ValueError."""
+    :func:`default_band` of layer 0, alpha to one calibrated on the first
+    :data:`CALIBRATION_ROWS` training rows, lr_main to train.lr; a band
+    outside layer 0 raises ValueError."""
     wm_cfg = cfg["watermark"]
     n_sig = clean.layers[0].out_dim
     band = wm_cfg["band"] or default_band(n_sig)
     alpha = wm_cfg["alpha"]
     if alpha is None:
-        alpha = calibrate_amplitude(clean, train.inputs[:256], band,
+        alpha = calibrate_amplitude(clean, train.inputs[:CALIBRATION_ROWS], band,
                                     scale=wm_cfg["amplitude_scale"])
     lr_main = wm_cfg["lr_main"] if wm_cfg["lr_main"] is not None else cfg["train"]["lr"]
     wm = embed(clean, gen_signal(key, n_sig, band, alpha), train.inputs, train.targets,
@@ -62,10 +67,13 @@ def embed_watermark(clean: KanModel, cfg: dict, train, key: int, seed: int):
 
 def build_detector(wm: KanModel, clean: KanModel, cfg: dict, train,
                    data_seed: int, train_seed: int) -> MlpModel:
-    """The detector of ``wm`` against ``clean`` on the first ``n_samples``
-    training rows, shuffled with ``data_seed``, trained with ``train_seed``."""
+    """The MLP detector of ``wm`` against ``clean`` on the first ``n_samples``
+    training rows, shuffled with ``data_seed``; ``train_seed`` draws its
+    initialization and shuffles its cross-entropy batches."""
     det = cfg["detector"]
     rows, labels = build_detector_dataset(wm, clean, train.inputs[:det["n_samples"]],
                                           n_shuffles=det["n_shuffles"], seed=data_seed)
-    return train_detector(rows, labels, hidden=det["hidden"], epochs=det["epochs"],
-                          lr=det["lr"], batch_size=det["batch_size"], seed=train_seed)
+    detector = MlpModel.create([rows.shape[1], *det["hidden"], 2], seed=train_seed)
+    fit(detector, rows, labels, "classification", det["epochs"], adam(det["lr"]),
+        batch_size=det["batch_size"], seed=train_seed)
+    return detector

@@ -1,6 +1,6 @@
 """Activation watermarking pipeline: keyed perturbation-signal generation,
 two-phase embedding, detector dataset construction with shuffle
-augmentation, detector training, and ownership verification.
+augmentation, and ownership verification.
 
 The watermark lives in the first layer's activation outputs: embedding
 alternates a main-task step over all parameters with a signal step that
@@ -18,8 +18,8 @@ import numpy as np
 
 from .kan import KanModel
 from .mlp import MlpModel
-from .numeric import ShapeError, adam, as_matrix, check_floats, optimizer_step
-from .training import fit, steps
+from .numeric import ShapeError, adam, check_floats, optimizer_step
+from .training import steps
 from .transform import dct, idct
 
 
@@ -125,27 +125,20 @@ def build_detector_dataset(model_wm: KanModel, model_clean: KanModel, inputs,
 
     Rows come in per-sample blocks [wm, clean, n_shuffles x wm shuffled,
     n_shuffles x clean shuffled], and the permutations are drawn in that
-    order. Layer 0's input preparation is shared by both models when their
-    grids and input widths agree.
+    order.
     """
-    wm_layer, clean_layer = model_wm.layers[0], model_clean.layers[0]
-    width = wm_layer.out_dim
-    if width != clean_layer.out_dim:
+    width = model_wm.layers[0].out_dim
+    if width != model_clean.layers[0].out_dim:
         raise ShapeError("models disagree on watermarked layer width")
     if n_shuffles < 0:
         raise ValueError(f"n_shuffles must be >= 0, got {n_shuffles}")
-    inputs = as_matrix(inputs, "inputs")
-    n = inputs.shape[0]
+    outs = [layer.apply(layer.prepare_rows(inputs))[0]
+            for layer in (model_wm.layers[0], model_clean.layers[0])]
+    n = outs[0].shape[0]
     if n == 0:
         raise ValueError("empty detector source data")
     check_floats(n * (2 + 2 * n_shuffles) * width,
                  f"{n} x {2 + 2 * n_shuffles} detector rows of {width} floats")
-    prepared = wm_layer.prepare_rows(inputs)
-    outs = [wm_layer.apply(prepared)[0]]
-    if (clean_layer.grid, clean_layer.in_dim) != (wm_layer.grid, wm_layer.in_dim):
-        prepared = clean_layer.prepare_rows(inputs)
-    outs.append(clean_layer.apply(prepared)[0])
-    del prepared
     rows = np.empty((n, 2 + 2 * n_shuffles, width))
     rows[:, 0], rows[:, 1] = outs
     # Copied from outs, not rows[:, :2]: numpy would buffer an overlapping source whole.
@@ -156,18 +149,6 @@ def build_detector_dataset(model_wm: KanModel, model_clean: KanModel, inputs,
     np.random.default_rng(seed).permuted(shuffled, axis=2, out=shuffled)
     labels = np.repeat(np.array([1, 0, 1, 0], np.int64), [1, 1, n_shuffles, n_shuffles])
     return rows.reshape(-1, width), np.tile(labels, n)
-
-
-def train_detector(inputs, labels, *, hidden, epochs: int, lr: float,
-                   batch_size: int, seed: int = 0) -> MlpModel:
-    """Train the MLP detector with cross-entropy on labeled rows."""
-    if len(np.unique(labels)) < 2:
-        raise ValueError("detector dataset must contain both classes")
-    widths = [np.shape(inputs)[1], *hidden, 2]
-    detector = MlpModel.create(widths, seed=seed)
-    fit(detector, inputs, labels, "classification", epochs, adam(lr),
-        batch_size=batch_size, seed=seed)
-    return detector
 
 
 @dataclass(frozen=True)

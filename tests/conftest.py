@@ -7,7 +7,8 @@ import pytest
 
 from kanmark import Dataset, load_idx, split_dataset, write_idx
 from kanmark.cli import check_config
-from kanmark.pipeline import build_detector, embed_watermark, train_clean
+from kanmark.pipeline import (CALIBRATION_ROWS, build_detector, embed_watermark,
+                              train_clean)
 
 # Desk-scale classification run shared by the pipeline tests (criteria 4-6).
 CLASS_SETUP = {
@@ -72,4 +73,4 @@ def class_pipeline(digits_idx, digits_splits):
     detector = build_detector(wm, clean, cfg, train, data_seed=104, train_seed=105)
     return {"train": train, "test": test, "hold": hold, "clean": clean,
             "wm": wm, "signal": signal, "detector": detector,
-            "calibration": train.inputs[:256]}
+            "calibration": train.inputs[:CALIBRATION_ROWS]}

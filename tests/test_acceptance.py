@@ -16,7 +16,7 @@ from kanmark import (KanModel, MlpModel, adam, dct, evaluate, fit, gen_feynman,
                      idct, load_idx, prune_kan, split_dataset, verify, write_idx)
 from kanmark.attacks import finetune, prune_sweep
 from kanmark.cli import check_config, main as cli_main
-from kanmark.data import Dataset, IdxMagicError, IdxTruncatedError
+from kanmark.data import DataError, Dataset
 from kanmark.numeric import class_labels, cross_entropy_core, mse_core, real_targets
 from kanmark.pipeline import embed_watermark, train_clean
 from kanmark.spline import basis_and_slopes, build_grid
@@ -339,16 +339,16 @@ def test_criterion_8_format_fidelity(tmp_path):
     round_trip = (img_a.read_bytes() == img_b.read_bytes()
                   and lab_a.read_bytes() == lab_b.read_bytes())
 
-    # malformed files raise the documented distinct errors
+    # malformed files raise a DataError that names the defect
     bad_magic = tmp_path / "bad-magic.idx"
     data = bytearray(img_a.read_bytes())
     data[0] = 0xFF
     bad_magic.write_bytes(bytes(data))
-    with pytest.raises(IdxMagicError):
+    with pytest.raises(DataError, match="magic 0xff000803, expected 0x00000803"):
         load_idx(bad_magic, lab_a)
     truncated = tmp_path / "trunc.idx"
     truncated.write_bytes(img_a.read_bytes()[:-4])
-    with pytest.raises(IdxTruncatedError):
+    with pytest.raises(DataError, match="payload needs 96 bytes, file has 92"):
         load_idx(truncated, lab_a)
 
     # and surface as exit code 3 at the CLI

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kanmark import (FEYNMAN, Dataset, KanLayer, KanModel, MlpModel, build_grid,
-                     evaluate, prune_kan, write_idx)
+                     evaluate, prune_kan, prune_sweep, write_idx)
 from kanmark.cli import (SCHEMA, CheckpointError, ConfigError, SeedBundle,
                          _fits, append_report_row, build_parser, canonical_json,
                          config_hash, derive_seed, load_checkpoint, load_config, main,
@@ -22,12 +22,12 @@ CLASSIFY = {"task": "classification", "model": {"hidden": 4},
             "dataset": {"kind": "idx", "images": "images.idx", "labels": "labels.idx"}}
 
 
-def write_classify_idx():
-    """Writes images.idx and labels.idx to the working directory: 30 random
-    2x2 byte images with labels 0-9."""
+def write_classify_idx(n=30):
+    """Writes images.idx and labels.idx to the working directory: ``n``
+    random 2x2 byte images with labels 0-9."""
     rng = np.random.default_rng(0)
-    write_idx(Dataset(2.0 * (rng.integers(0, 256, (30, 4)) / 255.0) - 1.0,
-                      rng.integers(0, 10, 30)),
+    write_idx(Dataset(2.0 * (rng.integers(0, 256, (n, 4)) / 255.0) - 1.0,
+                      rng.integers(0, 10, n)),
               "images.idx", "labels.idx", image_shape=(2, 2))
 
 
@@ -116,6 +116,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(
                 f"{name} must be number (numbers in [0, 1]), got 1.0000000001")):
             load(1.0000000001)
+
+    @pytest.mark.parametrize("section, key", [("dataset", "pool"), ("dataset", "n"),
+                                              ("detector", "n_samples")])
+    def test_counts_start_at_1(self, tmp_path, section, key):
+        def load(value):
+            entry = {key: value}
+            if section == "dataset":
+                entry.update(kind="feynman", formula="I.12.11")
+            return load_config(write_config(tmp_path / "c.json", **{section: entry}))
+
+        assert load(1)[section][key] == 1
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{section}.{key} must be int (numbers >= 1)")):
+            load(0)
 
     def test_list_kinds_are_worded_by_length(self, tmp_path):
         # model.widths holds any number of ints, watermark.band exactly two.
@@ -269,6 +283,8 @@ class TestCheckpointRoundTrip:
         "one_width_no_layers": "model needs at least one layer",
         "intervals_2_pow_50": f"params hold 40 values, widths [2, 2] need {4 * (2**50 + 3) + 8}",
         "degree_2_pow_50": f"params hold 40 values, widths [2, 2] need {4 * (2**50 + 5) + 8}",
+        "unknown_kind": "unknown kind 'cnn'",
+        "no_layer_records": "0 layer records for widths [2, 2]",
     }
 
     @pytest.mark.parametrize("defect", list(MALFORMED))
@@ -319,6 +335,10 @@ class TestCheckpointRoundTrip:
             payload.update(widths=[3], layers=[], params="")
         elif defect.endswith("_2_pow_50"):  # its knot vector could never be allocated
             payload["layers"][0]["grid"][defect.split("_")[0]] = 2**50
+        elif defect == "unknown_kind":
+            payload["kind"] = "cnn"
+        elif defect == "no_layer_records":  # widths [2, 2] need one
+            payload["layers"] = []
         else:
             payload = [payload]
         path.write_text(json.dumps(payload))
@@ -483,6 +503,36 @@ class TestCommands:
         assert [p["extra"].pop("lr") for p in payloads] == [0.0, 0.001]
         assert payloads[0] == payloads[1]
 
+    @pytest.mark.parametrize("argv", [["attack", "--kind", "prune"],
+                                      ["attack", "--kind", "retrain", "--epochs", "1"],
+                                      ["prune-sweep", "--step", "0.5"]],
+                             ids=["prune", "retrain", "prune_sweep"])
+    def test_pruning_ranks_edges_on_the_first_256_training_rows(self, tmp_path,
+                                                                monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        write_classify_idx(400)  # 280 training rows
+        path = write_config("c.json", **CLASSIFY, train={"epochs": 1})
+        save_checkpoint("wm.json", KanModel.create([4, 4, 10], seed=0), "watermarked",
+                        "hash", 0)
+        seen = []
+
+        def recording_prune_kan(model, ratio, calibration):
+            seen.append(calibration)
+            return prune_kan(model, ratio, calibration)
+
+        def recording_prune_sweep(*args, calibration, step):
+            seen.append(calibration)
+            return prune_sweep(*args, calibration=calibration, step=step)
+
+        monkeypatch.setattr("kanmark.cli.prune_kan", recording_prune_kan)
+        monkeypatch.setattr("kanmark.cli.prune_sweep", recording_prune_sweep)
+        ckpt = ["--wm-ckpt", "wm.json"] if argv[0] == "attack" else []
+        assert main([*argv, "--config", path, *ckpt]) == 0
+        cfg = load_config(path)
+        train, _, _ = resolve_dataset(cfg, SeedBundle(cfg["seed"]))
+        assert len(train) == 280
+        assert len(seen) == 1 and np.array_equal(seen[0], train.inputs[:256])
+
     def test_formula_that_rejects_every_row_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(FEYNMAN, "I.12.11", dataclasses.replace(
             FEYNMAN["I.12.11"], guard=lambda v: np.zeros(len(v))))
@@ -553,64 +603,126 @@ class TestCommands:
                      "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "watermarked-kan.json").exists()
 
-    @pytest.mark.parametrize("command, overrides, flags", [
-        ("train-clean", {"grid": {"intervals": 0}}, []),
-        ("train-clean", {"grid": {"degree": -1}}, []),
-        ("train-clean", {"grid": {"t_min": 1.0, "t_max": 1.0}}, []),
-        ("train-clean", {"grid": {"t_min": 1e16, "t_max": 1e16 + 2}}, []),
-        ("train-clean", {"train": {"epochs": 1, "lr": -1e-3}}, []),
-        ("train-clean", {"train": {"epochs": 1, "stages": [[1, -1e-3]]}}, []),
-        ("embed", {"watermark": {"epochs": 1, "lr_main": -1e-3}}, []),
-        ("embed", {"watermark": {"epochs": 1, "lr_wm": -1e-3}}, []),
-        ("embed", {"detector": {"epochs": 1, "lr": -1e-3, "n_samples": 20}}, []),
-        ("train-clean", {"model": {"widths": [2]}}, []),
-        ("embed", {"detector": {"epochs": 1, "n_shuffles": -1, "n_samples": 20}}, []),
-        ("embed", {"detector": {"epochs": 1, "n_samples": 0}}, []),
-        ("attack", {}, ["--epochs", "-1"]),
-        ("attack", {"attack": {"epochs": -2}}, []),
-        ("train-clean", {"train": {"epochs": 1, "stages": [[-3, 1e-3]]}}, []),
-        ("embed", {"watermark": {"epochs": 1, "layer_index": 0}}, []),
-        ("verify", {}, ["--tau", "1.5"]),
+    @pytest.mark.parametrize("command, overrides, flags, cause", [
+        ("train-clean", {"grid": {"intervals": 0}}, [],
+         "grid.intervals must be int (numbers >= 1), got 0"),
+        ("train-clean", {"grid": {"degree": -1}}, [],
+         "grid.degree must be int (numbers >= 0), got -1"),
+        ("train-clean", {"grid": {"t_min": 1.0, "t_max": 1.0}}, [],
+         "grid: need finite t_min < t_max, got [1.0, 1.0]"),
+        ("train-clean", {"grid": {"t_min": 1e16, "t_max": 1e16 + 2}}, [],
+         "is too narrow for 5 intervals: knots coincide"),
+        ("train-clean", {"train": {"epochs": 1, "lr": -1e-3}}, [],
+         "train.lr must be number (numbers >= 0), got -0.001"),
+        ("train-clean", {"train": {"epochs": 1, "stages": [[1, -1e-3]]}}, [],
+         "train.stages must be [[int, number], ...] (numbers >= 0) or null, "
+         "got [[1, -0.001]]"),
+        ("embed", {"watermark": {"epochs": 1, "lr_main": -1e-3}}, [],
+         "watermark.lr_main must be number (numbers >= 0) or null, got -0.001"),
+        ("embed", {"watermark": {"epochs": 1, "lr_wm": -1e-3}}, [],
+         "watermark.lr_wm must be number (numbers >= 0) or null, got -0.001"),
+        ("embed", {"detector": {"epochs": 1, "lr": -1e-3, "n_samples": 20}}, [],
+         "detector.lr must be number (numbers >= 0), got -0.001"),
+        ("train-clean", {"model": {"widths": [2]}}, [],
+         "model.widths must list input and output widths, got [2]"),
+        ("embed", {"detector": {"epochs": 1, "n_shuffles": -1, "n_samples": 20}}, [],
+         "detector.n_shuffles must be int (numbers >= 0), got -1"),
+        ("embed", {"detector": {"epochs": 1, "n_samples": 0}}, [],
+         "detector.n_samples must be int (numbers >= 1), got 0"),
+        ("attack", {}, ["--epochs", "-1"],
+         "attack.epochs must be int (numbers >= 0), got -1"),
+        ("attack", {"attack": {"epochs": -2}}, [],
+         "attack.epochs must be int (numbers >= 0), got -2"),
+        ("train-clean", {"train": {"epochs": 1, "stages": [[-3, 1e-3]]}}, [],
+         "train.stages must be [[int, number], ...] (numbers >= 0) or null, "
+         "got [[-3, 0.001]]"),
+        ("embed", {"watermark": {"epochs": 1, "layer_index": 0}}, [],
+         "unknown config key watermark.'layer_index'"),
+        ("verify", {}, ["--tau", "1.5"],
+         "tau must be number (numbers in [0, 1]), got 1.5"),
         ("train-clean", {"dataset": {"kind": "feynman", "formula": "I.12.11",
-                                     "n": 400, "fractions": [0.5, 0.5]}}, []),
+                                     "n": 400, "fractions": [0.5, 0.5]}}, [],
+         "dataset.fractions must be [number, number, number] (numbers >= 0), "
+         "got [0.5, 0.5]"),
         ("train-clean", {"dataset": {"kind": "feynman", "formula": "I.12.11",
-                                     "n": 400, "fractions": [1.0, 0.0, 0.0]}}, []),
+                                     "n": 400, "fractions": [1.0, 0.0, 0.0]}}, [],
+         "(train, test, holdout) split sizes [400, 0, 0]: none may be empty"),
         ("train-clean", {"dataset": {"kind": "feynman", "formula": "I.12.11",
-                                     "n": 400, "fractions": [0.995, 0.002, 0.003]}}, []),
-        ("train-clean", {"tau": "0.5"}, []),
-        ("train-clean", {"tau": True}, []),
-        ("embed", {"detector": {"epochs": "5"}}, []),
-        ("embed", {"watermark": {"epochs": 1, "alpha": True}}, []),
-        ("embed", {"detector": {"epochs": 1, "n_samples": 1.5}}, []),
-        ("train-clean", {"train": {"epochs": 1, "batch_size": 0}}, []),
+                                     "n": 400, "fractions": [0.995, 0.002, 0.003]}}, [],
+         "(train, test, holdout) split sizes [398, 0, 2]: none may be empty"),
+        ("train-clean", {"tau": "0.5"}, [],
+         'tau must be number (numbers in [0, 1]), got "0.5"'),
+        ("train-clean", {"tau": True}, [],
+         "tau must be number (numbers in [0, 1]), got true"),
+        ("embed", {"detector": {"epochs": "5"}}, [],
+         'detector.epochs must be int (numbers >= 0), got "5"'),
+        ("embed", {"watermark": {"epochs": 1, "alpha": True}}, [],
+         "watermark.alpha must be number (numbers >= 0) or null, got true"),
+        ("embed", {"detector": {"epochs": 1, "n_samples": 1.5}}, [],
+         "detector.n_samples must be int (numbers >= 1), got 1.5"),
+        ("train-clean", {"train": {"epochs": 1, "batch_size": 0}}, [],
+         "train.batch_size must be int (numbers >= 1), got 0"),
         ("train-clean", {"dataset": {"kind": "feynman", "formula": "I.12.11",
-                                     "n": 0}}, []),
-        ("train-clean", {"train": {"epochs": 1.9}}, []),
+                                     "n": 0}}, [],
+         "dataset.n must be int (numbers >= 1), got 0"),
+        ("train-clean", {"train": {"epochs": 1.9}}, [],
+         "train.epochs must be int (numbers >= 0), got 1.9"),
         ("train-clean", {"dataset": {"kind": "feynman", "formula": "I.12.11",
-                                     "n": "abc"}}, []),
-        ("train-clean", {"model": {"widths": [2, 0, 1]}}, []),
-        ("embed", {"detector": {"epochs": 1, "hidden": [0], "n_samples": 20}}, []),
-        ("train-clean", {"seed": "x"}, []),
-        ("train-clean", {"watermark": 5}, []),
-        ("train-clean", {"detector": 5}, []),
-        ("train-clean", {"dataset": 5}, []),
+                                     "n": "abc"}}, [],
+         'dataset.n must be int (numbers >= 1), got "abc"'),
+        ("train-clean", {"model": {"widths": [2, 0, 1]}}, [],
+         "model.widths must be [int, ...] (numbers >= 1) or null, got [2, 0, 1]"),
+        ("embed", {"detector": {"epochs": 1, "hidden": [0], "n_samples": 20}}, [],
+         "detector.hidden must be [int, ...] (numbers >= 1), got [0]"),
+        ("train-clean", {"seed": "x"}, [],
+         'seed must be int, got "x"'),
+        ("train-clean", {"watermark": 5}, [],
+         "watermark must be a JSON object"),
+        ("train-clean", {"detector": 5}, [],
+         "detector must be a JSON object"),
+        ("train-clean", {"dataset": 5}, [],
+         "dataset must be a JSON object"),
         ("train-clean", {"task": "classification", "model": {"hidden": 4},
                          "dataset": {"kind": "idx", "images": "i", "labels": "l",
-                                     "test_images": "t"}}, []),
-        ("attack", {}, ["--kind", "prune", "--lr", "nan"]),
-        ("attack", {}, ["--lr", "inf"]),
-        ("attack", {}, ["--kind", "prune", "--lr", "-0.1"]),
-        ("attack", {}, ["--ratio", "nan"]),
-        ("attack", {}, ["--lr", "0"]),
-        ("attack", {}, ["--kind", "retrain", "--lr", "0"]),
-        ("attack", {}, ["--kind", "prune", "--ratio", "1.5"]),
-        ("attack", {"attack": {"kind": "retrain_after_prune", "ratio": 1.5}}, []),
-        ("prune-sweep", CLASSIFY, ["--step", "0"]),
-        ("prune-sweep", CLASSIFY, ["--step", "1.5"]),
-        ("prune-sweep", CLASSIFY, ["--step", "nan"]),
-        ("prune-sweep", CLASSIFY, ["--step", "1e-12"]),
-        ("train-clean", {"task": "classification", "model": {"hidden": 4}}, []),
-        ("prune-sweep", {"task": "classification", "model": {"hidden": 4}}, []),
+                                     "test_images": "t"}}, [],
+         "dataset.test_images and dataset.test_labels come as a pair"),
+        ("attack", {}, ["--kind", "prune", "--lr", "nan"],
+         "attack.lr must be number (numbers >= 0), got NaN"),
+        ("attack", {}, ["--lr", "inf"],
+         "attack.lr must be number (numbers >= 0), got Infinity"),
+        ("attack", {}, ["--kind", "prune", "--lr", "-0.1"],
+         "attack.lr must be number (numbers >= 0), got -0.1"),
+        ("attack", {}, ["--ratio", "nan"],
+         "attack.ratio must be number (numbers in [0, 1]), got NaN"),
+        ("attack", {}, ["--lr", "0"],
+         "attack: training attacks need lr > 0, got 0.0"),
+        ("attack", {}, ["--kind", "retrain", "--lr", "0"],
+         "attack: training attacks need lr > 0, got 0.0"),
+        ("attack", {}, ["--kind", "prune", "--ratio", "1.5"],
+         "attack.ratio must be number (numbers in [0, 1]), got 1.5"),
+        ("attack", {"attack": {"kind": "retrain_after_prune", "ratio": 1.5}}, [],
+         "attack.ratio must be number (numbers in [0, 1]), got 1.5"),
+        ("prune-sweep", CLASSIFY, ["--step", "0"],
+         "prune-sweep --step: step must be in [0.001, 1], got 0.0"),
+        ("prune-sweep", CLASSIFY, ["--step", "1.5"],
+         "prune-sweep --step: step must be in [0.001, 1], got 1.5"),
+        ("prune-sweep", CLASSIFY, ["--step", "nan"],
+         "prune-sweep --step: step must be in [0.001, 1], got nan"),
+        ("prune-sweep", CLASSIFY, ["--step", "1e-12"],
+         "prune-sweep --step: step must be in [0.001, 1], got 1e-12"),
+        ("train-clean", {"task": "classification", "model": {"hidden": 4}}, [],
+         "feynman targets are real-valued: the task is regression"),
+        ("prune-sweep", {"task": "classification", "model": {"hidden": 4}}, [],
+         "feynman targets are real-valued: the task is regression"),
+        ("train-clean", {"dataset": {"kind": "feynman", "n": 400}}, [],
+         "feynman dataset needs a formula id"),
+        ("train-clean", {"dataset": {"kind": "feynman", "formula": "I.12.11",
+                                     "n": 400, "fractions": [0.7, 0.15, 0.1]}}, [],
+         "dataset.fractions (train, test, holdout) must sum to 1, got [0.7, 0.15, 0.1]"),
+        # a repeated flag keeps its last value
+        ("embed", {}, ["--clean-ckpt", "missing.json"],
+         "cannot read checkpoint missing.json: [Errno 2]"),
+        ("prune-sweep", {}, [], "prune-sweep is a classification experiment"),
     ], ids=["grid_intervals_0", "grid_degree_negative", "grid_t_min_eq_t_max",
             "grid_knots_coincide",
             "negative_train_lr", "negative_stage_lr", "negative_lr_main",
@@ -630,11 +742,14 @@ class TestCommands:
             "attack_lr_zero_retrain", "attack_ratio_above_one_prune",
             "attack_ratio_above_one_retrain_config", "prune_sweep_step_0",
             "prune_sweep_step_above_1", "prune_sweep_step_nan", "prune_sweep_step_1e-12",
-            "classification_on_feynman", "prune_sweep_classification_on_feynman"])
-    def test_user_error_exits_2_and_writes_nothing(self, tmp_path, monkeypatch,
-                                                   command, overrides, flags):
-        if command == "prune-sweep":  # CLASSIFY names its IDX pair relatively
-            monkeypatch.chdir(tmp_path)
+            "classification_on_feynman", "prune_sweep_classification_on_feynman",
+            "feynman_without_formula", "fractions_not_summing_to_1",
+            "missing_checkpoint", "prune_sweep_on_regression"])
+    def test_user_error_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                   command, overrides, flags, cause):
+        # CLASSIFY names its IDX pair relatively, and missing.json lies here too
+        monkeypatch.chdir(tmp_path)
+        if command == "prune-sweep":
             write_classify_idx()
         model = tmp_path / "model.json"
         save_checkpoint(model, KanModel.create([2, 4, 1], seed=0), "clean", "hash", 0)
@@ -648,6 +763,8 @@ class TestCommands:
         out = tmp_path / "runs"
         cfg = write_config(tmp_path / "c.json", **overrides)
         assert main([command, "--config", cfg, "--out", str(out), *ckpt, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and cause in err
         assert not out.exists()
 
     # Sizes of at least 2**50 elements: their allocation fails at once, and
@@ -823,7 +940,13 @@ class TestCommands:
         assert main(["train-clean", "--config", cfg,
                      "--out", str(tmp_path)]) == 3
 
-    def test_dimension_mismatch_exit_code(self, tmp_path):
+    def test_dimension_mismatch_exit_code(self, tmp_path, capsys):
+        # model.widths must start at the data's column count
+        fresh = tmp_path / "fresh"
+        assert main(["train-clean", "--config", write_config(
+            tmp_path / "c.json", model={"widths": [3, 4, 1]}), "--out", str(fresh)]) == 4
+        assert "config widths start at 3, data has 2 columns" in capsys.readouterr().err
+        assert not fresh.exists()
         cfg = write_config(tmp_path / "c.json")
         out = str(tmp_path / "runs")
         assert main(["train-clean", "--config", cfg, "--out", out]) == 0
@@ -841,7 +964,7 @@ class TestCommands:
         assert main(["embed", "--config", cfg, "--clean-ckpt", str(wide),
                      "--out", out]) == 4
 
-    def test_detector_for_another_layer_exit_code(self, tmp_path):
+    def test_detector_for_another_layer_exit_code(self, tmp_path, capsys):
         # a detector trained on another layer's outputs expects another width
         # than layer 0's; verify's width check rejects it
         model = tmp_path / "model.json"
@@ -854,6 +977,12 @@ class TestCommands:
         assert main(["verify", "--config", write_config(tmp_path / "c.json"),
                      "--detector-ckpt", str(detector), "--suspect-ckpt", str(model),
                      "--out", str(out)]) == 4
+        assert not out.exists()
+        # a KAN where the detector's MLP belongs
+        assert main(["verify", "--config", write_config(tmp_path / "c.json"),
+                     "--detector-ckpt", str(model), "--suspect-ckpt", str(model),
+                     "--out", str(out)]) == 4
+        assert f"{model}: expected kind 'mlp', got 'kan'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["verify", "attack", "embed"])

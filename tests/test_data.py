@@ -5,10 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from kanmark.data import (FEYNMAN, PIXEL_VALUES, DataError, Dataset,
-                          IdxCountMismatchError, IdxMagicError, IdxTruncatedError,
-                          average_pool, epoch_batches, gen_feynman, load_idx,
-                          split_dataset, write_idx)
+from kanmark.data import (FEYNMAN, PIXEL_VALUES, DataError, Dataset, average_pool,
+                          epoch_batches, gen_feynman, load_idx, split_dataset,
+                          write_idx)
 
 from oracles import FEYNMAN_DENOMINATORS, feynman_ref
 
@@ -91,7 +90,7 @@ class TestLoadIdx:
         data = bytearray(images.read_bytes())
         data[3] = 0x99
         images.write_bytes(bytes(data))
-        with pytest.raises(IdxMagicError):
+        with pytest.raises(DataError, match="magic 0x00000899, expected 0x00000803"):
             load_idx(images, labels)
 
     def test_bad_label_magic(self, tmp_path):
@@ -99,19 +98,19 @@ class TestLoadIdx:
         data = bytearray(labels.read_bytes())
         data[3] = 0x00
         labels.write_bytes(bytes(data))
-        with pytest.raises(IdxMagicError):
+        with pytest.raises(DataError, match="magic 0x00000800, expected 0x00000801"):
             load_idx(images, labels)
 
     def test_truncated_payload(self, tmp_path):
         images, labels = build_idx_pair(tmp_path, np.zeros(9, dtype=np.uint8), [1])
         images.write_bytes(images.read_bytes()[:-2])
-        with pytest.raises(IdxTruncatedError):
+        with pytest.raises(DataError, match="payload needs 9 bytes, file has 7"):
             load_idx(images, labels)
 
     def test_truncated_header(self, tmp_path):
         images, labels = build_idx_pair(tmp_path, np.zeros(9, dtype=np.uint8), [1])
         images.write_bytes(b"\x00\x00")
-        with pytest.raises(IdxTruncatedError):
+        with pytest.raises(DataError, match="header needs 16 bytes, file has 2"):
             load_idx(images, labels)
 
     def test_count_mismatch(self, tmp_path):
@@ -119,7 +118,7 @@ class TestLoadIdx:
         sub = tmp_path / "other"
         sub.mkdir()
         _, lab2 = build_idx_pair(sub, np.zeros(18, dtype=np.uint8), [1, 2])
-        with pytest.raises(IdxCountMismatchError):
+        with pytest.raises(DataError, match="1 images vs 2 labels"):
             load_idx(img1, lab2)
 
     def test_label_above_nine_rejected(self, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from kanmark import (KanModel, MlpModel, adam, build_detector_dataset, build_grid,
                      calibrate_amplitude, embed, fit, gen_feynman, gen_signal,
-                     split_dataset, train_detector)
+                     split_dataset)
 from kanmark.cli import check_config
 from kanmark.pipeline import build_detector, embed_watermark, resolve_widths, train_clean
 from kanmark.watermark import default_band
@@ -73,8 +73,8 @@ def test_embed_and_detector_stages_are_the_public_sequence(train, watermark):
                seed=42)
     rows, labels = build_detector_dataset(wm, clean, train.inputs[:50], n_shuffles=3,
                                           seed=43)
-    detector = train_detector(rows, labels, hidden=[8], epochs=2, lr=1e-3,
-                              batch_size=32, seed=44)
+    detector = MlpModel.create([5, 8, 2], seed=44)
+    fit(detector, rows, labels, "classification", 2, adam(1e-3), batch_size=32, seed=44)
 
     got_wm, record = embed_watermark(clean, cfg, train, key=41, seed=42)
     got_detector = build_detector(got_wm, clean, cfg, train, data_seed=43, train_seed=44)

@@ -10,6 +10,10 @@ Removed, with the reason:
 - ``retrain_after_prune``: it was ``finetune`` of ``prune_kan``'s result, two
   public calls that ``kanmark attack`` and the tests now make themselves, so
   prune-then-train is written once, where it runs.
+- ``train_detector``: it was ``MlpModel.create`` plus ``fit`` with a
+  both-classes check that ``build_detector_dataset``'s labels always pass.
+  ``kanmark.pipeline.build_detector``, its one caller, now makes the two calls
+  itself, so the detector stage is one function.
 """
 
 import types
@@ -23,8 +27,8 @@ PUBLIC_NAMES = [
     "build_detector_dataset", "build_grid", "calibrate_amplitude", "dct",
     "edge_importances", "embed", "evaluate", "finetune", "fit", "gen_feynman",
     "gen_signal", "idct", "load_idx", "optimizer_step", "prune_kan", "prune_mlp",
-    "prune_sweep", "signal_step", "softmax", "split_dataset",
-    "train_detector", "verify", "write_idx",
+    "prune_sweep", "signal_step", "softmax", "split_dataset", "verify",
+    "write_idx",
 ]
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kanmark import (KanModel, adam, build_detector_dataset, embed, fit,
-                     gen_feynman, gen_signal, train_detector, verify)
+                     gen_feynman, gen_signal, verify)
 from kanmark import watermark
 from kanmark.mlp import MlpModel
 from kanmark.numeric import ROW_CHUNK, ShapeError, mse_core
@@ -200,7 +200,7 @@ class TestDetectorDataset:
         assert np.array_equal(rows, ref_rows)
         assert np.array_equal(labels, ref_labels)
 
-    # one grid for both models (layer 0 prepared once) or one each
+    # one grid for both models or one each
     @pytest.mark.parametrize("n, width, n_shuffles, clean_grid", [
         (2 * ROW_CHUNK + 9, 32, 10, None), (ROW_CHUNK + 1, 300, 3, None),
         (5, 4, 0, None), (ROW_CHUNK + 3, 6, 2, (2, 7))])
@@ -252,6 +252,9 @@ class TestDetectorDataset:
 
 
 class TestTrainDetector:
+    """The detector stage's fit (:func:`kanmark.pipeline.build_detector`): an
+    MLP of widths [row width, *hidden, 2] trained with cross-entropy."""
+
     def separable_dataset(self, n=60):
         rng = np.random.default_rng(3)
         wm_rows = rng.normal(size=(n, 6)) + 4.0
@@ -262,22 +265,17 @@ class TestTrainDetector:
 
     def test_separable_classes_reach_high_accuracy(self):
         inputs, labels = self.separable_dataset()
-        det = train_detector(inputs, labels, hidden=(16, 8), epochs=50, lr=1e-3,
-                             batch_size=128, seed=1)
+        det = MlpModel.create([6, 16, 8, 2], seed=1)
+        fit(det, inputs, labels, "classification", 50, adam(1e-3), batch_size=128, seed=1)
         pred = np.argmax(det.predict(inputs), axis=1)
         assert np.mean(pred == labels) >= 0.99
 
     def test_lr_zero_returns_initialization(self):
-        det = train_detector(*self.separable_dataset(n=20), hidden=(8,), epochs=5,
-                             lr=0.0, batch_size=128, seed=9)
+        det = MlpModel.create([6, 8, 2], seed=9)
+        fit(det, *self.separable_dataset(n=20), "classification", 5, adam(0.0),
+            batch_size=128, seed=9)
         init = MlpModel.create([6, 8, 2], seed=9)
         assert np.array_equal(det.params, init.params)
-
-    def test_single_class_rejected(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(ValueError):
-            train_detector(rng.normal(size=(10, 4)), np.ones(10, dtype=np.int64),
-                           hidden=(8,), epochs=1, lr=1e-3, batch_size=128)
 
 
 class TestVerify:
@@ -330,8 +328,9 @@ class TestPipelineDeterminism:
             wm = embed(clean, sig, x, y, "regression", epochs=3,
                        lr_main=1e-3, seed=22)
             rows, labels = build_detector_dataset(wm, clean, x[:60], 5, seed=23)
-            det = train_detector(rows, labels, hidden=(16, 8), epochs=10, lr=1e-3,
-                                 batch_size=128, seed=24)
+            det = MlpModel.create([4, 16, 8, 2], seed=24)
+            fit(det, rows, labels, "classification", 10, adam(1e-3), batch_size=128,
+                seed=24)
             return verify(wm, det, x[100:160]).detection_rate
 
         assert run() == run()
