@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import check_step, finetune, prune_sweep
-from .data import DataError, average_pool, gen_feynman, load_idx, split_dataset
+from .data import (DataError, Dataset, average_pool, decode_idx, gen_feynman, read_idx,
+                   split_indices)
 from .kan import KanModel, KanLayer, prune_kan
 from .mlp import MlpModel
 from .numeric import NonFiniteError, ShapeError, views
@@ -44,6 +45,7 @@ FORMAT_VERSION = 4
 # Byte layout of a checkpoint's params blob: little-endian float64.
 PARAMS_DTYPE = "<f8"
 ATTACK_KINDS = ("finetune", "prune", "retrain_after_prune")
+SPLITS = ("train", "test", "holdout")
 
 
 class ConfigError(Exception):
@@ -169,10 +171,16 @@ def _check(name: str, value, spec, null: bool) -> None:
                           f"{' or null' if null else ''}, got {json.dumps(value)}")
 
 
+def read_json(path):
+    """The JSON value of the file at ``path``, decoded as UTF-8. Raises
+    OSError, or ValueError when the file is not UTF-8 (UnicodeDecodeError)
+    or not JSON."""
+    return json.loads(Path(path).read_bytes().decode("utf-8"))
+
+
 def load_config(path, seed_override: int | None = None) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # not UTF-8 (UnicodeDecodeError) or not JSON
@@ -231,32 +239,42 @@ def config_hash(cfg: dict) -> str:
 # ---------------------------------------------------------------------------
 # datasets
 
-def resolve_dataset(cfg: dict, bundle: SeedBundle):
-    """Build (train, test, holdout) Datasets from the config; raises
-    ConfigError when one of them is empty."""
+def resolve_dataset(cfg: dict, bundle: SeedBundle, *names: str) -> tuple:
+    """The named :data:`SPLITS` of the config's dataset, in the order named;
+    (train, test, holdout) when none is named. Every file is read and checked
+    and no split may be empty (ConfigError), but only the rows of the named
+    splits are decoded into Datasets."""
     ds = cfg["dataset"]
     seed = derive_seed(bundle.data, "split")
 
-    def load(images, labels):
-        loaded = load_idx(images, labels, limit=ds["limit"])
-        if ds["pool"]:
-            loaded = average_pool(loaded, ds["pool"])
-        return loaded
+    def read(images, labels):
+        """(take, row count) of an IDX pair: take(rows) decodes and pools rows."""
+        pixels, targets = read_idx(images, labels, limit=ds["limit"])
+
+        def take(rows):
+            return average_pool(decode_idx(pixels[rows], targets[rows]), ds["pool"] or 1)
+        take(slice(0))  # the pool must fit the images, whichever rows are decoded
+        return take, len(targets)
 
     if ds["kind"] == "feynman":
         full = gen_feynman(ds["formula"], ds["n"], seed=bundle.data)
-        splits = split_dataset(full, ds["fractions"], seed=seed)
+
+        def take(rows):
+            return Dataset(full.inputs[rows], full.targets[rows])
+        parts = [(take, rows) for rows in split_indices(len(full), ds["fractions"], seed)]
     elif ds["test_images"]:
-        primary = load(ds["images"], ds["labels"])
-        secondary = load(ds["test_images"], ds["test_labels"])
-        splits = [primary, *split_dataset(secondary, [0.5, 0.5], seed=seed)]
+        primary, n = read(ds["images"], ds["labels"])
+        take, m = read(ds["test_images"], ds["test_labels"])
+        parts = [(primary, np.arange(n)),
+                 *((take, rows) for rows in split_indices(m, [0.5, 0.5], seed))]
     else:
-        splits = split_dataset(load(ds["images"], ds["labels"]), ds["fractions"],
-                               seed=seed)
-    sizes = [len(split) for split in splits]
+        take, n = read(ds["images"], ds["labels"])
+        parts = [(take, rows) for rows in split_indices(n, ds["fractions"], seed)]
+    sizes = [len(rows) for _, rows in parts]
     if 0 in sizes:
         raise ConfigError(f"(train, test, holdout) split sizes {sizes}: none may be empty")
-    return splits
+    return tuple(take(rows) for take, rows in
+                 (parts[SPLITS.index(name)] for name in names or SPLITS))
 
 
 def _train_clean(kind: str, cfg: dict, bundle: SeedBundle, train):
@@ -299,7 +317,7 @@ def save_checkpoint(path, model, stage: str, cfg_hash: str, seed: int,
 def load_checkpoint(path):
     """Returns (model, payload-metadata)."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
     except ValueError as exc:  # not UTF-8 (UnicodeDecodeError) or not JSON
@@ -395,15 +413,16 @@ def _conclude(args, cfg, test, saves, stage, **row):
 # ---------------------------------------------------------------------------
 # commands
 
-def _setup(args):
-    """(config, seed bundle, (train, test, holdout)) of a command."""
+def _setup(args, *names: str):
+    """(config, seed bundle, the named splits) of a command; all three
+    splits when none is named."""
     cfg = load_config(args.config, args.seed)
     bundle = SeedBundle(cfg["seed"])
-    return cfg, bundle, resolve_dataset(cfg, bundle)
+    return cfg, bundle, resolve_dataset(cfg, bundle, *names)
 
 
 def cmd_train_clean(args) -> int:
-    cfg, bundle, (train, test, hold) = _setup(args)
+    cfg, bundle, (train, test) = _setup(args, "train", "test")
     model = _train_clean(args.model, cfg, bundle, train)
     metric, ckpt = _conclude(args, cfg, test,
                              [(f"clean-{args.model}.json", model, "clean", None)],
@@ -436,7 +455,7 @@ def cmd_attack(args) -> int:
              "lr": args.lr, "epochs": args.epochs, "ratio": args.ratio}
     flags = {key: value for key, value in flags.items() if value is not None}
     _merge(flags, SCHEMA["attack"], "attack.")  # checked before any data is read
-    cfg, bundle, (train, test, hold) = _setup(args)
+    cfg, bundle, (train, test) = _setup(args, "train", "test")
     atk = {**cfg["attack"], **flags}
     wm = _load(args.wm_ckpt, "kan")
     kind = atk["kind"]
@@ -459,7 +478,7 @@ def cmd_attack(args) -> int:
 def cmd_verify(args) -> int:
     if args.tau is not None:  # checked before any data is read
         _merge({"tau": args.tau}, {"tau": SCHEMA["tau"]})
-    cfg, bundle, (train, test, hold) = _setup(args)
+    cfg, bundle, (hold,) = _setup(args, "holdout")
     tau = args.tau if args.tau is not None else cfg["tau"]
     detector = _load(args.detector_ckpt, "mlp")
     suspect = _load(args.suspect_ckpt, "kan")
@@ -475,7 +494,7 @@ def cmd_verify(args) -> int:
 
 def cmd_prune_sweep(args) -> int:
     _constructs("prune-sweep --step", lambda: check_step(args.step))
-    cfg, bundle, (train, test, hold) = _setup(args)
+    cfg, bundle, (train, test) = _setup(args, "train", "test")
     if cfg["task"] != "classification":
         raise ConfigError("prune-sweep is a classification experiment")
     kan, mlp = (_train_clean(kind, cfg, bundle, train) for kind in ("kan", "mlp"))

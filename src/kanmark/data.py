@@ -86,18 +86,29 @@ def _idx_records(path, magic: int, dims: int, limit: int | None = None) -> tuple
     return np.frombuffer(records, np.uint8).reshape(keep, *sizes[1:]), tuple(sizes)
 
 
-def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
-    """Parse an IDX image/label pair into a normalized Dataset. ``limit``
-    keeps the first N records (desk-scale subsets): only those image records
-    are read, but every label is read and checked."""
+def read_idx(images_path, labels_path, limit: int | None = None) -> tuple:
+    """The checked, undecoded records of an IDX image/label pair: one uint8
+    row of pixels and one int64 label per image. ``limit`` keeps the first N
+    records (desk-scale subsets): only those image records are read, but
+    every label is read and checked."""
     pixels, (count, rows, cols) = _idx_records(images_path, IMAGE_MAGIC, 3, limit)
     labels, (lab_count,) = _idx_records(labels_path, LABEL_MAGIC, 1)
     if lab_count != count:
         raise DataError(f"{count} images vs {lab_count} labels")
     if labels.size and labels.max() > 9:
         raise DataError(f"{labels_path}: labels above 9 present")
-    inputs = PIXEL_VALUES[pixels.reshape(len(pixels), rows * cols)]
-    return Dataset(inputs, labels[:len(inputs)].astype(np.int64))
+    return pixels.reshape(len(pixels), rows * cols), labels[:len(pixels)].astype(np.int64)
+
+
+def decode_idx(pixels, labels) -> Dataset:
+    """The normalized Dataset of :func:`read_idx` records (or some rows of them)."""
+    return Dataset(PIXEL_VALUES[pixels], labels)
+
+
+def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
+    """Parse an IDX image/label pair into a normalized Dataset (:func:`read_idx`
+    then :func:`decode_idx`)."""
+    return decode_idx(*read_idx(images_path, labels_path, limit))
 
 
 def _image_shape(d: int, image_shape: tuple[int, int] | None) -> tuple[int, int]:
@@ -149,7 +160,7 @@ def average_pool(dataset: Dataset, factor: int) -> Dataset:
     if rows % factor or cols % factor:
         raise DataError(f"image shape {(rows, cols)} not poolable by {factor}")
     imgs = dataset.inputs.reshape(n, rows // factor, factor, cols // factor, factor)
-    pooled = imgs.mean(axis=(2, 4)).reshape(n, -1)
+    pooled = imgs.mean(axis=(2, 4)).reshape(n, (rows // factor) * (cols // factor))
     return Dataset(pooled, dataset.targets)
 
 
@@ -242,25 +253,33 @@ def gen_feynman(formula: str, n: int, seed: int = 0) -> Dataset:
     return Dataset(x, formula.fn(x))
 
 
-def split_dataset(dataset: Dataset, fractions, seed: int = 0) -> list[Dataset]:
-    """Seeded shuffle then contiguous split into (train, test, holdout), or
-    as many of them as there are fractions.
+def split_indices(n: int, fractions, seed: int = 0) -> list[np.ndarray]:
+    """The row indices of each split of ``n`` rows: a seeded permutation of
+    range(n) cut into contiguous pieces, floor(f * n) rows for each fraction f
+    but the last, which takes the rest. 1 to 3 fractions (train, test,
+    holdout) that sum to 1.
 
     Zero fractions give empty splits (e.g. (1, 0, 0) puts everything in
-    train); an empty source dataset is an error.
+    train); no rows (n == 0) is an error.
     """
     fractions = [float(f) for f in fractions]
     if not 1 <= len(fractions) <= 3:
         raise DataError("need 1 to 3 fractions (train, test, holdout)")
     if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise DataError(f"fractions must be non-negative and sum to 1, got {fractions}")
-    n = len(dataset)
     if n == 0:
         raise DataError("cannot split an empty dataset")
     perm = np.random.default_rng(seed).permutation(n)
     cuts = np.cumsum([int(np.floor(f * n)) for f in fractions[:-1]], dtype=np.int64)
+    return np.split(perm, cuts)
+
+
+def split_dataset(dataset: Dataset, fractions, seed: int = 0) -> list[Dataset]:
+    """The Datasets of :func:`split_indices`: a seeded shuffle then
+    contiguous split into (train, test, holdout), or as many of them as
+    there are fractions."""
     return [Dataset(dataset.inputs[idx], dataset.targets[idx])
-            for idx in np.split(perm, cuts)]
+            for idx in split_indices(len(dataset), fractions, seed)]
 
 
 def epoch_batches(n: int, batch_size: int, rng: np.random.Generator):

@@ -76,7 +76,8 @@ class KanLayer:
         x = self._input(x)
         sig = sigmoid(x)
         b, slopes = basis_and_slopes(self.grid, x)
-        return {"x": x, "sig": sig, "s": x * sig, "b": b.reshape(x.shape[0], -1),
+        return {"x": x, "sig": sig, "s": x * sig,
+                "b": b.reshape(x.shape[0], x.shape[1] * self.grid.basis_count),
                 "slopes": slopes}
 
     def prepare_rows(self, x) -> dict:

@@ -164,8 +164,10 @@ def verify(suspect: KanModel, detector: MlpModel, test_inputs,
     as watermarked; ownership is claimed when the rate reaches tau.
 
     The test data must be unseen by both the suspect's training and the
-    detector's training (caller contract).
+    detector's training (caller contract). Raises ValueError on no rows.
     """
+    if np.shape(test_inputs)[:1] == (0,):
+        raise ValueError("verify needs at least one test row")
     outs = layer_outputs(suspect, test_inputs)
     if outs.shape[1] != detector.widths[0]:
         raise ShapeError(f"layer width {outs.shape[1]} vs detector input "

@@ -8,12 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kanmark import (FEYNMAN, Dataset, KanLayer, KanModel, MlpModel, build_grid,
-                     evaluate, prune_kan, prune_sweep, write_idx)
-from kanmark.cli import (SCHEMA, CheckpointError, ConfigError, SeedBundle,
+from kanmark import (FEYNMAN, Dataset, KanLayer, KanModel, MlpModel, average_pool,
+                     build_grid, evaluate, gen_feynman, load_idx, prune_kan, prune_sweep,
+                     split_dataset, write_idx)
+from kanmark.cli import (SCHEMA, SPLITS, CheckpointError, ConfigError, SeedBundle,
                          _fits, append_report_row, build_parser, canonical_json,
                          config_hash, derive_seed, load_checkpoint, load_config, main,
                          resolve_dataset, save_checkpoint)
+from kanmark.data import decode_idx
 from kanmark.pipeline import train_clean
 
 
@@ -82,6 +84,15 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_crlf_lines_load_as_lf_lines(self, tmp_path):
+        lf = write_config(tmp_path / "lf.json", watermark={"epochs": 2, "key": 3})
+        text = json.dumps(json.loads(Path(lf).read_text()), indent=1)
+        Path(lf).write_bytes(text.encode())
+        crlf = tmp_path / "crlf.json"
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        assert b"\r\n" in crlf.read_bytes()
+        assert load_config(crlf) == load_config(lf)
 
     def test_validation_errors(self, tmp_path):
         path = tmp_path / "c.json"
@@ -358,8 +369,22 @@ class TestCheckpointRoundTrip:
         assert main(["verify", "--config", write_config(tmp_path / "c.json"),
                      "--detector-ckpt", str(path), "--suspect-ckpt", str(path),
                      "--out", str(tmp_path)]) == 4
-        assert "is not UTF-8 JSON" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"compatibility error: checkpoint {path} is not UTF-8 JSON: 'utf-8' codec "
+            "can't decode byte 0xff in position 0: invalid start byte\n")
         assert not (tmp_path / "report.jsonl").exists()
+
+    @pytest.mark.parametrize("kind", ["kan", "mlp"])
+    def test_crlf_lines_load_as_lf_lines(self, tmp_path, kind):
+        model = (KanModel.create([3, 4, 2], seed=1) if kind == "kan"
+                 else MlpModel.create([3, 4, 2], seed=1))
+        lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
+        save_checkpoint(lf, model, "clean", "hash", 7, extra={"note": "a"})
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        (want, want_meta), (got, got_meta) = load_checkpoint(lf), load_checkpoint(crlf)
+        assert type(got) is type(want) and got.widths == want.widths
+        assert got.params.tobytes() == want.params.tobytes()
+        assert got_meta == want_meta
 
 
 class TestCommands:
@@ -471,7 +496,29 @@ class TestCommands:
             load_config(path)
         assert main(["train-clean", "--config", str(path),
                      "--out", str(tmp_path / "runs")]) == 2
-        assert "is not UTF-8 JSON" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"config error: config {path} is not UTF-8 JSON: 'utf-8' codec "
+            "can't decode byte 0xff in position 0: invalid start byte\n")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("flag, code, prefix", [
+        ("--config", 2, "config error: config"),
+        ("--detector-ckpt", 4, "compatibility error: checkpoint")],
+        ids=["config", "checkpoint"])
+    def test_bad_byte_past_8_kib_is_named_by_its_place_in_the_file(
+            self, tmp_path, capsys, flag, code, prefix):
+        # 10,000 bytes of JSON whitespace, more than one 8 KiB read, first.
+        path = tmp_path / "bad.json"
+        path.write_bytes(b" " * 10000 + b"\xe9{}")
+        model = tmp_path / "model.json"
+        save_checkpoint(model, MlpModel.create([4, 8, 2], seed=0), "detector", "hash", 0)
+        argv = {"--config": write_config(tmp_path / "c.json"),
+                "--detector-ckpt": str(model), "--suspect-ckpt": str(path), flag: str(path)}
+        assert main(["verify", *(a for pair in argv.items() for a in pair),
+                     "--out", str(tmp_path / "runs")]) == code
+        assert capsys.readouterr().err == (
+            f"{prefix} {path} is not UTF-8 JSON: 'utf-8' codec can't decode byte 0xe9 "
+            "in position 10000: invalid continuation byte\n")
         assert not (tmp_path / "runs").exists()
 
     def test_train_clean_creates_nested_out(self, tmp_path):
@@ -589,18 +636,23 @@ class TestCommands:
         assert sorted(p.name for p in out.iterdir()) == ["clean-kan.json", "report.jsonl"]
         assert len((out / "report.jsonl").read_text().splitlines()) == 1
 
-    @pytest.mark.parametrize("watermark", [{"alpha": -0.5}, {"band": [3, 1]},
-                                           {"epochs": 0}, {"band": [1, 4]},
-                                           {"alpha": 0.1, "band": [1, 4]}],
-                             ids=["negative_alpha", "reversed_band", "zero_epochs",
-                                  "band_wider_than_layer",
-                                  "band_wider_than_layer_fixed_alpha"])
-    def test_invalid_watermark_config_exit_code(self, tmp_path, watermark):
+    @pytest.mark.parametrize("watermark, cause", [
+        ({"alpha": -0.5}, "config error: watermark.alpha must be number"),
+        ({"band": [3, 1]}, "config error: watermark.band must be [lo, hi]"),
+        ({"epochs": 0}, "config error: watermark.epochs must be int"),
+        # Checked only against layer 0's width, inside the watermark stage.
+        ({"band": [1, 4]}, "config error: watermark: band [1, 4] invalid for length 4"),
+        ({"alpha": 0.1, "band": [1, 4]},
+         "config error: watermark: band [1, 4] invalid for length 4"),
+    ], ids=["negative_alpha", "reversed_band", "zero_epochs", "band_wider_than_layer",
+            "band_wider_than_layer_fixed_alpha"])
+    def test_invalid_watermark_config_exit_code(self, tmp_path, capsys, watermark, cause):
         clean = tmp_path / "clean.json"
         save_checkpoint(clean, KanModel.create([2, 4, 1], seed=0), "clean", "hash", 0)
         cfg = write_config(tmp_path / "c.json", watermark=watermark)
         assert main(["embed", "--config", cfg, "--clean-ckpt", str(clean),
                      "--out", str(tmp_path)]) == 2
+        assert cause in capsys.readouterr().err
         assert not (tmp_path / "watermarked-kan.json").exists()
 
     @pytest.mark.parametrize("command, overrides, flags, cause", [
@@ -1099,6 +1151,136 @@ class TestCommands:
         assert main(["prune-sweep", "--config", "c.json", "--step", "1",
                      "--out", "a/b/c"]) == 0
         assert Path("a/b/c/prune_sweep.json").is_file()
+
+
+class TestResolveDataset:
+    """resolve_dataset's splits are split_dataset's of the whole loaded data,
+    byte for byte, though it decodes only the rows of the splits named."""
+
+    @staticmethod
+    def write_pair(stem: str, n: int, seed: int):
+        """An IDX pair of ``n`` random 4x4 byte images; returns (images, labels)."""
+        rng = np.random.default_rng(seed)
+        paths = (f"{stem}-images.idx", f"{stem}-labels.idx")
+        write_idx(Dataset(rng.integers(0, 256, (n, 16)) / 127.5 - 1.0,
+                          rng.integers(0, 10, n)), *paths, image_shape=(4, 4))
+        return paths
+
+    CASES = {
+        "idx": {},
+        "idx_limit": {"limit": 47},
+        "idx_pool": {"pool": 2},
+        "idx_limit_pool": {"limit": 47, "pool": 2},
+        "idx_test_files": {"test_files": True},
+        "idx_test_files_limit_pool": {"test_files": True, "limit": 23, "pool": 2},
+        "feynman": None,
+    }
+
+    def config(self, case: str) -> dict:
+        """The checked config of ``case``, its IDX files written to the
+        working directory."""
+        if self.CASES[case] is None:
+            return load_config(write_config(Path("c.json")))
+        dataset = {key: value for key, value in self.CASES[case].items()
+                   if key != "test_files"}
+        dataset["images"], dataset["labels"] = self.write_pair("train", 60, 0)
+        if self.CASES[case].get("test_files"):
+            dataset["test_images"], dataset["test_labels"] = self.write_pair("test", 31, 1)
+        return load_config(write_config(Path("c.json"), task="classification",
+                                        dataset=dataset, model={"widths": None}))
+
+    @staticmethod
+    def expected(cfg: dict) -> list[Dataset]:
+        """(train, test, holdout) from whole-file loads and split_dataset."""
+        ds, bundle = cfg["dataset"], SeedBundle(cfg["seed"])
+        seed = derive_seed(bundle.data, "split")
+        if ds["kind"] == "feynman":
+            full = gen_feynman(ds["formula"], ds["n"], seed=bundle.data)
+            return split_dataset(full, ds["fractions"], seed=seed)
+
+        def load(images, labels):
+            return average_pool(load_idx(images, labels, limit=ds["limit"]),
+                                ds["pool"] or 1)
+
+        if ds["test_images"]:
+            return [load(ds["images"], ds["labels"]),
+                    *split_dataset(load(ds["test_images"], ds["test_labels"]),
+                                   [0.5, 0.5], seed=seed)]
+        return split_dataset(load(ds["images"], ds["labels"]), ds["fractions"], seed=seed)
+
+    @pytest.mark.parametrize("names", [(), ("holdout",), ("train", "test"),
+                                       ("test", "holdout", "train")])
+    @pytest.mark.parametrize("case", CASES)
+    def test_named_splits_are_byte_equal_to_split_dataset(self, tmp_path, monkeypatch,
+                                                          case, names):
+        monkeypatch.chdir(tmp_path)
+        cfg = self.config(case)
+        want = dict(zip(SPLITS, self.expected(cfg)))
+        got = resolve_dataset(cfg, SeedBundle(cfg["seed"]), *names)
+        assert len(got) == len(names or SPLITS)
+        for name, split in zip(names or SPLITS, got):
+            for key in ("inputs", "targets"):
+                a, b = getattr(split, key), getattr(want[name], key)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("case", ["idx", "idx_test_files_limit_pool"])
+    def test_verify_decodes_only_holdout_rows(self, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        cfg = self.config(case)
+        train, test, hold = resolve_dataset(cfg, SeedBundle(cfg["seed"]))
+        width = train.inputs.shape[1]
+        save_checkpoint("kan.json", KanModel.create([width, 4, 10], seed=0),
+                        "clean", "hash", 0)
+        save_checkpoint("mlp.json", MlpModel.create([4, 8, 2], seed=0), "detector",
+                        "hash", 0)
+        decoded = []
+
+        def recording_decode_idx(pixels, labels):
+            decoded.append(len(pixels))
+            return decode_idx(pixels, labels)
+
+        monkeypatch.setattr("kanmark.cli.decode_idx", recording_decode_idx)
+        assert main(["verify", "--config", "c.json", "--detector-ckpt", "mlp.json",
+                     "--suspect-ckpt", "kan.json", "--out", "runs"]) == 0
+        assert sum(decoded) == len(hold) < len(train) + len(test) + len(hold)
+        decoded.clear()
+        resolve_dataset(cfg, SeedBundle(cfg["seed"]), "train", "test")
+        assert sum(decoded) == len(train) + len(test)
+
+    @pytest.mark.parametrize("defect, cause", [
+        ("missing_images", "data error: cannot read train-images.idx: [Errno 2] "
+                           "No such file or directory: 'train-images.idx'"),
+        ("truncated_images", "data error: train-images.idx: payload needs 960 bytes, "
+                             "file has 959"),
+        ("bad_label_magic", "data error: train-labels.idx: magic 0x00000803, "
+                            "expected 0x00000801"),
+        ("labels_above_9", "data error: train-labels.idx: labels above 9 present"),
+    ])
+    @pytest.mark.parametrize("case", ["idx", "idx_test_files"])
+    def test_damaged_train_files_fail_verify(self, tmp_path, monkeypatch, capsys, case,
+                                             defect, cause):
+        # verify decodes holdout rows alone, which the test files hold when
+        # given, but still reads and checks the training files.
+        monkeypatch.chdir(tmp_path)
+        self.config(case)
+        images, labels = Path("train-images.idx"), Path("train-labels.idx")
+        if defect == "missing_images":
+            images.unlink()
+        elif defect == "truncated_images":
+            images.write_bytes(images.read_bytes()[:-1])
+        elif defect == "bad_label_magic":
+            labels.write_bytes(images.read_bytes()[:4] + labels.read_bytes()[4:])
+        else:
+            labels.write_bytes(labels.read_bytes()[:-1] + b"\x0a")
+        save_checkpoint("kan.json", KanModel.create([16, 4, 10], seed=0), "clean",
+                        "hash", 0)
+        save_checkpoint("mlp.json", MlpModel.create([4, 8, 2], seed=0), "detector",
+                        "hash", 0)
+        assert main(["verify", "--config", "c.json", "--detector-ckpt", "mlp.json",
+                     "--suspect-ckpt", "kan.json", "--out", "runs"]) == 3
+        assert capsys.readouterr().err == cause + "\n"
+        assert not Path("runs").exists()
 
 
 class TestParser:

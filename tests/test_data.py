@@ -7,7 +7,7 @@ import pytest
 
 from kanmark.data import (FEYNMAN, PIXEL_VALUES, DataError, Dataset, average_pool,
                           epoch_batches, gen_feynman, load_idx, split_dataset,
-                          write_idx)
+                          split_indices, write_idx)
 
 from oracles import FEYNMAN_DENOMINATORS, feynman_ref
 
@@ -290,6 +290,19 @@ class TestAveragePool:
         with pytest.raises(DataError):
             average_pool(ds, 2)
 
+    def test_zero_rows_pool_to_zero_rows(self):
+        ds = Dataset(np.zeros((0, 16)), np.zeros(0, dtype=np.int64))
+        assert average_pool(ds, 2).inputs.shape == (0, 4)
+        with pytest.raises(DataError, match="not poolable by 3"):
+            average_pool(ds, 3)
+
+    def test_rows_pool_as_they_do_among_all_rows(self):
+        rng = np.random.default_rng(2)
+        ds = Dataset(PIXEL_VALUES[rng.integers(0, 256, (40, 64))], rng.integers(0, 10, 40))
+        rows = rng.permutation(40)[:7]
+        some = average_pool(Dataset(ds.inputs[rows], ds.targets[rows]), 4)
+        assert some.inputs.tobytes() == average_pool(ds, 4).inputs[rows].tobytes()
+
 
 class TestSplit:
     def make(self, n=100, d=3):
@@ -319,6 +332,20 @@ class TestSplit:
         order = np.lexsort(seen.T)
         base = np.lexsort(ds.inputs.T)
         assert np.array_equal(seen[order], ds.inputs[base])
+
+    # One fraction, which the docstring allows, keeps every row in the seeded order.
+    @pytest.mark.parametrize("fractions", [(1.0,), (0.5, 0.5), (0.7, 0.15, 0.15)])
+    def test_splits_are_the_seeded_order_cut_at_each_fraction(self, fractions):
+        ds = self.make(n=57)
+        rows = split_indices(57, fractions, seed=4)
+        order = np.random.default_rng(4).permutation(57)
+        assert np.concatenate(rows).tobytes() == order.tobytes()
+        assert [len(r) for r in rows[:-1]] == [int(f * 57) for f in fractions[:-1]]
+        splits = split_dataset(ds, fractions, seed=4)
+        assert len(splits) == len(fractions)
+        for split, idx in zip(splits, rows):
+            assert split.inputs.tobytes() == ds.inputs[idx].tobytes()
+            assert split.targets.tobytes() == ds.targets[idx].tobytes()
 
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(DataError):

@@ -163,6 +163,15 @@ class TestPrepareRows:
         for key, a in rows.items():
             assert a.shape == whole[key].shape and a.tobytes() == whole[key].tobytes()
 
+    def test_zero_rows_of_the_right_width(self):
+        layer, x = random_layer(3, 2, seed=33), np.zeros((0, 3))
+        whole, rows = layer.prepare(x), layer.prepare_rows(x)
+        for key, a in rows.items():
+            assert a.shape == whole[key].shape and a.tobytes() == whole[key].tobytes()
+        assert rows["b"].shape == (0, 3 * layer.grid.basis_count)
+        assert layer.forward(x)[0].shape == (0, 2)
+        assert KanModel.create([3, 4, 2], seed=0).predict(x).shape == (0, 2)
+
     @pytest.mark.parametrize("method", ["prepare_rows", "forward"])
     def test_empty_batch_of_wrong_width_rejected(self, method):
         # prepare_rows runs no chunk on an empty batch, so checks its width first.

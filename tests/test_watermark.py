@@ -308,6 +308,14 @@ class TestVerify:
         assert (result.detection_rate, result.threshold) == (positives / 8, 0.5)
         assert result.decision is decision
 
+    def test_no_rows_rejected_before_any_forward_pass(self, monkeypatch):
+        model = KanModel.create([2, 4, 1], seed=16)
+        stub = MlpModel([np.zeros((2, 4))], [np.zeros(2)])
+        monkeypatch.setattr("kanmark.kan.KanLayer.forward",
+                            lambda *a: pytest.fail("forwarded"))
+        with pytest.raises(ValueError, match="at least one test row"):
+            verify(model, stub, np.zeros((0, 2)))
+
     def test_dim_mismatch(self):
         x, _ = small_task(seed=10)
         model = KanModel.create([2, 4, 1], seed=16)
