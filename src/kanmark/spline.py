@@ -70,14 +70,14 @@ def _local_basis(grid: SplineGrid, x: np.ndarray):
     B-splines of degrees k - 1 (empty for k = 0) and k nonzero on it;
     values[r] is basis function idx - d + r of that degree d.
 
-    Intervals are right-open; a point at the last knot falls into the final
-    interval, so the basis stays a partition of unity at t_max without knot
-    extension. On uniform knots Cox-de Boor in u = (x - t_idx) / h reads
+    Intervals are right-open, so a point at t_max gets idx = basis_count (at
+    k = 0, past the final interval); :func:`_scatter` clips the column that
+    lands past the row. On uniform knots Cox-de Boor in u = (x - t_idx) / h reads
     N_r^j = ((u + j - r) N_{r-1}^{j-1} + (r + 1 - u) N_r^{j-1}) / j.
     """
     knots = grid.knots
     x = np.minimum(np.maximum(x, grid.t_min), grid.t_max)
-    idx = np.minimum(np.searchsorted(knots, x, side="right") - 1, len(knots) - 2)
+    idx = np.searchsorted(knots, x, side="right") - 1
     u = (x - knots[idx]) / grid.spacing
     lower, b = [], [np.ones_like(u)]
     for j in range(1, grid.degree + 1):
@@ -88,11 +88,11 @@ def _local_basis(grid: SplineGrid, x: np.ndarray):
 
 def _scatter(idx: np.ndarray, local: list, width: int) -> np.ndarray:
     # Contiguous dense (n, width) rows from the local columns of _local_basis.
-    # At x = t_max (degree >= 1) idx is the extension interval, whose last
-    # column would land one past the width, on the next row's first entry.
-    # That column is written first, clipped to the row's last entry, which
-    # the column before it then overwrites. Its value is 0 for the basis but
-    # not for the slopes at degree 1, so it must not spill.
+    # At x = t_max idx is the width, so its last column would land one past
+    # the width, on the next row's first entry. That column is written first,
+    # clipped to the row's last entry: at degree 0 it is the basis value 1;
+    # above, the column before it then overwrites it. Its value there is 0
+    # for the basis but not for the slopes at degree 1, so it must not spill.
     out = np.zeros((idx.size, width))
     flat = out.ravel()
     rows = np.arange(0, flat.size, width)

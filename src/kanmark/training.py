@@ -54,8 +54,7 @@ def train_step(model, x, y, task: str, opt) -> float:
     return loss
 
 
-def steps(model, inputs, targets, task: str, epochs: int, opt,
-          batch_size: int = 64, seed: int = 0):
+def steps(model, inputs, targets, task: str, epochs: int, opt, batch_size: int, seed: int):
     """Train in place, yielding (epoch, batch, loss) after each step; the
     batch is the step's model input from :func:`batch_inputs`.
 

@@ -25,8 +25,7 @@ def _dct_matrix(n: int) -> np.ndarray:
     angles = np.pi * (np.arange(n, dtype=np.float64)[None, :] + 0.5) / n
     c = np.cos(k * angles)
     c[0] *= np.sqrt(1.0 / n)
-    if n > 1:
-        c[1:] *= np.sqrt(2.0 / n)
+    c[1:] *= np.sqrt(2.0 / n)
     c.setflags(write=False)
     return c
 

@@ -66,7 +66,7 @@ def calibrate_amplitude(model: KanModel, calibration, band,
 def default_band(length: int) -> tuple[int, int]:
     """Mid-frequency band [N//4, N//2]: away from DC and from the fragile
     top frequencies."""
-    return length // 4, min(length // 2, length - 1)
+    return length // 4, length // 2
 
 
 def signal_step(model: KanModel, prepared: dict, signal: np.ndarray, opt) -> None:

@@ -3,7 +3,7 @@ import pytest
 
 from kanmark import (KanModel, MlpModel, adam, evaluate, fit, gen_feynman,
                      prune_kan, prune_mlp)
-from kanmark.attacks import finetune, prune_sweep
+from kanmark.attacks import check_step, finetune, prune_sweep
 from kanmark import attacks
 from kanmark.cli import SeedBundle, load_checkpoint, load_config, main, resolve_dataset, \
     save_checkpoint
@@ -200,10 +200,21 @@ class TestPruneSweep:
                            "mlp_loss": mlp_eval["loss"],
                            "mlp_accuracy": mlp_eval["accuracy"]}
 
+    def test_ratios_are_rounded_to_10_decimals(self, trained_pair):
+        kan, mlp, x, y = trained_pair
+        rows = prune_sweep(kan, mlp, x[200:], y[200:], calibration=x[:64], step=1 / 3)
+        assert [row["ratio"] for row in rows] == [0.0, 0.3333333333, 0.6666666667, 1.0]
+
     def test_bad_step(self, trained_pair):
         kan, mlp, x, y = trained_pair
         with pytest.raises(ValueError):
             prune_sweep(kan, mlp, x[200:], y[200:], calibration=x[:64], step=0.0)
+
+    def test_step_bounds_are_allowed(self):
+        for step in (0.001, 1):
+            check_step(step)
+        with pytest.raises(ValueError, match=r"step must be in \[0.001, 1\]"):
+            check_step(np.nextafter(0.001, 0.0))
 
 
 class TestRunAttack:

@@ -128,19 +128,28 @@ class TestConfig:
                 f"{name} must be number (numbers in [0, 1]), got 1.0000000001")):
             load(1.0000000001)
 
-    @pytest.mark.parametrize("section, key", [("dataset", "pool"), ("dataset", "n"),
-                                              ("detector", "n_samples")])
-    def test_counts_start_at_1(self, tmp_path, section, key):
+    # watermark.key starts at 0: numpy seeds its generator from any key >= 0.
+    COUNTS = [("dataset", "pool", 1), ("dataset", "n", 1), ("dataset", "limit", 1),
+              ("model", "hidden", 1), ("detector", "n_samples", 1),
+              ("detector", "batch_size", 1), ("watermark", "key", 0)]
+
+    @pytest.mark.parametrize("section, key, least", COUNTS,
+                             ids=[f"{section}-{key}" for section, key, _ in COUNTS])
+    def test_counts_start_at_1(self, tmp_path, section, key, least):
         def load(value):
             entry = {key: value}
             if section == "dataset":
                 entry.update(kind="feynman", formula="I.12.11")
             return load_config(write_config(tmp_path / "c.json", **{section: entry}))
 
-        assert load(1)[section][key] == 1
+        assert load(least)[section][key] == least
         with pytest.raises(ConfigError, match=re.escape(
-                f"{section}.{key} must be int (numbers >= 1)")):
-            load(0)
+                f"{section}.{key} must be int (numbers >= {least})")):
+            load(least - 1)
+
+    def test_two_widths_make_one_layer(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "c.json", model={"widths": [2, 1]}))
+        assert cfg["model"]["widths"] == [2, 1]
 
     def test_list_kinds_are_worded_by_length(self, tmp_path):
         # model.widths holds any number of ints, watermark.band exactly two.
@@ -156,6 +165,11 @@ class TestConfig:
         report = tmp_path / "report.jsonl"
         assert not report.exists() or report.read_text() == ""
 
+    def test_canonical_json_refuses_nan(self):
+        # Checkpoints and the sweep table are strict JSON.
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            canonical_json({"loss": float("nan")})
+
     @pytest.mark.parametrize("overrides, key", [
         ({"watermark": {"key": -1}}, "watermark.key"),
         ({"watermark": {"key": "k"}}, "watermark.key"),
@@ -167,16 +181,41 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{key} must be "):
             load_config(write_config(tmp_path / "c.json", **overrides))
 
-    def test_every_default_fits_its_own_kind(self):
-        def leaves(schema, path=""):
-            for key, spec in schema.items():
-                if isinstance(spec, dict):
-                    yield from leaves(spec, f"{path}{key}.")
-                else:
-                    yield f"{path}{key}", spec
+    @staticmethod
+    def leaves(schema, path=""):
+        """(dotted name, spec) of every leaf of ``schema``."""
+        for key, spec in schema.items():
+            if isinstance(spec, dict):
+                yield from TestConfig.leaves(spec, f"{path}{key}.")
+            else:
+                yield f"{path}{key}", spec
 
-        for name, (default, kind, *bounds) in leaves(SCHEMA):
+    def test_every_default_fits_its_own_kind(self):
+        for name, (default, kind, *bounds) in self.leaves(SCHEMA):
             assert default is None or _fits(default, kind, *bounds), name
+
+    def test_every_default_is_pinned(self):
+        # A changed default changes every run whose config leaves the key out.
+        assert {name: spec[0] for name, spec in self.leaves(SCHEMA)} == {
+            "task": "classification",
+            "dataset.kind": "idx", "dataset.images": None, "dataset.labels": None,
+            "dataset.test_images": None, "dataset.test_labels": None,
+            "dataset.limit": None, "dataset.pool": None, "dataset.formula": None,
+            "dataset.n": 3000, "dataset.fractions": [0.7, 0.15, 0.15],
+            "model.widths": None, "model.hidden": None,
+            "grid.degree": 3, "grid.intervals": 5, "grid.t_min": -1.0, "grid.t_max": 1.0,
+            "train.epochs": 50, "train.lr": 1e-3, "train.batch_size": 64,
+            "train.stages": None,
+            "watermark.band": None, "watermark.alpha": None,
+            "watermark.amplitude_scale": 0.3, "watermark.epochs": 8,
+            "watermark.lr_main": None, "watermark.lr_wm": None, "watermark.key": None,
+            "detector.hidden": [64, 32], "detector.epochs": 50, "detector.lr": 1e-3,
+            "detector.n_shuffles": 10, "detector.n_samples": 2000,
+            "detector.batch_size": 128,
+            "attack.kind": "finetune", "attack.lr": 1e-3, "attack.epochs": 8,
+            "attack.ratio": 0.6,
+            "tau": 0.5, "seed": 0,
+        }
 
     def test_readme_quickstart_config_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -198,16 +237,18 @@ class TestConfig:
 
 class TestCheckpointRoundTrip:
     def test_kan_byte_identical_resave(self, tmp_path):
-        model = KanModel.create([3, 4, 2], seed=1)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_checkpoint(p1, model, "clean", "hash", 7)
-        loaded, meta = load_checkpoint(p1)
-        assert meta["stage"] == "clean"
-        save_checkpoint(p2, loaded, meta["stage"], meta["config_hash"],
-                        meta["seed"])
-        assert p1.read_bytes() == p2.read_bytes()
-        x = np.random.default_rng(0).uniform(-1, 1, size=(5, 3))
-        assert np.array_equal(model.forward(x)[0], loaded.forward(x)[0])
+        # Three layers too: layer k's arrays start at 3 * k of the params views.
+        for widths in ([3, 4, 2], [3, 4, 5, 2]):
+            model = KanModel.create(widths, seed=1)
+            p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+            save_checkpoint(p1, model, "clean", "hash", 7)
+            loaded, meta = load_checkpoint(p1)
+            assert meta["stage"] == "clean" and loaded.widths == widths
+            save_checkpoint(p2, loaded, meta["stage"], meta["config_hash"],
+                            meta["seed"])
+            assert p1.read_bytes() == p2.read_bytes()
+            x = np.random.default_rng(0).uniform(-1, 1, size=(5, 3))
+            assert np.array_equal(model.forward(x)[0], loaded.forward(x)[0])
 
     def test_mlp_byte_identical_resave(self, tmp_path):
         model = MlpModel.create([4, 8, 2], seed=2)
@@ -413,6 +454,7 @@ class TestCommands:
 
         report = Path(out) / "report.jsonl"
         rows = [json.loads(line) for line in report.read_text().splitlines()]
+        assert all(list(row) == sorted(row) for row in rows)  # keys in sorted order
         stages = [row["stage"] for row in rows]
         assert stages[:2] == ["clean", "watermarked"]
         assert "verify" in stages
@@ -775,6 +817,15 @@ class TestCommands:
         ("embed", {}, ["--clean-ckpt", "missing.json"],
          "cannot read checkpoint missing.json: [Errno 2]"),
         ("prune-sweep", {}, [], "prune-sweep is a classification experiment"),
+        ("train-clean", {"task": "classification", "model": {"hidden": 4},
+                         "dataset": {"kind": "idx", "images": "i"}}, [],
+         "idx dataset needs images and labels paths"),
+        ("train-clean", {"detector": {"hidden": []}}, [],
+         "detector.hidden must be [int, ...] (numbers >= 1), got []"),
+        # split_indices allows the same 1e-9, so this would be a data error later
+        ("train-clean", {"dataset": {"kind": "feynman", "formula": "I.12.11",
+                                     "n": 400, "fractions": [0.7, 0.15, 0.1500000015]}}, [],
+         "dataset.fractions (train, test, holdout) must sum to 1"),
     ], ids=["grid_intervals_0", "grid_degree_negative", "grid_t_min_eq_t_max",
             "grid_knots_coincide",
             "negative_train_lr", "negative_stage_lr", "negative_lr_main",
@@ -796,7 +847,8 @@ class TestCommands:
             "prune_sweep_step_above_1", "prune_sweep_step_nan", "prune_sweep_step_1e-12",
             "classification_on_feynman", "prune_sweep_classification_on_feynman",
             "feynman_without_formula", "fractions_not_summing_to_1",
-            "missing_checkpoint", "prune_sweep_on_regression"])
+            "missing_checkpoint", "prune_sweep_on_regression", "idx_images_without_labels",
+            "empty_detector_hidden", "fractions_1.5e-9_above_1"])
     def test_user_error_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
                                                    command, overrides, flags, cause):
         # CLASSIFY names its IDX pair relatively, and missing.json lies here too
@@ -962,7 +1014,7 @@ class TestCommands:
         assert not out.exists()
 
     @staticmethod
-    def verify_with_tau(tmp_path, tau: str) -> int:
+    def verify_with_tau(tmp_path, tau: str, out: str = "runs") -> int:
         """Exit code of ``verify --tau tau`` on fresh 2-4-1 and 4-8-2 models."""
         cfg = write_config(tmp_path / "c.json")
         suspect, detector = tmp_path / "kan.json", tmp_path / "mlp.json"
@@ -970,7 +1022,12 @@ class TestCommands:
         save_checkpoint(detector, MlpModel.create([4, 8, 2], seed=0), "detector", "hash", 0)
         return main(["verify", "--config", cfg, "--detector-ckpt", str(detector),
                      "--suspect-ckpt", str(suspect), "--tau", tau,
-                     "--out", str(tmp_path / "runs")])
+                     "--out", str(tmp_path / out)])
+
+    def test_verify_creates_nested_out(self, tmp_path):
+        assert self.verify_with_tau(tmp_path, "0.5", out="a/b/runs") == 0
+        row = json.loads((tmp_path / "a/b/runs/report.jsonl").read_text())
+        assert (row["stage"], row["suspect"]) == ("verify", "kan.json")
 
     def test_verify_accepts_tau_zero(self, tmp_path, capsys):
         assert self.verify_with_tau(tmp_path, "0") == 0
@@ -1148,9 +1205,9 @@ class TestCommands:
         monkeypatch.chdir(tmp_path)
         write_classify_idx()
         Path("c.json").write_text(json.dumps({**CLASSIFY, "train": {"epochs": 1}}))
-        assert main(["prune-sweep", "--config", "c.json", "--step", "1",
-                     "--out", "a/b/c"]) == 0
-        assert Path("a/b/c/prune_sweep.json").is_file()
+        assert main(["prune-sweep", "--config", "c.json", "--out", "a/b/c"]) == 0
+        table = json.loads(Path("a/b/c/prune_sweep.json").read_text())
+        assert [row["ratio"] for row in table] == [k / 10 for k in range(11)]  # --step 0.1
 
 
 class TestResolveDataset:
@@ -1348,6 +1405,12 @@ class TestParser:
             main([])
         assert exc.value.code == 2
         assert "the following arguments are required: command" in capsys.readouterr().err
+
+    def test_command_without_config_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-clean"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
 
     def test_help_is_the_same_on_every_call(self, capsys):
         build_parser.cache_clear()

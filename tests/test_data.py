@@ -5,8 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from kanmark.data import (FEYNMAN, PIXEL_VALUES, DataError, Dataset, average_pool,
-                          epoch_batches, gen_feynman, load_idx, split_dataset,
+from kanmark.data import (FEYNMAN, MAX_REDRAWS, PIXEL_VALUES, DataError, Dataset,
+                          average_pool, epoch_batches, gen_feynman, load_idx, split_dataset,
                           split_indices, write_idx)
 
 from oracles import FEYNMAN_DENOMINATORS, feynman_ref
@@ -169,12 +169,25 @@ class TestLoadIdx:
         with pytest.raises(DataError):
             write_idx(not_square, tmp_path / "a.idx", tmp_path / "b.idx")
 
+    @pytest.mark.parametrize("label", [-1, 256])
+    def test_write_refuses_labels_that_are_not_bytes(self, tmp_path, label):
+        ds = Dataset(np.zeros((2, 4)), np.array([0, label]))
+        with pytest.raises(DataError, match="labels must be bytes"):
+            write_idx(ds, tmp_path / "images.idx", tmp_path / "labels.idx")
+
+    def test_write_keeps_the_greatest_byte_label(self, tmp_path):
+        labels = tmp_path / "labels.idx"
+        write_idx(Dataset(np.zeros((2, 4)), np.array([0, 255])), tmp_path / "images.idx",
+                  labels)
+        assert labels.read_bytes()[8:] == bytes([0, 255])
+
 
 class TestFeynman:
     def test_registry_has_all_formulas(self):
         assert len(FEYNMAN) == 24
         assert FEYNMAN["I.12.11"].arity == 2
         assert FEYNMAN["I.9.18"].arity == 6
+        assert FEYNMAN["I.50.26"].arity == 2  # its second variable goes unused
 
     def test_formula_identity_at_zero_coupling(self):
         f = FEYNMAN["I.12.11"]
@@ -199,10 +212,33 @@ class TestFeynman:
             assert np.all(guard >= 1e-6), fid
             assert np.all(np.isfinite(ds.targets))
 
+    # Rows where each denominator vanishes; a guard is a plain function, so
+    # some lie outside the sampled cube. sin(pi)**2 is about 1.5e-32.
+    ZEROS = {
+        "I.6.2": [[0.3, 0.0]],
+        "I.6.2b": [[0.3, -0.2, 0.0]],
+        "I.9.18": [[0.3, 1.0, 0.5, 0.5, -0.2, -0.2]],
+        "I.13.12": [[0.3, 0.0]],
+        "I.15.3x": [[0.3, 1.0], [0.3, -1.0]],
+        "I.16.6": [[0.5, -2.0]],
+        "I.18.4": [[-1.0, 0.4]],
+        "I.27.2": [[2.0, -0.5]],
+        "I.30.3": [[0.3, 0.0], [0.3, 2 * np.pi]],
+        "II.11.27": [[1.5, 2.0]],
+        "II.38.3": [[0.3, 0.0]],
+        "III.9.52": [[0.3, 0.4, 0.4]],
+    }
+
+    # MIN_DENOMINATOR bounds |denominator|, or the radicand of a square-root
+    # denominator: the guard is that quantity, not merely zero where it is.
+    RADICANDS = {"I.6.2": lambda den: den ** 2 / (2 * np.pi),
+                 "I.6.2b": lambda den: den ** 2 / (2 * np.pi),
+                 "I.15.3x": lambda den: den ** 2}
+
     def test_guards_track_the_vanishing_denominators(self):
         # A guard on another expression would only redraw other rows.
         guarded = sorted(fid for fid, f in FEYNMAN.items() if f.guard is not None)
-        assert guarded == sorted(FEYNMAN_DENOMINATORS)
+        assert guarded == sorted(FEYNMAN_DENOMINATORS) == sorted(self.ZEROS)
         rng = np.random.default_rng(23)
         for fid in guarded:
             x = rng.uniform(-1.0, 1.0, size=(200, FEYNMAN[fid].arity))
@@ -210,6 +246,13 @@ class TestFeynman:
             den = np.abs([FEYNMAN_DENOMINATORS[fid](row) for row in x])
             # rows ordered by |denominator| have a non-decreasing guard
             assert np.all(np.diff(guard[np.lexsort((guard, den))]) >= 0), fid
+            # 0 where the denominator is (about) 0, positive and to scale elsewhere
+            x = np.vstack([x, self.ZEROS[fid]])
+            guard = FEYNMAN[fid].guard(x)
+            den = np.abs([FEYNMAN_DENOMINATORS[fid](row) for row in x])
+            assert np.all(den[200:] < 1e-30) and np.all(den[:200] > 0), fid
+            assert guard == pytest.approx(self.RADICANDS.get(fid, abs)(den), rel=1e-12,
+                                          abs=1e-30), fid
 
     def test_size_check_counts_every_input(self):
         # 2**59 floats fit numpy's size limit; 2**59 rows of 6 inputs do not.
@@ -235,11 +278,36 @@ class TestFeynman:
         with pytest.raises(DataError, match="formula III.9.52 still rejects 50 of 50 "
                                             "rows after 100 redraws"):
             gen_feynman("III.9.52", 50, seed=0)
-        assert calls == [50] * 101  # the first draw, then each redraw
+        assert calls == [50] * (MAX_REDRAWS + 1)  # the first draw, then each redraw
+
+    def test_rows_below_the_threshold_are_redrawn_from_the_same_cube(self, monkeypatch):
+        # Rows are redrawn where |denominator| < 1e-6, so 1e-6 itself is kept;
+        # here the first 5 rows fall just below it on the first draw only.
+        calls = []
+
+        def guard(v):
+            calls.append(len(v))
+            out = np.full(len(v), 1e-6)
+            if len(calls) == 1:
+                out[:5] = np.nextafter(1e-6, 0.0)
+            return out
+
+        monkeypatch.setitem(FEYNMAN, "II.38.3",
+                            dataclasses.replace(FEYNMAN["II.38.3"], guard=guard))
+        ds = gen_feynman("II.38.3", 20, seed=0)
+        rng = np.random.default_rng(0)
+        expected = rng.uniform(-1.0, 1.0, size=(20, 2))
+        expected[:5] = rng.uniform(-1.0, 1.0, size=(5, 2))
+        assert calls == [20, 20]
+        assert np.array_equal(ds.inputs, expected)
 
     def test_unknown_formula(self):
         with pytest.raises(DataError):
             gen_feynman("IV.0.0", 10, seed=0)
+
+    def test_formula_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            FEYNMAN["I.12.11"].arity = 3
 
     def test_formula_object_is_not_an_id(self):
         with pytest.raises(DataError, match="unknown formula id"):
@@ -348,8 +416,14 @@ class TestSplit:
             assert split.targets.tobytes() == ds.targets[idx].tobytes()
 
     def test_fractions_must_sum_to_one(self):
-        with pytest.raises(DataError):
-            split_dataset(self.make(), (0.5, 0.2), seed=0)
+        # Sums may miss 1 by 1e-9 of rounding, not by 1.5e-9.
+        for fractions in ((0.5, 0.2), (0.7, 0.15, 0.1500000015)):
+            with pytest.raises(DataError, match="sum to 1"):
+                split_dataset(self.make(), fractions, seed=0)
+
+    def test_four_fractions_rejected(self):
+        with pytest.raises(DataError, match="need 1 to 3 fractions"):
+            split_indices(100, (0.25, 0.25, 0.25, 0.25))
 
     def test_empty_dataset_rejected(self):
         empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int))
@@ -377,6 +451,14 @@ class TestDatasetValidation:
     def test_out_of_range_inputs_rejected(self):
         with pytest.raises(DataError):
             Dataset(np.array([[1.5]]), np.array([0]))
+
+    def test_inputs_may_pass_1_by_1e_12(self):
+        bound = 1.0 + 1e-12
+        assert Dataset(np.array([[-bound, bound]]), np.array([0])).inputs.tolist() == \
+            [[-bound, bound]]
+        for beyond in (np.nextafter(bound, 2.0), np.nextafter(-bound, -2.0)):
+            with pytest.raises(DataError, match="within"):
+                Dataset(np.array([[beyond]]), np.array([0]))
 
     def test_row_count_mismatch(self):
         with pytest.raises(DataError):

@@ -39,6 +39,20 @@ class TestForward:
             MlpModel([np.zeros((2, 3)), np.zeros((4, 5))],
                      [np.zeros(2), np.zeros(4)])
 
+    @pytest.mark.parametrize("weight, bias, error", [
+        (np.zeros((2, 3)), np.zeros(3), ShapeError),
+        (np.zeros((2, 3)), np.zeros((2, 1)), ShapeError),
+        (np.full((2, 3), np.inf), np.zeros(2), ValueError)],
+        ids=["bias_of_wrong_length", "bias_2d", "weight_not_finite"])
+    def test_bad_layer_rejected(self, weight, bias, error):
+        with pytest.raises(error, match="layer 0"):
+            MlpModel([weight], [bias])
+
+    def test_backward_without_a_cache(self):
+        model = MlpModel.create([3, 2], seed=2)
+        with pytest.raises(ValueError, match="missing forward cache"):
+            model.backward(None, np.zeros((1, 2)))
+
 
 class TestTrainStep:
     def test_lr_zero_keeps_model(self):
@@ -80,10 +94,11 @@ class TestTrainStep:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(40, 3))
         y = rng.integers(0, 2, size=40)
-        model = MlpModel.create([3, 8, 2], seed=6)
-        history = fit(model, x, y, "classification", 5, adam(1e-2), 16, seed=7)
-        assert len(history) == 5
-        assert history[-1] < history[0]
+        for widths in ([3, 8, 2], [3, 2]):  # one layer: no hidden activation
+            model = MlpModel.create(widths, seed=6)
+            history = fit(model, x, y, "classification", 5, adam(1e-2), 16, seed=7)
+            assert len(history) == 5
+            assert history[-1] < history[0]
 
 
 class TestPruneMlp:

@@ -120,7 +120,7 @@ class TestMseLoss:
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        for c in (2, 5, 10):
+        for c in (1, 2, 5, 10):
             loss, _ = cross_entropy(np.zeros((3, c)), np.zeros(3, dtype=int))
             assert loss == pytest.approx(np.log(c), rel=1e-12)
 
@@ -128,6 +128,9 @@ class TestCrossEntropy:
         logits = np.array([[1e3, 0.0, 0.0]])
         loss, _ = cross_entropy(logits, np.array([0]))
         assert loss == pytest.approx(0.0, abs=1e-10)
+        # A label whose probability underflows costs -log(LOG_FLOOR), not inf.
+        loss, _ = cross_entropy(logits, np.array([1]))
+        assert loss == -np.log(1e-300)
 
     def test_known_value(self):
         loss, _ = cross_entropy(np.array([[1.0, 2.0, 3.0]]), np.array([2]))

@@ -45,12 +45,17 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(*args)
 
+    # At degree 1 only one end overflows: the knot at 2e308 above [0, 1e308],
+    # or the one at -2e308 below [-1.5e308, -5e307]. (Below [-1e308, 0] the
+    # product h * (intervals + degree) overflows too.)
     @pytest.mark.parametrize("args", [(3, 5, -1e308, 1e308), (0, 5, -1e308, 1e308),
                                       (3, 1, 0.0, 1.7e308), (2, 4, -1.7e308, 0.0),
-                                      (3, 5, 1e16, 1e16 + 2)],
+                                      (3, 5, 1e16, 1e16 + 2), (1, 1, 0.0, 1e308),
+                                      (1, 2, -1.5e308, -5e307)],
                              ids=["spacing_overflows", "spacing_overflows_degree_0",
                                   "top_knot_overflows", "bottom_knot_overflows",
-                                  "knots_coincide"])
+                                  "knots_coincide", "top_extension_knot_overflows",
+                                  "bottom_extension_knot_overflows"])
     def test_span_whose_knots_overflow_or_coincide(self, args):
         # No RuntimeWarning either: the suite turns one into an error.
         with pytest.raises(ValueError, match="overflows|coincide"):
@@ -61,6 +66,21 @@ class TestBuildGrid:
         # Not the overflow message that an infinite spacing would raise later.
         with pytest.raises(ValueError, match="need finite"):
             build_grid(**bound)
+
+    def test_signed_zero_bounds_become_positive_zero(self):
+        grids = build_grid(3, 5, -0.0, 1.0), build_grid(3, 5, -1.0, -0.0)
+        assert [np.copysign(1.0, g.t_min) for g in grids] == [1.0, -1.0]
+        assert [np.copysign(1.0, g.t_max) for g in grids] == [1.0, 1.0]
+
+    def test_spacing_that_underflows_to_0_makes_knots_coincide(self):
+        # The end knots are then finite and equal: the span is too narrow,
+        # not overflowing.
+        with pytest.raises(ValueError, match="knots coincide at spacing 0.0"):
+            build_grid(3, 5, 0.0, 5e-324)
+
+    def test_knots_are_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            build_grid().knots[0] = 0.0
 
     def test_wide_finite_span_accepted(self):
         grid = build_grid(3, 5, -1e307, 1e307)

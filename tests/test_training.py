@@ -126,6 +126,26 @@ class TestFit:
         assert len(history) == 6
         assert history[-1] < history[0]
 
+    def test_one_row_in_batches_of_one(self):
+        model = KanModel.create([2, 1], seed=1)
+        snap = model.params.copy()
+        history = fit(model, np.array([[0.5, -0.5]]), np.array([0.25]), "regression", 2,
+                      adam(1e-2), 1, seed=0)
+        assert len(history) == 2
+        assert not np.array_equal(model.params, snap)
+
+    def test_whole_float_labels_are_class_labels(self):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-1, 1, size=(20, 2))
+        labels = rng.integers(0, 3, size=20)
+        models = []
+        for y in (labels, labels.astype(np.float64)):
+            model = MlpModel.create([2, 4, 3], seed=7)
+            fit(model, x, y, "classification", 2, adam(1e-2), 8, seed=8)
+            models.append((model, evaluate(model, x, y, "classification")))
+        (a, a_eval), (b, b_eval) = models
+        assert np.array_equal(a.params, b.params) and a_eval == b_eval
+
     def test_empty_data_rejected(self):
         model = KanModel.create([2, 2], seed=1)
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kanmark import transform
 from kanmark.numeric import ShapeError
 from kanmark.transform import dct, idct
 
@@ -23,6 +24,10 @@ class TestDct:
 
     def test_known_pair(self):
         assert np.allclose(dct([1.0, 0.0]), [0.7071068, 0.7071068], atol=1e-7)
+
+    def test_cached_matrix_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            transform._dct_matrix(4)[0, 0] = 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,10 @@ class TestGenSignal:
         a = gen_signal(42, 16, (2, 5), 0.3)
         b = gen_signal(42, 16, (2, 5), 0.3)
         assert np.array_equal(a, b)
+
+    def test_one_coefficient_band(self):
+        sig = gen_signal(7, 8, (3, 3), 0.5)
+        assert np.nonzero(sig)[0].tolist() == [3] and abs(sig[3]) == 0.5
 
     def test_band_support_and_magnitude(self):
         sig = gen_signal(7, 16, (2, 5), 0.25)
@@ -221,6 +227,11 @@ class TestDetectorDataset:
         assert len(rows) == len(labels) == 2 * 15 * 11
         assert int(labels.sum()) * 2 == len(labels)
 
+    def test_one_row_gives_one_block(self):
+        rows, labels = self.build(n=1, n_shuffles=3)
+        assert rows.shape == (2 + 2 * 3, 4)
+        assert labels.tolist() == [1, 0, 1, 1, 1, 0, 0, 0]
+
     def test_shuffled_rows_are_permutations(self):
         rows, _ = self.build(n=8)
         # per-sample block: wm, clean, 10x wm', 10x clean'
@@ -286,6 +297,13 @@ class TestVerify:
         result = verify(model, stub, x[:30], tau=0.5)
         assert result.detection_rate == 1.0
         assert result.decision is True
+
+    def test_result_is_frozen(self):
+        x, _ = small_task(seed=8)
+        stub = MlpModel([np.zeros((2, 4))], [np.array([0.0, 10.0])])
+        result = verify(KanModel.create([2, 4, 1], seed=14), stub, x[:3])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.decision = False
 
     def test_tau_zero_always_claims(self):
         x, _ = small_task(seed=9)

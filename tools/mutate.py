@@ -14,11 +14,16 @@ order) change of OLD to NEW in the function or class SCOPE (``<module>``
 outside any), where OLD is ``str`` for a string literal. Names survive edits
 to other scopes.
 
+A mutant that ``EQUIVALENT`` names changes no result that a test could
+see; when it survives, a run prints it as ``equivalent`` and leaves it out of
+the kill rate.
+
     python tools/mutate.py --list
     python tools/mutate.py --sample 60 --seed 1 tests
     python tools/mutate.py --mutant 'src/kanmark/cli.py::_fits::>=::>::0' tests/test_cli.py
 
-Standard library only. Exits 1 if any mutant survives, 2 on a usage error.
+Standard library only. Exits 1 if a mutant that EQUIVALENT does not name
+survives, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -47,6 +52,87 @@ SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Add: ast.Sub, ast.Sub: ast.Add,
          ast.Mult: ast.Div, ast.Div: ast.Mult, ast.FloorDiv: ast.Div, ast.Mod: ast.FloorDiv,
          ast.Pow: ast.Mult, ast.And: ast.Or, ast.Or: ast.And}
+
+# Mutants that change no result a test could see, each with the reason:
+# true equivalents, tolerances and size limits no input of a test reaches,
+# and public defaults that every caller in src/ overrides.
+_DEFAULT = "a public default that every caller in src/ overrides"
+EQUIVALENT = {
+    "src/kanmark/attacks.py::<module>::0.001::0.002::0": "SMALL_LR: " + _DEFAULT,
+    "src/kanmark/attacks.py::finetune::8::9::0": _DEFAULT,
+    "src/kanmark/attacks.py::finetune::0::1::0": _DEFAULT,
+    "src/kanmark/attacks.py::prune_sweep::1e-09::2e-09::0":
+        "tolerance for the rounding of 1 / step, about 1e-16 for any step in [0.001, 1]",
+    "src/kanmark/cli.py::check_config::>::>=::0":
+        "tolerance edge: only fractions summing to exactly 1 +- 1e-9 change sides",
+    "src/kanmark/data.py::gen_feynman::0::1::0": _DEFAULT,
+    "src/kanmark/data.py::gen_feynman::1::2::1":
+        "the loop raises at redraw MAX_REDRAWS, so a longer range is never reached",
+    "src/kanmark/data.py::gen_feynman::>=::>::0":
+        "uniform(-1, 1) draws -1.0 with probability 2**-53 per input",
+    "src/kanmark/data.py::gen_feynman::1.0::2.0::2":
+        "uniform(-1, 1) draws -1.0 with probability 2**-53 per input",
+    "src/kanmark/data.py::split_dataset::0::1::0": _DEFAULT,
+    "src/kanmark/data.py::write_idx::255::256::0":
+        "Dataset keeps |inputs| <= 1 + 1e-12, so no rounded pixel passes 255",
+    "src/kanmark/data.py::split_indices::0::1::0": _DEFAULT,
+    "src/kanmark/data.py::split_indices::>::>=::0":
+        "tolerance edge: only fractions summing to exactly 1 +- 1e-9 change sides",
+    "src/kanmark/kan.py::KanLayer.apply::1::2::0": "numpy infers any negative reshape size",
+    "src/kanmark/kan.py::KanModel.create::0::1::0": _DEFAULT,
+    "src/kanmark/kan.py::edge_importances::1::2::2": "a larger scratch buffer",
+    "src/kanmark/mlp.py::MlpModel.create::0::1::0": _DEFAULT,
+    "src/kanmark/mlp.py::MlpModel.backward::>::>=::1":
+        "at layer 0 it also forms the input's gradient, which nothing reads",
+    "src/kanmark/numeric.py::<module>::64::65::0": "ROW_CHUNK: chunking is byte-identical",
+    "src/kanmark/numeric.py::OptimizerState::0.001::0.002::0": _DEFAULT,
+    "src/kanmark/numeric.py::OptimizerState::False::True::0":
+        "the repr of an optimizer state: nothing prints one",
+    "src/kanmark/numeric.py::OptimizerState::False::True::1":
+        "the repr of an optimizer state: nothing prints one",
+    "src/kanmark/numeric.py::OptimizerState::False::True::2":
+        "scratch as an __init__ argument: nothing passes it",
+    "src/kanmark/numeric.py::OptimizerState::False::True::3":
+        "the repr of an optimizer state: nothing prints one",
+    "src/kanmark/numeric.py::OptimizerState::False::True::4":
+        "scratch in equality: nothing compares optimizer states",
+    "src/kanmark/numeric.py::adam::0.001::0.002::0": _DEFAULT,
+    "src/kanmark/numeric.py::check_floats::8::9::0":
+        "size limit: only counts between 2**63 / 9 and 2**63 / 8 floats tell",
+    "src/kanmark/numeric.py::check_floats::>::>=::0":
+        "count * 8 is even and the intp maximum odd, so they are never equal",
+    "src/kanmark/numeric.py::class_labels::0::1::1":
+        "min(labels, initial=1) < 0 exactly when some label is < 0",
+    "src/kanmark/numeric.py::keep_masks::1e-09::2e-09::0":
+        "tolerance for the rounding of ratio * size, far below 1e-9 at any size",
+    "src/kanmark/numeric.py::sigmoid::>=::>::0": "both branches give 0.5 at 0",
+    "src/kanmark/training.py::<module>::1000000.0::2000000.0::0":
+        "DIVERGENCE_FACTOR: the divergence tests read the constant",
+    "src/kanmark/training.py::<module>::256::257::0":
+        "PREPARED_BYTES_MAX: preparing once or per batch is byte-identical",
+    "src/kanmark/training.py::<module>::2::3::0":
+        "PREPARED_BYTES_MAX: preparing once or per batch is byte-identical",
+    "src/kanmark/training.py::<module>::20::21::0":
+        "PREPARED_BYTES_MAX: preparing once or per batch is byte-identical",
+    "src/kanmark/training.py::fit::0::1::0": _DEFAULT,
+    "src/kanmark/watermark.py::gen_signal::*::/::1": "it divides by a +-1 sign",
+    "src/kanmark/watermark.py::embed::0.001::0.002::0": _DEFAULT,
+    "src/kanmark/watermark.py::embed::0::1::0": _DEFAULT,
+    "src/kanmark/watermark.py::build_detector_dataset::10::11::0": _DEFAULT,
+    "src/kanmark/watermark.py::build_detector_dataset::0::1::0": _DEFAULT,
+    "src/kanmark/watermark.py::build_detector_dataset::0::1::7":
+        "outs[0] and outs[1] have the same row count",
+    "src/kanmark/watermark.py::build_detector_dataset::2::3::0":
+        "size limit: only a dataset near 2**60 floats tells",
+    "src/kanmark/watermark.py::build_detector_dataset::2::3::1":
+        "size limit: only a dataset near 2**60 floats tells",
+    "src/kanmark/watermark.py::build_detector_dataset::*::/::2":
+        "size limit: only a dataset near 2**60 floats tells",
+    "src/kanmark/watermark.py::build_detector_dataset::2::3::5":
+        "the next line overwrites the extra slot",
+    "src/kanmark/watermark.py::build_detector_dataset::1::2::6":
+        "numpy infers any negative reshape size",
+}
 
 
 def _literal(value) -> tuple[str, str, object] | None:
@@ -191,6 +277,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="seed of --sample")
     args = parser.parse_args(argv)
     every = mutants()
+    stale = sorted(set(EQUIVALENT) - set(every))
+    if stale:
+        parser.error(f"EQUIVALENT names no such mutant: {', '.join(stale)}")
     if args.list:
         print("\n".join(every))
         return 0
@@ -207,7 +296,7 @@ def main(argv=None) -> int:
         if run_tests(copy, args.tests) != "passed":
             print(f"unmutated tests do not pass: {' '.join(args.tests)}", file=sys.stderr)
             return 2
-        survivors = 0
+        survivors, equivalent = 0, 0
         for name in chosen:
             target = copy / name.split("::")[0]
             original = target.read_bytes()
@@ -216,11 +305,14 @@ def main(argv=None) -> int:
                 outcome = run_tests(copy, args.tests)
             finally:
                 target.write_bytes(original)
-            survivors += outcome == "passed"
-            print(f"{'SURVIVED' if outcome == 'passed' else outcome:8}  {name}", flush=True)
-    killed = len(chosen) - survivors
-    print(f"{killed} of {len(chosen)} mutants killed "
-          f"({100.0 * killed / max(len(chosen), 1):.1f}%)")
+            if outcome == "passed":
+                outcome = "equivalent" if name in EQUIVALENT else "SURVIVED"
+            survivors += outcome == "SURVIVED"
+            equivalent += outcome == "equivalent"
+            print(f"{outcome:10}  {name}", flush=True)
+    judged = len(chosen) - equivalent
+    print(f"{judged - survivors} of {judged} mutants killed "
+          f"({100.0 * (judged - survivors) / max(judged, 1):.1f}%), {equivalent} equivalent")
     return 1 if survivors else 0
 
 
