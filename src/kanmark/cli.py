@@ -2,9 +2,10 @@
 models, embed watermarks, run attacks, verify ownership, sweep pruning rates.
 
 Subcommands: train-clean, embed, attack, verify, prune-sweep, report.
-Configs, checkpoints, and reports are JSON (checkpoints carry parameters as
-one lowercase hex string of float64 bytes and are byte-stable across
-save/load/save). Reports are JSON lines appended to <out>/report.jsonl.
+Configs, checkpoints, and reports are JSON. A checkpoint's parameters sit
+beside it in <checkpoint>.params as raw float64 bytes, whose SHA-256 the JSON
+records; both files are byte-stable across save/load/save. Reports are JSON
+lines appended to <out>/report.jsonl.
 
 Exit codes: 0 success, 2 config error (a bad flag among them, checked before
 any data is read), unusable --out, diverged training or an array too large
@@ -18,12 +19,12 @@ whose activations overflow.
 from __future__ import annotations
 
 import argparse
-import binascii
 import copy
 import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -41,8 +42,8 @@ from .spline import build_grid
 from .training import TASKS, DivergenceError, evaluate
 from .watermark import verify
 
-FORMAT_VERSION = 4
-# Byte layout of a checkpoint's params blob: little-endian float64.
+FORMAT_VERSION = 5
+# Byte layout of a checkpoint's params file: little-endian float64.
 PARAMS_DTYPE = "<f8"
 ATTACK_KINDS = ("finetune", "prune", "retrain_after_prune")
 SPLITS = ("train", "test", "holdout")
@@ -290,13 +291,14 @@ def _train_clean(kind: str, cfg: dict, bundle: SeedBundle, train):
 
 def save_checkpoint(path, model, stage: str, cfg_hash: str, seed: int,
                     extra: dict | None = None) -> None:
-    """Writes ``model`` as canonical JSON: readable metadata plus its flat
-    ``params`` vector as one lowercase hex string of PARAMS_DTYPE bytes. Raises
-    ValueError on non-finite parameters."""
+    """Writes ``model``'s flat ``params`` vector as raw PARAMS_DTYPE bytes to
+    ``<path>.params``, then canonical JSON to ``path``: readable metadata plus
+    the params file's SHA-256. Raises ValueError on non-finite parameters."""
     if not isinstance(model, (KanModel, MlpModel)):
         raise CheckpointError(f"cannot checkpoint a {type(model).__name__}")
     if not np.all(np.isfinite(model.params)):
         raise ValueError("cannot checkpoint non-finite parameters")
+    blob = np.asarray(model.params, PARAMS_DTYPE).tobytes()
     payload = {
         "format_version": FORMAT_VERSION,
         "stage": stage,
@@ -304,27 +306,29 @@ def save_checkpoint(path, model, stage: str, cfg_hash: str, seed: int,
         "seed": int(seed),
         "kind": "kan" if isinstance(model, KanModel) else "mlp",
         "widths": model.widths,
-        "params": np.asarray(model.params, PARAMS_DTYPE).tobytes().hex(),
+        "params_sha256": hashlib.sha256(blob).hexdigest(),
     }
     if isinstance(model, KanModel):
         payload["layers"] = [{"grid": {key: getattr(layer.grid, key) for key in SCHEMA["grid"]}}
                              for layer in model.layers]
     if extra:
         payload["extra"] = extra
+    # The params first: a save cut short leaves no JSON or one whose digest fails.
+    Path(f"{path}.params").write_bytes(blob)
     Path(path).write_text(canonical_json(payload), encoding="utf-8")
 
 
 def load_checkpoint(path):
-    """Returns (model, payload-metadata)."""
+    """Returns (model, payload-metadata) of the JSON at ``path`` and the params
+    file ``<path>.params``."""
     try:
         payload = read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
     except ValueError as exc:  # not UTF-8 (UnicodeDecodeError) or not JSON
         raise CheckpointError(f"checkpoint {path} is not UTF-8 JSON: {exc}") from exc
-    # Malformed payloads raise lookup/type errors here, bad values ValueError (a2b_hex's
-    # binascii.Error on an odd length, whitespace or another non-hex character, or on a
-    # non-ASCII one) and widths or a grid record that break the config's rules ConfigError.
+    # Malformed payloads raise lookup/type errors here, bad values ValueError and
+    # widths or a grid record that break the config's rules ConfigError.
     try:
         version = payload.get("format_version")
         if version != FORMAT_VERSION:
@@ -349,12 +353,21 @@ def load_checkpoint(path):
             counts = [rec["grid"]["intervals"] + rec["grid"]["degree"] for rec in layers]
             shapes = [shape for edge, count in zip(edges, counts)
                       for shape in ((*edge, count), edge, edge)]
-        params = np.frombuffer(binascii.a2b_hex(payload["params"]), dtype=PARAMS_DTYPE)
-        need = sum(math.prod(shape) for shape in shapes)
-        if params.size != need:
-            raise ValueError(f"params hold {params.size} values, widths {widths} "
-                             f"need {need}")
-        arrays = views(params, shapes)
+        need = sum(math.prod(shape) for shape in shapes) * np.dtype(PARAMS_DTYPE).itemsize
+        blob_path = Path(f"{path}.params")  # named by the path, never by the contents
+        try:
+            with open(blob_path, "rb") as fh:
+                size = os.fstat(fh.fileno()).st_size
+                if size != need:  # checked before a byte is read or a grid built
+                    raise CheckpointError(f"params file {blob_path} holds {size} bytes, "
+                                          f"widths {widths} need {need}")
+                blob = fh.read()
+        except OSError as exc:
+            raise CheckpointError(f"cannot read params file {blob_path}: {exc}") from exc
+        if hashlib.sha256(blob).hexdigest() != payload.get("params_sha256"):
+            raise CheckpointError(f"params file {blob_path} does not match the "
+                                  f"params_sha256 of {path}")
+        arrays = views(np.frombuffer(blob, dtype=PARAMS_DTYPE), shapes)
         if kind == "mlp":
             model = MlpModel(arrays[0::2], arrays[1::2])
         else:
@@ -445,8 +458,9 @@ def cmd_embed(args) -> int:
         ("watermarked-kan.json", wm, "watermarked", extra),
         ("detector-mlp.json", detector, "detector", extra)],
         "watermarked", wm_rate=result.detection_rate, decision=result.decision)
-    print(f"watermarked: {metric}, detection rate "
-          f"{100 * result.detection_rate:.2f}% -> {wm_path}")
+    lo, hi = extra["band"]
+    print(f"watermarked: {metric}, detection rate {100 * result.detection_rate:.2f}%, "
+          f"band [{lo}, {hi}] ({hi - lo + 1} sign bits) -> {wm_path}")
     return 0
 
 

@@ -134,7 +134,7 @@ def write_idx(dataset: Dataset, images_path, labels_path,
     """
     n, d = dataset.inputs.shape
     rows, cols = _image_shape(d, image_shape)
-    pixels = np.clip(np.round((dataset.inputs + 1.0) / 2.0 * 255.0), 0, 255)
+    pixels = np.round((dataset.inputs + 1.0) / 2.0 * 255.0)  # in [-0.0, 255]: see Dataset
     labels = np.asarray(dataset.targets)
     if labels.size and (labels.min() < 0 or labels.max() > 255):
         raise DataError("labels must be bytes")

@@ -1,8 +1,9 @@
 import argparse
-import base64
 import dataclasses
+import hashlib
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -235,40 +236,72 @@ class TestConfig:
         assert a != c
 
 
+def params_file(path) -> Path:
+    """The params file that a checkpoint at ``path`` reads."""
+    return Path(f"{path}.params")
+
+
 class TestCheckpointRoundTrip:
+    @staticmethod
+    def assert_resave_is_byte_identical(tmp_path, model, stage):
+        """Save -> load -> save writes both files byte for byte again; returns
+        the loaded model."""
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_checkpoint(p1, model, stage, "hash", 7)
+        loaded, meta = load_checkpoint(p1)
+        assert meta["stage"] == stage and loaded.widths == model.widths
+        save_checkpoint(p2, loaded, meta["stage"], meta["config_hash"], meta["seed"])
+        assert p1.read_bytes() == p2.read_bytes()
+        assert params_file(p1).read_bytes() == params_file(p2).read_bytes()
+        return loaded
+
     def test_kan_byte_identical_resave(self, tmp_path):
         # Three layers too: layer k's arrays start at 3 * k of the params views.
         for widths in ([3, 4, 2], [3, 4, 5, 2]):
             model = KanModel.create(widths, seed=1)
-            p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-            save_checkpoint(p1, model, "clean", "hash", 7)
-            loaded, meta = load_checkpoint(p1)
-            assert meta["stage"] == "clean" and loaded.widths == widths
-            save_checkpoint(p2, loaded, meta["stage"], meta["config_hash"],
-                            meta["seed"])
-            assert p1.read_bytes() == p2.read_bytes()
+            loaded = self.assert_resave_is_byte_identical(tmp_path, model, "clean")
             x = np.random.default_rng(0).uniform(-1, 1, size=(5, 3))
             assert np.array_equal(model.forward(x)[0], loaded.forward(x)[0])
 
     def test_mlp_byte_identical_resave(self, tmp_path):
-        model = MlpModel.create([4, 8, 2], seed=2)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_checkpoint(p1, model, "detector", "hash", 7)
-        loaded, meta = load_checkpoint(p1)
-        save_checkpoint(p2, loaded, meta["stage"], meta["config_hash"],
-                        meta["seed"])
-        assert p1.read_bytes() == p2.read_bytes()
+        for widths in ([4, 8, 2], [4, 8, 6, 2]):
+            model = MlpModel.create(widths, seed=2)
+            loaded = self.assert_resave_is_byte_identical(tmp_path, model, "detector")
+            assert loaded.params.tobytes() == model.params.tobytes()
 
-    def test_format_4_records_only_grids_and_hex_params(self, tmp_path):
+    def test_format_5_records_grids_and_the_params_files_digest(self, tmp_path):
         x = np.random.default_rng(4).uniform(-1, 1, size=(8, 3))
         path = tmp_path / "m.json"
         model = prune_kan(KanModel.create([3, 4, 2], seed=3), 0.5, x)
         save_checkpoint(path, model, "attacked", "hash", 1)
         payload = json.loads(path.read_text())
-        assert payload["format_version"] == 4
+        assert set(payload) == {"format_version", "stage", "config_hash", "seed", "kind",
+                                "widths", "params_sha256", "layers"}
+        assert payload["format_version"] == 5
         assert [set(rec) for rec in payload["layers"]] == [{"grid"}, {"grid"}]
         assert "prune_mask" not in path.read_text()
-        assert payload["params"] == model.params.astype("<f8").tobytes().hex()
+        blob = params_file(path).read_bytes()
+        assert blob == model.params.astype("<f8").tobytes()
+        assert payload["params_sha256"] == hashlib.sha256(blob).hexdigest()
+
+    def test_save_cut_short_at_the_json_leaves_no_json(self, tmp_path, monkeypatch):
+        def disk_full(*args, **kwargs):
+            raise OSError("no space left")
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        path = tmp_path / "m.json"
+        with pytest.raises(OSError, match="no space left"):
+            save_checkpoint(path, MlpModel.create([2, 2], seed=0), "detector", "hash", 0)
+        assert params_file(path).exists() and not path.exists()
+
+    def test_copy_with_its_params_file_loads_the_same_params(self, tmp_path):
+        model = KanModel.create([3, 4, 2], seed=1)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        save_checkpoint(tmp_path / "a" / "m.json", model, "clean", "hash", 7)
+        for name in ("m.json", "m.json.params"):
+            shutil.copyfile(tmp_path / "a" / name, tmp_path / "b" / name)
+        loaded, _ = load_checkpoint(tmp_path / "b" / "m.json")
+        assert loaded.params.tobytes() == model.params.tobytes()
 
     def test_grid_per_layer_survives(self, tmp_path):
         model = KanModel.create([2, 3, 2], seed=5)
@@ -290,37 +323,62 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "m.json"
         with pytest.raises(ValueError, match="non-finite"):
             save_checkpoint(path, model, "detector", "hash", 7)
-        assert not path.exists()
+        assert not path.exists() and not params_file(path).exists()
 
     def test_version_mismatch_rejected(self, tmp_path, capsys):
         # version 1 held every array as nested decimal lists, version 2 a
-        # 0/1 prune_mask per layer and version 3 params in base64; none is read
+        # 0/1 prune_mask per layer, version 3 params in base64 and version 4
+        # in hex; none is read
         path, out = tmp_path / "m.json", tmp_path / "runs"
         cfg = write_config(tmp_path / "c.json")
         commands = {"embed": ["--clean-ckpt", str(path)], "attack": ["--wm-ckpt", str(path)],
                     "verify": ["--detector-ckpt", str(path), "--suspect-ckpt", str(path)]}
-        for version in (1, 2, 3, 999):
+        for version in (1, 2, 3, 4, 999):
             save_checkpoint(path, KanModel.create([2, 4, 1], seed=4), "clean", "hash", 1)
             payload = json.loads(path.read_text())
             payload["format_version"] = version
             path.write_text(canonical_json(payload))
             for command, ckpt in commands.items():
                 assert main([command, "--config", cfg, "--out", str(out), *ckpt]) == 4
-                assert f"format_version {version}, expected 4" in capsys.readouterr().err
+                assert f"format_version {version}, expected 5" in capsys.readouterr().err
                 assert not out.exists()
 
-    # Each defect and a phrase of the message that its own check gives.
+    def test_format_4_file_is_refused(self, tmp_path, capsys):
+        # params as one hex string inside the JSON, and no params file
+        model = KanModel.create([2, 4, 1], seed=4)
+        path = tmp_path / "m.json"
+        save_checkpoint(path, model, "clean", "hash", 1)
+        payload = json.loads(path.read_text())
+        del payload["params_sha256"]
+        payload.update(format_version=4, params=model.params.astype("<f8").tobytes().hex())
+        path.write_text(canonical_json(payload))
+        params_file(path).unlink()
+        with pytest.raises(CheckpointError, match="format_version 4, expected 5"):
+            load_checkpoint(path)
+        assert main(["verify", "--config", write_config(tmp_path / "c.json"),
+                     "--detector-ckpt", str(path), "--suspect-ckpt", str(path),
+                     "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == (
+            f"compatibility error: checkpoint {path}: format_version 4, expected 5\n")
+        assert not (tmp_path / "report.jsonl").exists()
+
+    # Each defect and a phrase of the message that its own check gives;
+    # {params} stands for the checkpoint's params file.
     MALFORMED = {
         "no_grid": "KeyError: 'grid'",
         "list_root": "AttributeError",
-        "params_8_bytes_short": "params hold 39 values, widths [2, 2] need 40",
-        "params_odd_length": "Odd-length string",
-        "params_not_hex": "Non-hexadecimal digit",
-        "params_whitespace": "Non-hexadecimal digit",
-        "params_not_ascii": "only ASCII characters",
-        "params_base64": "Non-hexadecimal digit",
+        "params_file_missing": "cannot read params file {params}: [Errno 2] No such file",
+        "params_file_is_a_directory": "cannot read params file {params}: [Errno 21] Is a "
+                                      "directory",
+        "params_8_bytes_short": "params file {params} holds 312 bytes, widths [2, 2] need 320",
+        "params_8_bytes_long": "params file {params} holds 328 bytes, widths [2, 2] need 320",
+        "params_byte_flipped": "params file {params} does not match the params_sha256 of",
+        "params_sha256_absent": "params file {params} does not match the params_sha256 of",
+        "params_sha256_not_a_string": "params file {params} does not match the "
+                                      "params_sha256 of",
         "nan_in_params": "non-finite",
-        "widths_disagree_with_params": "params hold 40 values, widths [2, 3] need 60",
+        "widths_disagree_with_params": "params file {params} holds 320 bytes, "
+                                       "widths [2, 3] need 480",
         "fractional_degree": "layers[0].grid.degree must be int (numbers >= 0), got 1.5",
         "boolean_degree": "layers[0].grid.degree must be int (numbers >= 0), got true",
         "fractional_intervals": "layers[0].grid.intervals must be int (numbers >= 1), got 4.5",
@@ -333,8 +391,11 @@ class TestCheckpointRoundTrip:
         "null_widths": "widths must be [int, ...] (numbers >= 1), got null",
         "t_min_not_below_t_max": "need finite t_min < t_max, got [1.0, 1.0]",
         "one_width_no_layers": "model needs at least one layer",
-        "intervals_2_pow_50": f"params hold 40 values, widths [2, 2] need {4 * (2**50 + 3) + 8}",
-        "degree_2_pow_50": f"params hold 40 values, widths [2, 2] need {4 * (2**50 + 5) + 8}",
+        # Refused by the size check, before the params file is read or a grid built.
+        "intervals_2_pow_50": "params file {params} holds 320 bytes, widths [2, 2] need "
+                              f"{8 * (4 * (2**50 + 3) + 8)}",
+        "degree_2_pow_50": "params file {params} holds 320 bytes, widths [2, 2] need "
+                           f"{8 * (4 * (2**50 + 5) + 8)}",
         "unknown_kind": "unknown kind 'cnn'",
         "no_layer_records": "0 layer records for widths [2, 2]",
     }
@@ -342,27 +403,36 @@ class TestCheckpointRoundTrip:
     @pytest.mark.parametrize("defect", list(MALFORMED))
     def test_malformed_checkpoint_exit_code(self, tmp_path, capsys, defect):
         path = tmp_path / "m.json"
+        blob = params_file(path)
         save_checkpoint(path, KanModel.create([2, 2], seed=4), "clean", "hash", 1)
         payload = json.loads(path.read_text())
-        hexed = payload["params"]
+
+        def write_params(data: bytes):
+            blob.write_bytes(data)
+            payload["params_sha256"] = hashlib.sha256(data).hexdigest()
         if defect == "no_grid":
             del payload["layers"][0]["grid"]
-        elif defect == "params_8_bytes_short":
-            payload["params"] = hexed[:-16]
-        elif defect == "params_odd_length":
-            payload["params"] = hexed[:-1]
-        elif defect == "params_not_hex":
-            payload["params"] = "g" + hexed[1:]
-        elif defect == "params_whitespace":
-            payload["params"] = hexed[:16] + "  " + hexed[18:]
-        elif defect == "params_not_ascii":
-            payload["params"] = "\u00e9" + hexed[1:]
-        elif defect == "params_base64":  # a format-3 blob under version 4
-            payload["params"] = base64.b64encode(bytes.fromhex(hexed)).decode()
-        elif defect == "nan_in_params":
-            params = np.frombuffer(bytes.fromhex(hexed), dtype="<f8").copy()
+        elif defect == "params_file_missing":
+            blob.unlink()
+        elif defect == "params_file_is_a_directory":
+            blob.unlink()
+            blob.mkdir()
+        elif defect == "params_8_bytes_short":  # digests that match: the size is checked
+            write_params(blob.read_bytes()[:-8])
+        elif defect == "params_8_bytes_long":
+            write_params(blob.read_bytes() + bytes(8))
+        elif defect == "params_byte_flipped":  # a finite value still
+            data = bytearray(blob.read_bytes())
+            data[0] ^= 1
+            blob.write_bytes(bytes(data))
+        elif defect == "params_sha256_absent":
+            del payload["params_sha256"]
+        elif defect == "params_sha256_not_a_string":
+            payload["params_sha256"] = [payload["params_sha256"]]
+        elif defect == "nan_in_params":  # with a digest that matches
+            params = np.frombuffer(blob.read_bytes(), dtype="<f8").copy()
             params[1] = np.nan
-            payload["params"] = params.tobytes().hex()
+            write_params(params.tobytes())
         elif defect == "widths_disagree_with_params":
             payload["widths"] = [2, 3]
         elif defect == "fractional_degree":
@@ -384,7 +454,8 @@ class TestCheckpointRoundTrip:
         elif defect == "t_min_not_below_t_max":  # build_grid's rules span keys
             payload["layers"][0]["grid"]["t_min"] = 1.0
         elif defect == "one_width_no_layers":
-            payload.update(widths=[3], layers=[], params="")
+            payload.update(widths=[3], layers=[])
+            write_params(b"")
         elif defect.endswith("_2_pow_50"):  # its knot vector could never be allocated
             payload["layers"][0]["grid"][defect.split("_")[0]] = 2**50
         elif defect == "unknown_kind":
@@ -394,12 +465,14 @@ class TestCheckpointRoundTrip:
         else:
             payload = [payload]
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match=re.escape(self.MALFORMED[defect])):
+        message = self.MALFORMED[defect].format(params=blob)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
         assert main(["verify", "--config", write_config(tmp_path / "c.json"),
                      "--detector-ckpt", str(path), "--suspect-ckpt", str(path),
                      "--out", str(tmp_path)]) == 4
-        assert self.MALFORMED[defect] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "report.jsonl").exists()
 
     def test_checkpoint_that_is_not_utf8_exits_4(self, tmp_path, capsys):
@@ -422,6 +495,7 @@ class TestCheckpointRoundTrip:
         lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
         save_checkpoint(lf, model, "clean", "hash", 7, extra={"note": "a"})
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        shutil.copyfile(params_file(lf), params_file(crlf))  # binary: no lines to change
         (want, want_meta), (got, got_meta) = load_checkpoint(lf), load_checkpoint(crlf)
         assert type(got) is type(want) and got.widths == want.widths
         assert got.params.tobytes() == want.params.tobytes()
@@ -563,6 +637,25 @@ class TestCommands:
             "in position 10000: invalid continuation byte\n")
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("widths, band, used, bits", [
+        ([2, 32, 1], None, [8, 16], 9),
+        ([2, 5, 1], None, [1, 2], 2),
+        ([2, 4, 1], [0, 3], [0, 3], 4),
+    ], ids=["default_width_32", "default_width_5", "explicit"])
+    def test_embed_prints_the_band_and_its_sign_bits(self, tmp_path, capsys, widths, band,
+                                                      used, bits):
+        cfg = write_config(tmp_path / "c.json", model={"widths": widths},
+                           watermark={"epochs": 1, "band": band})
+        out = str(tmp_path / "runs")
+        assert main(["train-clean", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["embed", "--config", cfg, "--clean-ckpt", f"{out}/clean-kan.json",
+                     "--out", out]) == 0
+        assert (f"%, band {used} ({bits} sign bits) -> {out}/watermarked-kan.json\n"
+                in capsys.readouterr().out)
+        extra = json.loads(Path(out, "watermarked-kan.json").read_text())["extra"]
+        assert extra["band"] == used
+
     def test_train_clean_creates_nested_out(self, tmp_path):
         out = tmp_path / "a" / "b" / "runs"
         assert main(["train-clean", "--config", write_config(tmp_path / "c.json"),
@@ -675,7 +768,9 @@ class TestCommands:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["embed", "--config", cfg, "--clean-ckpt",
                          str(out / "clean-kan.json"), "--out", str(out)]) == 2
-        assert sorted(p.name for p in out.iterdir()) == ["clean-kan.json", "report.jsonl"]
+        assert sorted(p.name for p in out.iterdir()) == ["clean-kan.json",
+                                                         "clean-kan.json.params",
+                                                         "report.jsonl"]
         assert len((out / "report.jsonl").read_text().splitlines()) == 1
 
     @pytest.mark.parametrize("watermark, cause", [

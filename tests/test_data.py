@@ -175,6 +175,14 @@ class TestLoadIdx:
         with pytest.raises(DataError, match="labels must be bytes"):
             write_idx(ds, tmp_path / "images.idx", tmp_path / "labels.idx")
 
+    def test_write_maps_the_input_bounds_to_bytes_0_and_255(self, tmp_path):
+        # Dataset admits |inputs| up to 1 + 1e-12, which round to bytes 0 and 255.
+        bound = 1.0 + 1e-12
+        images = tmp_path / "images.idx"
+        write_idx(Dataset(np.array([[-bound, bound, -1.0, 1.0]]), np.array([0])), images,
+                  tmp_path / "labels.idx")
+        assert images.read_bytes()[16:] == bytes([0, 255, 0, 255])
+
     def test_write_keeps_the_greatest_byte_label(self, tmp_path):
         labels = tmp_path / "labels.idx"
         write_idx(Dataset(np.zeros((2, 4)), np.array([0, 255])), tmp_path / "images.idx",

@@ -16,14 +16,19 @@ to other scopes.
 
 A mutant that ``EQUIVALENT`` names changes no result that a test could
 see; when it survives, a run prints it as ``equivalent`` and leaves it out of
-the kill rate.
+the kill rate. ``NAMED`` lists mutants that a test must kill, one line each:
+the test target that kills it, its name and a one-line reason; ``--named``
+runs each against its own target, which CI does. ``JOBS`` mutants run at
+once.
 
     python tools/mutate.py --list
     python tools/mutate.py --sample 60 --seed 1 tests
     python tools/mutate.py --mutant 'src/kanmark/cli.py::_fits::>=::>::0' tests/test_cli.py
+    python tools/mutate.py --named
 
 Standard library only. Exits 1 if a mutant that EQUIVALENT does not name
-survives, 2 on a usage error.
+survives, 2 on a usage error, among them a name in EQUIVALENT or NAMED that
+``--list`` lacks.
 """
 
 from __future__ import annotations
@@ -32,11 +37,13 @@ import argparse
 import ast
 import functools
 import os
+import queue
 import random
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,6 +52,10 @@ COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".h
                                      ".perfbench-work", ".benchmarks", "runs", "build",
                                      "*.egg-info")
 TIMEOUT = 600.0  # seconds per test run
+# Mutants run at once, each in its own copy: pytest start-up, not the tests,
+# takes most of each run.
+JOBS = 2
+NAMED = ROOT / "tools" / "named_mutants.txt"
 TOKENS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
           ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
           ast.FloorDiv: "//", ast.Mod: "%", ast.Pow: "**", ast.And: "and", ast.Or: "or"}
@@ -73,8 +84,6 @@ EQUIVALENT = {
     "src/kanmark/data.py::gen_feynman::1.0::2.0::2":
         "uniform(-1, 1) draws -1.0 with probability 2**-53 per input",
     "src/kanmark/data.py::split_dataset::0::1::0": _DEFAULT,
-    "src/kanmark/data.py::write_idx::255::256::0":
-        "Dataset keeps |inputs| <= 1 + 1e-12, so no rounded pixel passes 255",
     "src/kanmark/data.py::split_indices::0::1::0": _DEFAULT,
     "src/kanmark/data.py::split_indices::>::>=::0":
         "tolerance edge: only fractions summing to exactly 1 +- 1e-9 change sides",
@@ -237,6 +246,20 @@ def _parse(path: str) -> tuple[ast.Module, dict]:
     return tree, edits
 
 
+def named() -> list[tuple[str, str]]:
+    """(test target, mutant name) of each line of NAMED, a file of lines
+    ``TARGET NAME REASON`` (blank lines and ``#`` comments skipped); raises
+    ValueError on a line without a reason."""
+    found = []
+    for number, line in enumerate(NAMED.read_text(encoding="utf-8").splitlines(), 1):
+        if line.strip() and not line.startswith("#"):
+            fields = line.split(maxsplit=2)
+            if len(fields) < 3:
+                raise ValueError(f"{NAMED.name} line {number}: want TARGET NAME REASON")
+            found.append((fields[0], fields[1]))
+    return found
+
+
 def mutants() -> list[str]:
     """The name of every mutant, in file and source order."""
     return [name for file in sorted(ROOT.glob(SOURCES))
@@ -252,10 +275,14 @@ def mutated(name: str) -> str:
 
 def run_tests(copy: Path, tests) -> str:
     """'passed', 'failed' or 'timeout' of ``pytest -x -q`` in ``copy``."""
-    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    # Of the installed pytest plugins, only hypothesis's, which the suite uses:
+    # each other one would add its start-up to every mutant's run.
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"}
     try:
         proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
-                               "no:cacheprovider", *tests], cwd=copy, env=env,
+                               "no:cacheprovider", "-p", "_hypothesis_pytestplugin",
+                               *tests], cwd=copy, env=env,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                               timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
@@ -274,42 +301,62 @@ def main(argv=None) -> int:
     pick.add_argument("--list", action="store_true", help="print every mutant's name")
     pick.add_argument("--sample", type=int, help="run N mutants drawn at random")
     pick.add_argument("--mutant", action="append", help="run the named mutant (repeatable)")
+    pick.add_argument("--named", action="store_true",
+                      help=f"run each mutant of {NAMED.name} against its own test target")
     parser.add_argument("--seed", type=int, default=0, help="seed of --sample")
     args = parser.parse_args(argv)
     every = mutants()
-    stale = sorted(set(EQUIVALENT) - set(every))
-    if stale:
-        parser.error(f"EQUIVALENT names no such mutant: {', '.join(stale)}")
+    try:
+        listed = named()
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
+    for table, names in (("EQUIVALENT", EQUIVALENT), (NAMED.name, [n for _, n in listed])):
+        stale = sorted(set(names) - set(every))
+        if stale:
+            parser.error(f"{table} names no such mutant: {', '.join(stale)}")
     if args.list:
         print("\n".join(every))
         return 0
-    if args.mutant:
+    if args.named:  # (mutant, its tests) each
+        chosen = [(name, [target]) for target, name in listed]
+    elif args.mutant:
         unknown = [name for name in args.mutant if name not in every]
         if unknown:
             parser.error(f"no such mutant: {', '.join(unknown)}")
-        chosen = args.mutant
+        chosen = [(name, args.tests) for name in args.mutant]
     else:
-        chosen = random.Random(args.seed).sample(every, min(args.sample, len(every)))
+        chosen = [(name, args.tests) for name in
+                  random.Random(args.seed).sample(every, min(args.sample, len(every)))]
+    unmutated = sorted({test for _, tests in chosen for test in tests})
     with tempfile.TemporaryDirectory() as tmp:
-        copy = Path(tmp) / "repo"
-        shutil.copytree(ROOT, copy, ignore=COPY_IGNORE)
-        if run_tests(copy, args.tests) != "passed":
-            print(f"unmutated tests do not pass: {' '.join(args.tests)}", file=sys.stderr)
+        copies = queue.SimpleQueue()  # the free copies: a mutant edits the one it takes
+        for job in range(JOBS):
+            copy = Path(tmp) / f"repo{job}"
+            shutil.copytree(ROOT, copy, ignore=COPY_IGNORE)
+            copies.put(copy)
+        if run_tests(copy, unmutated) != "passed":
+            print(f"unmutated tests do not pass: {' '.join(unmutated)}", file=sys.stderr)
             return 2
-        survivors, equivalent = 0, 0
-        for name in chosen:
+
+        def outcome_of(mutant: tuple[str, list[str]]) -> str:
+            name, tests = mutant
+            copy = copies.get()
             target = copy / name.split("::")[0]
             original = target.read_bytes()
             target.write_text(mutated(name), encoding="utf-8")
             try:
-                outcome = run_tests(copy, args.tests)
+                return run_tests(copy, tests)
             finally:
                 target.write_bytes(original)
-            if outcome == "passed":
-                outcome = "equivalent" if name in EQUIVALENT else "SURVIVED"
-            survivors += outcome == "SURVIVED"
-            equivalent += outcome == "equivalent"
-            print(f"{outcome:10}  {name}", flush=True)
+                copies.put(copy)
+        survivors, equivalent = 0, 0
+        with ThreadPoolExecutor(JOBS) as pool:
+            for (name, _), outcome in zip(chosen, pool.map(outcome_of, chosen)):
+                if outcome == "passed":
+                    outcome = "equivalent" if name in EQUIVALENT else "SURVIVED"
+                survivors += outcome == "SURVIVED"
+                equivalent += outcome == "equivalent"
+                print(f"{outcome:10}  {name}", flush=True)
     judged = len(chosen) - equivalent
     print(f"{judged - survivors} of {judged} mutants killed "
           f"({100.0 * (judged - survivors) / max(judged, 1):.1f}%), {equivalent} equivalent")
